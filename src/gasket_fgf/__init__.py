@@ -35,7 +35,6 @@ from .operators import (
     self_similar_energy_residual,
 )
 from .spectral import (
-    EigenPair,
     SolverError,
     SpectralBasis,
     WeylFit,
@@ -53,10 +52,8 @@ from .kernels import (
     apply_Gs,
     apply_fractional_laplacian,
     estimate_bound_fit,
-    heat_kernel,
     increment_l2_check,
     kernel_matrix,
-    riesz_value,
     riesz_value_quadrature,
 )
 from .fields import (

@@ -30,7 +30,7 @@ from .kernels import (
     kernel_matrix,
     pair_sample,
 )
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, spectral_coeffs
 
 #: Replications per block when accumulating Monte Carlo statistics.
 MC_CHUNK = 50
@@ -152,7 +152,7 @@ def white_noise_pairing(sample: FieldSample, basis: SpectralBasis, f, s=None):
         raise ValueError("s must match the s the sample was drawn with")
     J = sample.modes
     f = np.asarray(f, dtype=np.float64)
-    coeff = (basis.phi[:, :J] * basis.mass[:, None]).T @ f
+    coeff = spectral_coeffs(basis, f, J)
     frac = basis.phi[:, :J] @ (basis.lam[:J] ** float(s) * coeff)
     lhs = float(frac @ (basis.mass * sample.values))
     rhs = float(coeff @ sample.coefficients)
@@ -164,10 +164,21 @@ def white_noise_pairing(sample: FieldSample, basis: SpectralBasis, f, s=None):
 # ---------------------------------------------------------------------------
 
 
-def _coefficient_rows(seeds, J, out):
-    for r, sd in enumerate(seeds):
-        out[r] = np.random.default_rng(sd).standard_normal(J)
-    return out
+def _mc_blocks(basis, s, seeds, J, verts=slice(None)):
+    """Field values at ``verts``, one row per seed, MC_CHUNK seeds per block.
+
+    Row r holds, to rounding, the realization that
+    ``sample_field(basis, s, seeds[r], J)`` draws, restricted to the chosen
+    vertices.
+    """
+    phi = basis.phi[verts, :J]
+    scale = basis.lam[:J] ** (-float(s))
+    block = np.empty((MC_CHUNK, J))
+    for lo in range(0, len(seeds), MC_CHUNK):
+        chunk = seeds[lo : lo + MC_CHUNK]
+        for r, sd in enumerate(chunk):
+            block[r] = np.random.default_rng(sd).standard_normal(J)
+        yield (block[: len(chunk)] * scale) @ phi.T
 
 
 def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> CovarianceReport:
@@ -185,19 +196,10 @@ def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> Covar
         raise ValueError("at least 1000 replications are required")
     pairs = np.asarray(pairs, dtype=np.int64)
     pi, pj = pairs[:, 0], pairs[:, 1]
-    verts = np.unique(np.concatenate([pi, pj]))
-    vmap = {int(v): k for k, v in enumerate(verts)}
-    phi_v = basis.phi[verts, :J]
-    scale = basis.lam[:J] ** (-float(s))
-    prod = np.empty((R, len(pairs)))
-    block = np.empty((MC_CHUNK, J))
-    ia = np.array([vmap[int(v)] for v in pi])
-    ja = np.array([vmap[int(v)] for v in pj])
-    for lo in range(0, R, MC_CHUNK):
-        chunk = seeds[lo : lo + MC_CHUNK]
-        rows = _coefficient_rows(chunk, J, block[: len(chunk)])
-        x = (rows * scale) @ phi_v.T
-        prod[lo : lo + len(chunk)] = x[:, ia] * x[:, ja]
+    # the Monte Carlo values are needed only at the vertices the pairs touch
+    verts, local = np.unique(pairs, return_inverse=True)
+    ia, ja = local.reshape(pairs.shape).T
+    prod = np.concatenate([x[:, ia] * x[:, ja] for x in _mc_blocks(basis, s, seeds, J, verts)])
     exact = kernel_matrix(basis, 2.0 * s, J)[pi, pj]
     se = prod.std(axis=0, ddof=1) / np.sqrt(R)
     z = (prod.mean(axis=0) - exact) / se
@@ -255,14 +257,8 @@ def variogram(
         replications = len(seeds)
         keep = (dp >= lo) & (dp <= hi)
         iu, ju, dp = iu[keep], ju[keep], dp[keep]
-        scale = basis.lam[:J] ** (-float(s))
-        phi = basis.phi[:, :J]
         acc = np.zeros(len(dp))
-        block = np.empty((MC_CHUNK, J))
-        for lo_r in range(0, replications, MC_CHUNK):
-            chunk = seeds[lo_r : lo_r + MC_CHUNK]
-            rows = _coefficient_rows(chunk, J, block[: len(chunk)])
-            x = (rows * scale) @ phi.T
+        for x in _mc_blocks(basis, s, seeds, J):
             acc += ((x[:, iu] - x[:, ju]) ** 2).sum(axis=0)
         d2 = acc / replications
     else:
@@ -362,14 +358,17 @@ def symmetry_invariance_test(basis: SpectralBasis, s, sym: SymmetryMap, J=None) 
     """
     check_s(s)
     J = basis.count if J is None else int(J)
-    c = kernel_matrix(basis, 2.0 * s, J, cluster_complete=True)
+    if not 0 <= J <= basis.count:
+        raise ValueError(f"J must lie in [0, {basis.count}]")
+    J = basis.cluster_complete(J)
+    c = kernel_matrix(basis, 2.0 * s, J)
     p = sym.permutation
     deviation = float(np.abs(c[np.ix_(p, p)] - c).max())
     corner_spread = float(np.ptp(np.diag(c)[:3]))
     tol = 1e-8
     return InvarianceReport(
         kind="symmetry",
-        params={"s": float(s), "reflection": sym.index, "J": basis.cluster_complete(J)},
+        params={"s": float(s), "reflection": sym.index, "J": J},
         measured={"kernel_deviation": deviation, "corner_variance_spread": corner_spread},
         tolerances={"kernel_deviation": tol, "corner_variance_spread": tol},
         passed=bool(deviation <= tol and corner_spread <= tol),

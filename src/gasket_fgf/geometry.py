@@ -154,6 +154,13 @@ def apply_cell_map(word, p):
     return (x, y)
 
 
+def _cell_scan(cells, n):
+    """Sorted unique edges (a < b) and per-vertex incident-cell counts of a cell list."""
+    tri = np.array([t for _, t in cells], dtype=np.int64)
+    sides = np.stack([tri, np.roll(tri, -1, axis=1)], axis=2).reshape(-1, 2)
+    return np.unique(np.sort(sides, axis=1), axis=0), np.bincount(tri.ravel(), minlength=n)
+
+
 @lru_cache(maxsize=None)
 def build_level(m):
     """Construct the level-m graph V_m of the full gasket.
@@ -190,14 +197,7 @@ def build_level(m):
         cells = refined
 
     n = len(coords)
-    counts = np.zeros(n, dtype=np.int64)
-    edge_set = set()
-    for _, tri in cells:
-        for k in range(3):
-            counts[tri[k]] += 1
-            e = (tri[k], tri[(k + 1) % 3]) if tri[k] < tri[(k + 1) % 3] else (tri[(k + 1) % 3], tri[k])
-            edge_set.add(e)
-    edges = np.array(sorted(edge_set), dtype=np.int64) if edge_set else np.empty((0, 2), dtype=np.int64)
+    edges, counts = _cell_scan(cells, n)
     assert len(edges) == 3 ** (m + 1), "edge count must be 3^(m+1)"
     assert n == (3 ** (m + 1) + 3) // 2, "vertex count must be (3^(m+1)+3)/2"
     measure = counts * (1.0 / 3 ** (m + 1))
@@ -294,14 +294,7 @@ def extract_cell(g: LevelGraph, word) -> LevelGraph:
         pv = g.vertices[p]
         vertices.append(Vertex(k, pv.x, pv.y3, pv.level_introduced, pv.coord in corners))
     cells = [(w, tuple(local[v] for v in tri)) for (w, tri) in sub_cells]
-    counts = np.zeros(len(parent_ids), dtype=np.int64)
-    edge_set = set()
-    for _, tri in cells:
-        for k in range(3):
-            counts[tri[k]] += 1
-            a, b = tri[k], tri[(k + 1) % 3]
-            edge_set.add((min(a, b), max(a, b)))
-    edges = np.array(sorted(edge_set), dtype=np.int64)
+    edges, counts = _cell_scan(cells, len(parent_ids))
     measure = counts * (1.0 / 3 ** (g.level + 1))
     return LevelGraph(
         g.level,

@@ -26,7 +26,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_function, gammaincc
 
 from .constants import HAUSDORFF_DIM, S_MIN, SPECTRAL_EXPONENT, WALK_DIM, check_s
-from .spectral import SpectralBasis, tail_variance
+from .spectral import SpectralBasis, spectral_coeffs, tail_variance
 
 #: Default distance window for kernel regressions (dyadic, inside (0, diam]).
 FIT_WINDOW = (2.0 ** -5, 2.0 ** -2)
@@ -108,11 +108,6 @@ class HeatKernelEvaluator:
         return float(1.0 + np.exp(-self.basis.lam[: self.J] * t).sum())
 
 
-def heat_kernel(h: HeatKernelEvaluator, t, x, y):
-    """Point evaluation p_t(x,y); symmetric in (x, y), t > 0."""
-    return h.value(t, x, y)
-
-
 def heat_envelope_constant(h: HeatKernelEvaluator, t0=1.0):
     """C with |p_t - 1| <= C e^{-lambda_1 t} for all t >= t0 (full gasket).
 
@@ -171,19 +166,16 @@ def ondiagonal_constants(h: HeatKernelEvaluator, window=(2.0 ** -10, 1.0), npts=
 # ---------------------------------------------------------------------------
 
 
-def kernel_matrix(basis: SpectralBasis, exponent, J=None, cluster_complete=False):
+def kernel_matrix(basis: SpectralBasis, exponent, J=None):
     """Dense sum_{j=1}^{J} lambda_j^{-exponent} Phi_j Phi_j^T.
 
-    With ``cluster_complete`` the truncation is trimmed down to the nearest
-    eigenvalue-cluster boundary, making the matrix independent of the
-    arbitrary basis choice inside degenerate eigenspaces -- required whenever
-    two such matrices from *different* solves are compared entry-wise.
+    Entry-wise comparisons between different bases need J at a cluster
+    boundary (``basis.cluster_complete``), where the matrix does not depend
+    on the basis inside degenerate eigenspaces.
     """
     J = basis.count if J is None else int(J)
     if not 0 <= J <= basis.count:
         raise ValueError(f"J must lie in [0, {basis.count}]")
-    if cluster_complete:
-        J = basis.cluster_complete(J)
     phi = basis.phi[:, :J]
     return (phi * basis.lam[:J] ** (-float(exponent))) @ phi.T
 
@@ -210,11 +202,6 @@ class RieszKernel:
     def value(self, x, y):
         b = self.basis
         return float((b.phi[x, : self.J] * b.lam[: self.J] ** (-self.s)) @ b.phi[y, : self.J])
-
-
-def riesz_value(k: RieszKernel, x, y):
-    """G_s(x, y) as the spectral sum (the canonical representation)."""
-    return k.value(x, y)
 
 
 def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
@@ -245,21 +232,14 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
 def apply_Gs(k: RieszKernel, f, zero_mean=False):
     """(G_s f)(x) = sum_j lambda_j^{-s} <Phi_j, f>_M Phi_j(x).
 
-    With ``zero_mean`` the caller asserts integral(f dmu) = 0 (checked);
-    otherwise f is first M-projected onto the mean-zero subspace.
+    f is first M-projected onto the mean-zero subspace, as in
+    :func:`apply_fractional_laplacian`; with ``zero_mean`` the caller also
+    asserts integral(f dmu) = 0, and that is checked.
     """
-    b = k.basis
-    f = np.asarray(f, dtype=np.float64)
-    total = b.mass.sum()
-    mean = float(b.mass @ f) / total
-    if zero_mean:
-        if abs(mean) * total > 1e-8:
-            raise ValueError("f was asserted to be mean-zero but M-integrates to "
-                             f"{mean * total:.3e}")
-    else:
-        f = f - mean
-    coeff = (b.phi[:, : k.J] * b.mass[:, None]).T @ f
-    return b.phi[:, : k.J] @ (b.lam[: k.J] ** (-k.s) * coeff)
+    integral = float(k.basis.mass @ np.asarray(f, dtype=np.float64))
+    if zero_mean and abs(integral) > 1e-8:
+        raise ValueError(f"f was asserted to be mean-zero but M-integrates to {integral:.3e}")
+    return apply_fractional_laplacian(k.basis, -k.s, f, k.J)
 
 
 def apply_fractional_laplacian(basis: SpectralBasis, s, f, J=None):
@@ -273,13 +253,24 @@ def apply_fractional_laplacian(basis: SpectralBasis, s, f, J=None):
     J = basis.count if J is None else int(J)
     f = np.asarray(f, dtype=np.float64)
     f = f - float(basis.mass @ f) / basis.mass.sum()
-    coeff = (basis.phi[:, :J] * basis.mass[:, None]).T @ f
-    return basis.phi[:, :J] @ (basis.lam[:J] ** float(s) * coeff)
+    return basis.phi[:, :J] @ (basis.lam[:J] ** float(s) * spectral_coeffs(basis, f, J))
 
 
 # ---------------------------------------------------------------------------
 # pair sampling and binned regressions
 # ---------------------------------------------------------------------------
+
+
+def unrank_pairs(n, flat):
+    """The pairs (i, j), i < j, at positions ``flat`` of ``np.triu_indices(n, 1)``.
+
+    Row i of the upper triangle holds n - 1 - i pairs; the row of a flat
+    index is found from the cumulative row lengths, so no O(n^2) index
+    array is built.
+    """
+    ends = np.cumsum(np.arange(n - 1, 0, -1))
+    i = np.searchsorted(ends, flat, side="right")
+    return i, flat - ends[i] + n
 
 
 def pair_sample(graph, npairs=DEFAULT_PAIR_COUNT, seed=DEFAULT_PAIR_SEED):
@@ -290,11 +281,13 @@ def pair_sample(graph, npairs=DEFAULT_PAIR_COUNT, seed=DEFAULT_PAIR_SEED):
     replacement, reproducible from ``seed``.
     """
     n = len(graph)
-    iu, ju = np.triu_indices(n, 1)
-    if graph.level > ALL_PAIRS_MAX_LEVEL and npairs is not None and len(iu) > npairs:
-        sel = np.random.default_rng(seed).choice(len(iu), int(npairs), replace=False)
-        sel.sort()
-        iu, ju = iu[sel], ju[sel]
+    total = n * (n - 1) // 2
+    if graph.level > ALL_PAIRS_MAX_LEVEL and npairs is not None and total > npairs:
+        flat = np.random.default_rng(seed).choice(total, int(npairs), replace=False)
+        flat.sort()
+        iu, ju = unrank_pairs(n, flat)
+    else:
+        iu, ju = np.triu_indices(n, 1)
     pts = graph.points
     d = np.linalg.norm(pts[iu] - pts[ju], axis=1)
     return iu, ju, d
@@ -406,24 +399,13 @@ def estimate_bound_fit(
     if regime == "log":
         # the modulus has no power law; regress on the ln|ln d| axis instead
         keep = in_win & (np.abs(np.log(dp)) >= 0.5) & (vals > 0)
-        x = np.log(np.abs(np.log(dp[keep])))
-        v = np.log(vals[keep])
-        edges = np.linspace(x.min() - 1e-12, x.max() + 1e-12, nbins + 1)
-        which = np.digitize(x, edges) - 1
-        xs, ys = [], []
-        for b in range(nbins):
-            sel = which == b
-            if sel.sum() >= 2:
-                k = int(np.argmax(v[sel]))
-                xs.append(float(x[sel][k]))
-                ys.append(float(v[sel].max()))
-        xs, ys = np.array(xs), np.array(ys)
-        slope, intercept = np.polyfit(xs, ys, 1)
-        residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-        fitted = float(slope)
+        if not keep.any():
+            raise ValueError("fit window is empty")
+        lnd = np.abs(np.log(dp[keep]))
+        fitted, _, residual, nbins_used, _ = binned_loglog_fit(
+            lnd, vals[keep], (lnd.min(), lnd.max()), nbins, agg="max")
         bound = 1.0
-        constant = float((vals[keep] / np.abs(np.log(dp[keep]))).max())
-        nbins_used = len(xs)
+        constant = float((vals[keep] / lnd).max())
     else:
         slope, _, residual, nbins_used, _ = binned_loglog_fit(dp, vals, window, nbins, agg="max")
         fitted = -slope

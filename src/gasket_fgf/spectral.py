@@ -15,11 +15,14 @@ So the eigenvectors, and every field built from them, are reproducible across
 machines and thread counts.  The convention holds for whole clusters: when a
 truncated solve (``count`` < n - 1, which includes every iterative solve)
 cuts the top cluster, the vectors of that partial cluster span a subspace
-the solver happened to find, and no eigenspace fixes them.  Identities
-across different bases are still formulated on kernels/projectors, trimmed
-to the nearest cluster boundary (``SpectralBasis.cluster_complete``).
+the solver happened to find, and no eigenspace fixes them; such a solve
+asks for one eigenvalue more than it returns and emits a ``UserWarning``
+naming the cluster boundary below the cut.  Identities across different
+bases are still formulated on kernels/projectors, trimmed to the nearest
+cluster boundary (``SpectralBasis.cluster_complete``).
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,13 +47,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class EigenPair:
-    index: int
-    lam: float
-    phi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,20 +93,19 @@ class SpectralBasis:
         """Eigenvectors of the nonzero modes, one per column."""
         return self.vectors[:, 1:]
 
-    def pair(self, j) -> EigenPair:
-        return EigenPair(j, float(self.lambdas[j]), self.vectors[:, j])
-
-    def clusters(self, rel=CLUSTER_GAP):
+    def clusters(self):
         """Maximal runs [lo, hi) of nonzero-mode indices with tiny relative gaps."""
-        return _cluster_runs(self.lam, rel)
+        return _cluster_runs(self.lam)
 
-    def cluster_complete(self, J, rel=CLUSTER_GAP):
+    def cluster_complete(self, J):
         """Largest J' <= J that does not split a degenerate cluster."""
-        lam = self.lam
-        J = int(min(J, len(lam)))
-        while 0 < J < len(lam) and (lam[J] - lam[J - 1]) <= rel * max(lam[J - 1], 1.0):
-            J -= 1
-        return J
+        ends = np.array([0] + [hi for _, hi in self.clusters()])
+        return int(ends[np.searchsorted(ends, max(int(J), 0), side="right") - 1])
+
+
+def spectral_coeffs(basis: SpectralBasis, f, J):
+    """M-coefficients <Phi_j, f>_M of f on the first J nonzero modes."""
+    return basis.phi[:, :J].T @ (basis.mass * f)
 
 
 def _postprocess(w, psi, dscale, mass):
@@ -128,9 +123,9 @@ def _postprocess(w, psi, dscale, mass):
     return lambdas, vectors
 
 
-def _cluster_runs(lam, rel=CLUSTER_GAP):
-    """Maximal runs [lo, hi) of a sorted array whose neighbours differ by <= rel."""
-    cut = np.flatnonzero(np.diff(lam) > rel * np.maximum(lam[:-1], 1.0)) + 1
+def _cluster_runs(lam):
+    """Maximal runs [lo, hi) of a sorted array whose neighbours differ by <= CLUSTER_GAP."""
+    cut = np.flatnonzero(np.diff(lam) > CLUSTER_GAP * np.maximum(lam[:-1], 1.0)) + 1
     edges = [0, *cut.tolist(), len(lam)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -185,6 +180,11 @@ def solve_eigen(
     ------
     ValueError for out-of-range ``count``; SolverError if the achieved
     residual exceeds ``tol``.
+
+    Warns
+    -----
+    UserWarning when ``count`` < n - 1 cuts an eigenvalue cluster: the
+    solver computes one eigenvalue more than it returns to detect this.
     """
     n = stiffness.dim
     count = int(count)
@@ -193,22 +193,34 @@ def solve_eigen(
     if method == "auto":
         method = "dense" if n <= DENSE_LIMIT else "iterative"
     d = 1.0 / np.sqrt(mass.diagonal)
+    # one eigenvalue beyond the result shows whether the top cluster is cut
+    nev = min(count + 2, n)
     if method == "dense":
         a = stiffness.matrix.toarray() * d[:, None] * d[None, :]
         a = 0.5 * (a + a.T)
-        w, psi = sla.eigh(a, subset_by_index=(0, count))
+        w, psi = sla.eigh(a, subset_by_index=(0, nev - 1))
     elif method == "iterative":
         dinv = sp.diags_array(d)
         a = (dinv @ stiffness.matrix @ dinv).tocsc()
         a = ((a + a.T) * 0.5).tocsc()
         try:
-            w, psi = spla.eigsh(a, k=count + 1, sigma=-1.0, which="LM")
+            w, psi = spla.eigsh(a, k=min(nev, n - 1), sigma=-1.0, which="LM")
         except Exception as exc:  # pragma: no cover - non-convergence path
             raise SolverError(f"iterative eigensolver failed: {exc}") from exc
         order = np.argsort(w)
         w, psi = w[order], psi[:, order]
     else:
         raise ValueError(f"unknown method {method!r}")
+    if len(w) > count + 1:
+        lo = _cluster_runs(w[1:])[-1][0]  # first mode of the top run, extra eigenvalue included
+        if lo < count:
+            warnings.warn(
+                f"count={count} cuts an eigenvalue cluster: modes {lo + 1}..{count} are part of "
+                f"a larger eigenspace, so their basis is not canonical; the cluster-complete "
+                f"truncation is J = {lo}",
+                stacklevel=2,
+            )
+        w, psi = w[:-1], psi[:, :-1]
 
     lambdas, vectors = _postprocess(w, psi, d, mass.diagonal)
     _canonical_cluster_bases(lambdas, vectors, mass.diagonal)
@@ -247,9 +259,9 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
     ``spectrum`` is a SpectralBasis or a sorted array of nonzero
     eigenvalues.  The fit uses the middle (lo_frac, hi_frac) of the computed
     spectrum by index -- the bottom is preasymptotic, the top polluted by
-    discretization.  N is evaluated right-continuously with a 1e-9 relative
-    tie guard so degenerate clusters count their full multiplicity.  The
-    expected slope is d_h/d_w = ln3/ln5.
+    discretization.  N is evaluated right-continuously with a CLUSTER_GAP
+    relative tie guard so degenerate clusters count their full multiplicity.
+    The expected slope is d_h/d_w = ln3/ln5.
     """
     lam = spectrum.lam if isinstance(spectrum, SpectralBasis) else np.asarray(spectrum, dtype=np.float64)
     J = len(lam)
@@ -257,7 +269,7 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
         raise ValueError("at least 100 modes are required for a Weyl exponent fit")
     lo, hi = int(J * lo_frac), int(J * hi_frac)
     lams = lam[lo:hi]
-    counts = np.searchsorted(lam, lams * (1.0 + 1e-9), side="right")
+    counts = np.searchsorted(lam, lams * (1.0 + CLUSTER_GAP), side="right")
     x, y = np.log(lams), np.log(counts)
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept

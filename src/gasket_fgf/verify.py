@@ -36,6 +36,7 @@ from .kernels import (
     ondiagonal_constants,
     ondiagonal_fit,
     riesz_value_quadrature,
+    unrank_pairs,
 )
 from .fields import (
     empirical_covariance,
@@ -45,7 +46,7 @@ from .fields import (
     variogram,
 )
 from .operators import assemble_energy, assemble_mass, energy_value, self_similar_energy_residual
-from .spectral import pick_truncation, solve_eigen, weyl_exponent_fit
+from .spectral import pick_truncation, solve_eigen, spectral_coeffs, weyl_exponent_fit
 
 
 @dataclass
@@ -317,11 +318,10 @@ def check_field_duality(level=6, s=0.5, seed=7, **_):
     j_star = pick_truncation(basis, s, budget=0.01)
     sample = sample_field(basis, s, seed, J=j_star)
     lam = basis.lam[:j_star]
-    phi = basis.phi[:, :j_star]
-    mx = basis.mass * sample.values
-    per_mode = (lam ** s) * (phi.T @ mx) - sample.coefficients
+    cx = spectral_coeffs(basis, sample.values, j_star)
+    per_mode = (lam ** s) * cx - sample.coefficients
     coeffs = np.random.default_rng(seed + 1).standard_normal((100, j_star))
-    lhs = (coeffs * lam ** s) @ (phi.T @ mx)
+    lhs = (coeffs * lam ** s) @ cx
     rhs = coeffs @ sample.coefficients
     dev = float(max(np.abs(per_mode).max(), np.abs(lhs - rhs).max()))
     mean_dev = float(abs(basis.mass @ sample.values))
@@ -339,9 +339,8 @@ def check_field_covariance(level=6, s=0.5, replications=10_000, **_):
     j_star = pick_truncation(basis, s, budget=0.01)
     seeds = np.random.SeedSequence(2024).spawn(replications)
     n = len(basis.graph)
-    iu, ju = np.triu_indices(n, 1)
-    sel = np.random.default_rng(np.random.SeedSequence(4096)).choice(len(iu), 100, replace=False)
-    pairs = np.column_stack([iu[sel], ju[sel]])
+    rng = np.random.default_rng(np.random.SeedSequence(4096))
+    pairs = np.column_stack(unrank_pairs(n, rng.choice(n * (n - 1) // 2, 100, replace=False)))
     rep = empirical_covariance(basis, s, seeds, pairs, J=j_star)
     return CheckResult(
         "7b",

@@ -30,6 +30,19 @@ def test_counts(m):
     assert len(g.cells) == 3 ** m
 
 
+def test_edges_and_measure_follow_the_cells(g4, cell_graph):
+    # reference: walk the cells one corner at a time
+    for g in (g4, cell_graph):
+        counts = np.zeros(len(g), dtype=np.int64)
+        sides = set()
+        for _, tri in g.cells:
+            for k in range(3):
+                counts[tri[k]] += 1
+                sides.add(tuple(sorted((tri[k], tri[(k + 1) % 3]))))
+        np.testing.assert_array_equal(g.edges, np.array(sorted(sides)))
+        np.testing.assert_array_equal(g.measure, counts * (1.0 / 3 ** (g.level + 1)))
+
+
 def test_boundary_is_v0(g4):
     ids = g4.boundary_ids()
     assert len(ids) == 3

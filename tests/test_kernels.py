@@ -20,7 +20,6 @@ from gasket_fgf.kernels import (
     binned_points,
     estimate_bound_fit,
     heat_envelope_constant,
-    heat_kernel,
     heat_min,
     increment_l2_check,
     kernel_matrix,
@@ -28,7 +27,6 @@ from gasket_fgf.kernels import (
     ondiagonal_fit,
     pair_sample,
     positivity_threshold,
-    riesz_value,
     riesz_value_quadrature,
 )
 from gasket_fgf.operators import assemble_energy
@@ -57,7 +55,6 @@ def test_symmetry_and_value_accessors(basis4):
     h = HeatKernelEvaluator(basis4)
     m = h.matrix(0.05)
     np.testing.assert_allclose(m, m.T, atol=1e-12)
-    assert heat_kernel(h, 0.05, 3, 7) == pytest.approx(m[3, 7], rel=1e-14)
     assert h.value(0.05, 7, 3) == pytest.approx(m[3, 7], rel=1e-14)
 
 
@@ -138,7 +135,6 @@ def test_riesz_rows_integrate_to_zero(basis4):
 
 def test_riesz_value_accessors(basis4):
     k = RieszKernel(0.5, basis4)
-    assert riesz_value(k, 0, 1) == pytest.approx(k.matrix[0, 1], rel=1e-14)
     assert k.value(1, 0) == pytest.approx(k.matrix[0, 1], rel=1e-14)
 
 
@@ -216,6 +212,17 @@ def test_pair_sample_subsamples_reproducibly(g6):
     assert not np.array_equal(i1, i3)
 
 
+@pytest.mark.parametrize("npairs,seed", [(100_000, 2024), (5000, 9)])
+def test_pair_sample_matches_triu_reference(g6, npairs, seed):
+    # the flat indices are unranked without building the n(n-1)/2 index arrays
+    iu, ju = np.triu_indices(len(g6), 1)
+    sel = np.sort(np.random.default_rng(seed).choice(len(iu), npairs, replace=False))
+    i, j, d = pair_sample(g6, npairs=npairs, seed=seed)
+    np.testing.assert_array_equal(i, iu[sel])
+    np.testing.assert_array_equal(j, ju[sel])
+    np.testing.assert_array_equal(d, np.linalg.norm(g6.points[iu[sel]] - g6.points[ju[sel]], axis=1))
+
+
 def test_binned_points_rejects_empty_window():
     with pytest.raises(ValueError):
         binned_points([1.0, 2.0], [1.0, 1.0], window=(1e-6, 2e-6))
@@ -260,6 +267,12 @@ def test_regime_resolution(basis4):
     assert estimate_bound_fit(basis4, 0.5, npairs=None).regime == "power"
     assert estimate_bound_fit(basis4, SPECTRAL_EXPONENT, npairs=None).regime == "log"
     assert estimate_bound_fit(basis4, 0.7, npairs=None).regime == "bounded"
+
+
+def test_estimate_bound_fit_log_regime_empty_window(basis4):
+    # every pair in (0.9, 1.0] has |ln d| < 0.5, so the log regime has no points
+    with pytest.raises(ValueError, match="fit window is empty"):
+        estimate_bound_fit(basis4, SPECTRAL_EXPONENT, window=(0.9, 1.0), npairs=None)
 
 
 def test_estimate_bound_fit_power_level6(basis6):

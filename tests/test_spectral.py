@@ -1,5 +1,7 @@
 """Eigensolver hygiene, Weyl counting, and truncation bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,9 +99,18 @@ def test_cluster_basis_depends_on_eigenspace_only(basis5):
     assert np.abs(vectors - basis5.vectors).max() <= 1e-10
 
 
-@pytest.mark.parametrize("j,trimmed", [(100, 80), (300, 242), (878, 728)])
+@pytest.mark.parametrize("j,trimmed", [(0, 0), (100, 80), (300, 242), (878, 728), (1094, 1094)])
 def test_cluster_complete_trims(basis6, j, trimmed):
     assert basis6.cluster_complete(j) == trimmed
+
+
+def test_truncated_solve_warns_when_it_cuts_a_cluster(g6):
+    s, mm = assemble_energy(g6), assemble_mass(g6)
+    with pytest.warns(UserWarning, match="modes 243..300 .* J = 242"):
+        solve_eigen(s, mm, 300, graph=g6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_eigen(s, mm, 242, graph=g6).count == 242
 
 
 def test_counting_function_right_continuous(basis5):
