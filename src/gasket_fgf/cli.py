@@ -83,7 +83,6 @@ def build_parser():
     e.add_argument("--level", type=int)
     e.add_argument("--count", type=int, help="number of nonzero modes (default 300)")
     e.add_argument("--tol", type=float, help="residual tolerance (default 1e-8)")
-    e.add_argument("--method", choices=("auto", "dense", "iterative"))
     e.add_argument("--out", help="eigenvalue JSON path")
     e.add_argument("--vectors-out", dest="vectors_out", help="eigenvector CSV path")
 
@@ -172,24 +171,14 @@ def _require(args, parser, *names):
             parser.error(f"{flag} is required (flag or config)")
 
 
-def _solve(level, count=None, tol=None, method=None):
+def _solve(level, count=None, tol=None):
     from .geometry import build_level
     from .operators import assemble_energy, assemble_mass
-    from .spectral import DENSE_LIMIT, solve_eigen
+    from .spectral import solve_eigen
 
     graph = build_level(level)
-    if count is None:
-        if len(graph) > DENSE_LIMIT:
-            raise ValueError(
-                f"level {level} needs an explicit --modes/--count "
-                f"(dimension {len(graph)} exceeds the dense-solver limit)"
-            )
-        count = len(graph) - 1
-    kwargs = {}
-    if tol is not None:
-        kwargs["tol"] = tol
-    if method is not None:
-        kwargs["method"] = method
+    count = len(graph) - 1 if count is None else count
+    kwargs = {} if tol is None else {"tol": tol}
     return graph, solve_eigen(assemble_energy(graph), assemble_mass(graph), count,
                               graph=graph, **kwargs)
 
@@ -225,10 +214,8 @@ def cmd_eigs(args, parser):
     _require(args, parser, "level", "out")
     count = 300 if args.count is None else args.count
     tol = 1e-8 if args.tol is None else args.tol
-    method = args.method or "auto"
-    _, basis = _solve(args.level, count, tol, method)
-    echo = {"command": "eigs", "level": args.level, "count": count, "tol": tol,
-            "method": method}
+    _, basis = _solve(args.level, count, tol)
+    echo = {"command": "eigs", "level": args.level, "count": count, "tol": tol}
     write_eigen_json(basis, args.out, config=echo)
     if args.vectors_out:
         write_eigen_csv(basis, args.vectors_out)

@@ -108,8 +108,7 @@ def sample_field(basis: SpectralBasis, s, seed, J=None) -> FieldSample:
     multiplies one eigenvector, so the values follow the basis inside each
     degenerate cluster; ``solve_eigen`` fixes that basis canonically, which
     makes a realization a function of (level, s, seed, J) on any machine and
-    BLAS thread count, provided the solve left no cluster cut at its top
-    (every full-spectrum solve; see :mod:`gasket_fgf.spectral`).
+    BLAS thread count, for truncated solves too (see :mod:`gasket_fgf.spectral`).
     """
     check_s(s)
     J = basis.count if J is None else int(J)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .constants import ENERGY_SCALE
 from .geometry import LevelGraph, apply_cell_map_exact, build_level
@@ -129,26 +128,41 @@ def self_similar_energy_residual(f, fine: LevelGraph = None):
     return abs(energy_value(s_fine, f) - ENERGY_SCALE * total)
 
 
-def harmonic_extension(f_coarse, fine: LevelGraph, coarse: LevelGraph = None):
-    """Energy-minimizing extension of a V_m function to V_{m+1}.
+def decimation_extension(u, fine: LevelGraph, mu):
+    """Extend level-(m-1) eigenfunctions to V_m = ``fine`` by spectral decimation.
 
-    Uses the stable-id embedding of V_m into V_{m+1} and solves the interior
-    linear system S_II g_I = -S_IB f_B.  The minimum satisfies
-    E_{m+1}(g) = E_m(f); at level 0 this reproduces the classical 1/5-2/5
-    extension rule.
+    Column j of ``u`` becomes the level-m eigenfunction with renormalized
+    eigenvalue ``mu[j]`` (lambda = (3/2) 5^m mu): the midpoint z of side xy
+    of a level-(m-1) cell with opposite corner w gets u(z) =
+    ((4 - mu)(u(x) + u(y)) + 2 u(w)) / ((2 - mu)(5 - mu)) (Dalrymple,
+    Strichartz & Vinson 1999); ``mu = 0`` is harmonic extension.  Vertex ids
+    are stable under refinement, and each midpoint lies on one cell side.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    tri = np.array([t for _, t in fine.cells], dtype=np.int64).reshape(-1, 3, 3)
+    # children of one parent (a, b, c): (a, mab, mca), (mab, b, mbc), (mca, mbc, c)
+    a, mab, mca = tri[:, 0].T
+    b, mbc, c = tri[:, 1, 1], tri[:, 1, 2], tri[:, 2, 2]
+    g = np.empty((len(fine),) + u.shape[1:])
+    g[: len(u)] = u
+    denom = (2.0 - mu) * (5.0 - mu)
+    for z, x, y, w in ((mab, a, b, c), (mbc, b, c, a), (mca, c, a, b)):
+        g[z] = ((4.0 - mu) * (u[x] + u[y]) + 2.0 * u[w]) / denom
+    return g
+
+
+def harmonic_extension(f_coarse, fine: LevelGraph, coarse: LevelGraph = None):
+    """Energy-minimizing extension of a ``coarse`` function to ``fine``.
+
+    ``coarse`` defaults to the level below ``fine``.  Level by level this is
+    :func:`decimation_extension` at ``mu = 0``: the classical 1/5-2/5 rule,
+    with E_{m+1}(g) = E_m(f).
     """
     if coarse is None:
         coarse = build_level(fine.level - 1)
-    f_coarse = np.asarray(f_coarse, dtype=np.float64)
-    nc, nf = len(coarse), len(fine)
-    if len(f_coarse) != nc:
+    g = np.asarray(f_coarse, dtype=np.float64)
+    if len(g) != len(coarse):
         raise ValueError("boundary data does not match the coarse graph")
-    s = assemble_energy(fine).matrix.tocsc()
-    interior = np.arange(nc, nf)
-    boundary = np.arange(nc)
-    s_ii = s[np.ix_(interior, interior)]
-    s_ib = s[np.ix_(interior, boundary)]
-    g = np.empty(nf)
-    g[:nc] = f_coarse
-    g[nc:] = spla.spsolve(s_ii.tocsc(), -(s_ib @ f_coarse))
+    for level in range(coarse.level + 1, fine.level + 1):
+        g = decimation_extension(g, build_level(level), 0.0)
     return g

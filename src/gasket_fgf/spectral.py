@@ -1,40 +1,39 @@
 """Generalized eigenproblem S Phi = lambda M Phi and spectral utilities.
 
-The solve is performed in symmetrized coordinates A = D^{-1/2} S D^{-1/2}
-with D = diag(M): dense LAPACK for dimensions up to 4000 (levels <= 7) and
-shift-invert Lanczos beyond.  Eigenvectors are returned M-orthonormal, in
-continuum normalization (the stiffness and mass already carry (5/3)^m and
-3^{-m}, so no further rescaling of eigenvalues is needed).
+One solver path: a dense LAPACK solve, in symmetrized coordinates
+A = D^{-1/2} S D^{-1/2} with D = diag(M), at the coarsest level that holds
+the requested modes, then exact spectral-decimation steps up to the
+requested level (Fukushima-Shima eigenvalue map, Dalrymple-Strichartz-Vinson
+eigenfunction extension).  A full-spectrum solve is the dense solve at its
+own level.  The dense base is capped at ``DENSE_LIMIT`` unknowns (level 7),
+so a full gasket at level >= 8 offers at most 3^7 - 1 = 2186 modes, and
+larger requests fail before any dense allocation.  Eigenvectors are returned
+M-orthonormal, in continuum normalization (the stiffness and mass already
+carry (5/3)^m and 3^{-m}, so no further rescaling is needed).
 
 The gasket spectrum is highly degenerate, and LAPACK returns an arbitrary
 basis inside each eigenspace that changes with the BLAS thread count.  The
 solver therefore replaces every cluster (relative gap < 1e-9) by a canonical
 basis that is a function of the eigenspace alone: the M-Gram-Schmidt of a
 fixed pseudo-random probe projected onto it (see ``_canonical_cluster_bases``).
-So the eigenvectors, and every field built from them, are reproducible across
-machines and thread counts.  The convention holds for whole clusters: when a
-truncated solve (``count`` < n - 1, which includes every iterative solve)
-cuts the top cluster, the vectors of that partial cluster span a subspace
-the solver happened to find, and no eigenspace fixes them; such a solve
-asks for one eigenvalue more than it returns and emits a ``UserWarning``
-naming the cluster boundary below the cut.  Identities across different
-bases are still formulated on kernels/projectors, trimmed to the nearest
-cluster boundary (``SpectralBasis.cluster_complete``).
+A truncated solve cuts only after this step, so its basis is the leading
+columns of the full solve's, and the eigenvectors, and every field built
+from them, are reproducible across machines and thread counts.  Identities
+across different bases are still formulated on kernels/projectors, trimmed
+to the nearest cluster boundary (``SpectralBasis.cluster_complete``).
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .constants import S_MIN
-from .geometry import LevelGraph
-from .operators import MassMatrix, StiffnessMatrix
+from .geometry import LevelGraph, build_level
+from .operators import (MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass,
+                        decimation_extension)
 
-#: Largest dimension handled by the dense solver path.
+#: Largest dimension of the dense base solve (level 7 has 3,282 unknowns).
 DENSE_LIMIT = 4000
 
 #: Relative gap below which neighbouring eigenvalues count as one cluster.
@@ -108,17 +107,22 @@ def spectral_coeffs(basis: SpectralBasis, f, J):
     return basis.phi[:, :J].T @ (basis.mass * f)
 
 
-def _postprocess(w, psi, dscale, mass):
+def _dense_eigen(stiffness: StiffnessMatrix, mass: MassMatrix):
+    """All eigenpairs by dense LAPACK in symmetrized coordinates D^{-1/2} S D^{-1/2}."""
+    mdiag = mass.diagonal
+    d = 1.0 / np.sqrt(mdiag)
+    a = stiffness.matrix.toarray() * d[:, None] * d[None, :]
+    a = 0.5 * (a + a.T)
+    w, psi = sla.eigh(a)
     lambdas = np.array(w, dtype=np.float64)
     lambdas[0] = 0.0
-    vectors = psi * dscale[:, None]
-    total = mass.sum()
-    vectors[:, 0] = 1.0 / np.sqrt(total)
+    vectors = psi * d[:, None]
+    vectors[:, 0] = 1.0 / np.sqrt(mdiag.sum())
     # project the exact constant out of every nonzero mode, then renormalize
     const = vectors[:, 0]
-    coeff = (const * mass) @ vectors[:, 1:]
+    coeff = (const * mdiag) @ vectors[:, 1:]
     vectors[:, 1:] -= np.outer(const, coeff)
-    norms = np.sqrt(np.einsum("i,ij->j", mass, vectors[:, 1:] ** 2))
+    norms = np.sqrt(np.einsum("i,ij->j", mdiag, vectors[:, 1:] ** 2))
     vectors[:, 1:] /= norms
     return lambdas, vectors
 
@@ -162,10 +166,15 @@ def solve_eigen(
     mass: MassMatrix,
     count,
     tol=1e-8,
-    method="auto",
     graph: LevelGraph = None,
 ) -> SpectralBasis:
     """Compute the ``count`` smallest nonzero generalized eigenpairs.
+
+    A dense solve at the base level k (k = m for a full spectrum) keeps its modes through the end of the cluster that holds mode
+    ``count``; m - k decimation steps map each mu = lambda / ((3/2) 5^j) to
+    the smaller root of x (5 - x) = mu and extend the vectors
+    (:func:`~gasket_fgf.operators.decimation_extension`).  Clusters are
+    canonicalized whole, then the result is cut to ``count`` modes.
 
     Parameters
     ----------
@@ -173,57 +182,45 @@ def solve_eigen(
     count : number of nonzero modes requested (λ_0 = 0 is always included
         in the result in addition to these).
     tol : acceptance threshold on max_j ||S phi - lambda M phi||_2 / lambda.
-    method : 'auto' (dense below 4000 unknowns), 'dense', or 'iterative'.
     graph : optional LevelGraph to attach for coordinate-aware diagnostics.
 
     Raises
     ------
-    ValueError for out-of-range ``count``; SolverError if the achieved
-    residual exceeds ``tol``.
-
-    Warns
-    -----
-    UserWarning when ``count`` < n - 1 cuts an eigenvalue cluster: the
-    solver computes one eigenvalue more than it returns to detect this.
+    ValueError for out-of-range ``count``, and before any dense allocation
+    when the base solve exceeds ``DENSE_LIMIT`` unknowns (``count`` > 2186
+    at level >= 8); SolverError if the achieved residual exceeds ``tol``.
     """
     n = stiffness.dim
     count = int(count)
     if not 1 <= count <= n - 1:
         raise ValueError(f"count must lie in [1, {n - 1}] for dimension {n}")
-    if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT else "iterative"
-    d = 1.0 / np.sqrt(mass.diagonal)
-    # one eigenvalue beyond the result shows whether the top cluster is cut
-    nev = min(count + 2, n)
-    if method == "dense":
-        a = stiffness.matrix.toarray() * d[:, None] * d[None, :]
-        a = 0.5 * (a + a.T)
-        w, psi = sla.eigh(a, subset_by_index=(0, nev - 1))
-    elif method == "iterative":
-        dinv = sp.diags_array(d)
-        a = (dinv @ stiffness.matrix @ dinv).tocsc()
-        a = ((a + a.T) * 0.5).tocsc()
-        try:
-            w, psi = spla.eigsh(a, k=min(nev, n - 1), sigma=-1.0, which="LM")
-        except Exception as exc:  # pragma: no cover - non-convergence path
-            raise SolverError(f"iterative eigensolver failed: {exc}") from exc
-        order = np.argsort(w)
-        w, psi = w[order], psi[:, order]
+    level = stiffness.level
+    # on a full gasket the lowest 3^k - 1 nonzero modes of every deeper level
+    # descend from the level-k modes below its top cluster
+    full = n == (3 ** (level + 1) + 3) // 2
+    k = next((j for j in range(level) if 3**j > count), level) if full else level
+    base_dim = (3 ** (k + 1) + 3) // 2 if full else n
+    if base_dim > DENSE_LIMIT:
+        top = max(j for j in range(level) if (3 ** (j + 1) + 3) // 2 <= DENSE_LIMIT)
+        raise ValueError(
+            f"count={count} at level {level} needs a dense solve of dimension {base_dim} "
+            f"> {DENSE_LIMIT}; truncated solves on a full gasket reach count <= {3**top - 1}"
+        )
+    if k == level:
+        lambdas, vectors = _dense_eigen(stiffness, mass)
     else:
-        raise ValueError(f"unknown method {method!r}")
-    if len(w) > count + 1:
-        lo = _cluster_runs(w[1:])[-1][0]  # first mode of the top run, extra eigenvalue included
-        if lo < count:
-            warnings.warn(
-                f"count={count} cuts an eigenvalue cluster: modes {lo + 1}..{count} are part of "
-                f"a larger eigenspace, so their basis is not canonical; the cluster-complete "
-                f"truncation is J = {lo}",
-                stacklevel=2,
-            )
-        w, psi = w[:-1], psi[:, :-1]
-
-    lambdas, vectors = _postprocess(w, psi, d, mass.diagonal)
+        g = build_level(k)
+        lambdas, vectors = _dense_eigen(assemble_energy(g), assemble_mass(g))
+    keep = 1 + next(hi for _, hi in _cluster_runs(lambdas[1:]) if hi >= count)
+    lambdas, vectors = lambdas[:keep], vectors[:, :keep]
+    if k < level:
+        mu = lambdas / (1.5 * 5.0**k)  # lambda = (3/2) 5^j mu at level j
+        for j in range(k + 1, level + 1):
+            mu = 2.0 * mu / (5.0 + np.sqrt(25.0 - 4.0 * mu))  # smaller root, no cancellation
+            vectors = decimation_extension(vectors, build_level(j), mu)
+        lambdas = 1.5 * 5.0**level * mu
     _canonical_cluster_bases(lambdas, vectors, mass.diagonal)
+    lambdas, vectors = lambdas[: count + 1], vectors[:, : count + 1]
 
     lam = lambdas[1:]
     resid = stiffness.matrix @ vectors[:, 1:] - (mass.diagonal[:, None] * vectors[:, 1:]) * lam
@@ -235,12 +232,12 @@ def solve_eigen(
         )
     word = graph.word if graph is not None else ()
     return SpectralBasis(
-        level=stiffness.level,
+        level=level,
         lambdas=lambdas,
         vectors=vectors,
         mass=np.asarray(mass.diagonal),
         residual_norm=residual_norm,
-        method=method,
+        method="dense" if k == level else "decimation",
         word=word,
         graph=graph,
     )

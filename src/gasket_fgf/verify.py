@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import SPECTRAL_EXPONENT, hurst_from_s
-from .geometry import build_level, extract_cell, symmetry_permutation
+from .geometry import build_level, distance_matrix, extract_cell, symmetry_permutation
 from .kernels import (
     HeatKernelEvaluator,
     RieszKernel,
@@ -250,9 +250,7 @@ def check_riesz(level=6, s=0.5, **_):
         g = k.matrix
         rows.append(float(np.abs(g @ basis.mass).max()))
 
-        pts = basis.graph.points
-        dm = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        cand = np.argwhere(dm >= 2.0 ** -4)
+        cand = np.argwhere(distance_matrix(basis.graph) >= 2.0 ** -4)
         sel = cand[rng.choice(len(cand), 6, replace=False)]
         pairs = [(0, 1), (0, 2), (1, 2)] + [tuple(p) for p in sel]
         worst = 0.0

@@ -164,18 +164,22 @@ def test_realization_independent_of_blas_threads(tmp_path):
         d.mkdir()
         _run_child(["sample", "--level", "5", "--s", "0.5", "--seed", "5000",
                     "--out", str(d / "field.csv")], threads)
+        # a truncated solve whose cut (mode 300) falls inside the 243..365 cluster
+        _run_child(["sample", "--level", "6", "--s", "0.5", "--modes", "300", "--seed", "5000",
+                    "--out", str(d / "field300.csv")], threads)
         _run_child(["eigs", "--level", "5", "--count", "365", "--out", str(d / "eigs.json"),
                     "--vectors-out", str(d / "modes.csv")], threads)
         out[threads] = {
             "header": json.loads((d / "field.csv").read_text().splitlines()[0][2:]),
             "field": np.loadtxt(d / "field.csv", delimiter=",", skiprows=2)[:, 3],
+            "field300": np.loadtxt(d / "field300.csv", delimiter=",", skiprows=2)[:, 3],
             "lambdas": np.array(read_json(d / "eigs.json")["lambdas"]),
             "modes": np.loadtxt(d / "modes.csv", delimiter=",", skiprows=1)[:, 1:],
         }
     one, two = out[1], out[2]
     assert one["header"] == two["header"]
     assert one["modes"].shape == (366, 366)
-    for key in ("field", "lambdas", "modes"):
+    for key in ("field", "field300", "lambdas", "modes"):
         assert np.abs(one[key] - two[key]).max() <= 1e-10, key
 
 
@@ -261,6 +265,13 @@ def test_missing_required_flag(capsys):
         run_cli(["build", "--level", "3"])
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
+
+
+def test_deep_count_beyond_decimation_reach_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["eigs", "--level", "8", "--count", "3000", "--out", str(tmp_path / "e.json")])
+    assert exc.value.code == 2
+    assert "2186" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
-from gasket_fgf.operators import assemble_energy, assemble_mass
+from gasket_fgf.operators import MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass
 from gasket_fgf.spectral import (
     SolverError,
     _canonical_cluster_bases,
@@ -61,15 +61,6 @@ def test_residual_reported(basis5):
     assert basis5.method == "dense"
 
 
-def test_iterative_agrees_with_dense():
-    g = get_basis(5).graph
-    s, mm = assemble_energy(g), assemble_mass(g)
-    it = solve_eigen(s, mm, 30, method="iterative", graph=g)
-    de = solve_eigen(s, mm, 30, method="dense", graph=g)
-    assert it.method == "iterative"
-    np.testing.assert_allclose(it.lambdas, de.lambdas, rtol=1e-8, atol=1e-8)
-
-
 def test_spectrum_increasing(basis5):
     assert np.all(np.diff(basis5.lambdas) >= -1e-9)
     assert basis5.lambdas[1] > 1.0
@@ -104,13 +95,30 @@ def test_cluster_complete_trims(basis6, j, trimmed):
     assert basis6.cluster_complete(j) == trimmed
 
 
-def test_truncated_solve_warns_when_it_cuts_a_cluster(g6):
+@pytest.mark.parametrize("count,base", [(20, 3), (80, 4), (100, 5), (242, 5), (300, 6)])
+def test_truncated_solve_matches_full(g6, basis6, count, base):
+    # modes of a coarser level extended by spectral decimation; count 300
+    # cuts the 243..365 cluster, which is canonicalized whole before the cut
     s, mm = assemble_energy(g6), assemble_mass(g6)
-    with pytest.warns(UserWarning, match="modes 243..300 .* J = 242"):
-        solve_eigen(s, mm, 300, graph=g6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert solve_eigen(s, mm, 242, graph=g6).count == 242
+        basis = solve_eigen(s, mm, count, graph=g6)
+    assert basis.method == ("decimation" if base < 6 else "dense")
+    assert basis.count == count
+    np.testing.assert_allclose(basis.lambdas, basis6.lambdas[: count + 1], rtol=1e-10)
+    assert np.abs(basis.vectors - basis6.vectors[:, : count + 1]).max() <= 1e-10
+
+
+def test_deep_truncated_solve_fails_before_dense_allocation():
+    class NoDense:  # a level-8 stiffness that must never be densified
+        shape = (9843, 9843)
+
+        def toarray(self):
+            raise AssertionError("dense allocation")
+
+    s, mm = StiffnessMatrix(8, NoDense(), 1.0), MassMatrix(8, np.full(9843, 1.0 / 9843))
+    with pytest.raises(ValueError, match="count <= 2186"):
+        solve_eigen(s, mm, 3000)
 
 
 def test_counting_function_right_continuous(basis5):
