@@ -128,7 +128,6 @@ def eigen_document(basis, config=None):
             "level": basis.level,
             "count": basis.count,
             "residual": basis.residual_norm,
-            "method": basis.method,
             "lambdas": [float(v) for v in basis.lam],
         }
     )
@@ -140,23 +139,28 @@ def write_eigen_json(basis, path, config=None):
 
 
 def write_eigen_csv(basis, path):
-    """Eigenvector table: row = vertex id, columns = modes 0..J."""
+    """Eigenvector table: row = vertex id, columns = modes 0..J.
+
+    One ``%``-template per row; ``%.17g`` writes the same text as :func:`fmt`.
+    """
+    row = "%d," + ",".join(["%.17g"] * (basis.count + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write("vertex_id," + ",".join(f"mode_{j}" for j in range(basis.count + 1)) + "\n")
         for i in range(basis.dim):
-            fh.write(str(i) + "," + ",".join(fmt(v) for v in basis.vectors[i]) + "\n")
+            fh.write(row % (i, *basis.vectors[i].tolist()))
 
 
 def write_kernel_csv(matrix, path, header=None):
-    """Upper-triangle (i, j, value) rows of a symmetric kernel matrix."""
+    """Upper-triangle (i, j, value) rows of a symmetric kernel matrix, one template per matrix row."""
     n = matrix.shape[0]
     with open(path, "w") as fh:
         if header is not None:
             fh.write("# " + json.dumps(header, separators=(", ", ": ")) + "\n")
         fh.write("i,j,value\n")
         for i in range(n):
-            for j in range(i, n):
-                fh.write(f"{i},{j},{fmt(matrix[i, j])}\n")
+            cells = [None] * (2 * (n - i))
+            cells[::2], cells[1::2] = range(i, n), matrix[i, i:].tolist()
+            fh.write((f"{i},%d,%.17g\n" * (n - i)) % tuple(cells))
 
 
 def write_field_csv(sample, graph, path, extra=None):

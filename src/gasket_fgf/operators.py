@@ -128,6 +128,17 @@ def self_similar_energy_residual(f, fine: LevelGraph = None):
     return abs(energy_value(s_fine, f) - ENERGY_SCALE * total)
 
 
+def parent_cells(fine: LevelGraph):
+    """Corners (a, b, c) and side midpoints (m_ab, m_bc, m_ca) of the cells one level up.
+
+    ``fine`` lists its cells in sibling triples, so row k of each (3^(m-1), 3)
+    array describes cell k of the level below, in its order.  The children of
+    a cell (a, b, c) are (a, m_ab, m_ca), (m_ab, b, m_bc) and (m_ca, m_bc, c).
+    """
+    tri = np.array([t for _, t in fine.cells], dtype=np.int64).reshape(-1, 3, 3)
+    return tri[:, [0, 1, 2], [0, 1, 2]], tri[:, [0, 1, 0], [1, 2, 2]]
+
+
 def decimation_extension(u, fine: LevelGraph, mu):
     """Extend level-(m-1) eigenfunctions to V_m = ``fine`` by spectral decimation.
 
@@ -139,10 +150,7 @@ def decimation_extension(u, fine: LevelGraph, mu):
     are stable under refinement, and each midpoint lies on one cell side.
     """
     u = np.asarray(u, dtype=np.float64)
-    tri = np.array([t for _, t in fine.cells], dtype=np.int64).reshape(-1, 3, 3)
-    # children of one parent (a, b, c): (a, mab, mca), (mab, b, mbc), (mca, mbc, c)
-    a, mab, mca = tri[:, 0].T
-    b, mbc, c = tri[:, 1, 1], tri[:, 1, 2], tri[:, 2, 2]
+    (a, b, c), (mab, mbc, mca) = (x.T for x in parent_cells(fine))
     g = np.empty((len(fine),) + u.shape[1:])
     g[: len(u)] = u
     denom = (2.0 - mu) * (5.0 - mu)

@@ -1,43 +1,60 @@
 """Generalized eigenproblem S Phi = lambda M Phi and spectral utilities.
 
-One solver path: a dense LAPACK solve, in symmetrized coordinates
-A = D^{-1/2} S D^{-1/2} with D = diag(M), at the coarsest level that holds
-the requested modes, then exact spectral-decimation steps up to the
-requested level (Fukushima-Shima eigenvalue map, Dalrymple-Strichartz-Vinson
-eigenfunction extension).  A full-spectrum solve is the dense solve at its
-own level.  The dense base is capped at ``DENSE_LIMIT`` unknowns (level 7),
-so a full gasket at level >= 8 offers at most 3^7 - 1 = 2186 modes, and
-larger requests fail before any dense allocation.  Eigenvectors are returned
-M-orthonormal, in continuum normalization (the stiffness and mass already
-carry (5/3)^m and 3^{-m}, so no further rescaling is needed).
+The gasket spectrum is known exactly by spectral decimation (Fukushima &
+Shima 1992; Teplyaev 1998; Strichartz 2006, ch. 3), and the solver builds it
+from level 0 upward without a dense eigensolver.  With lambda = (3/2) 5^m mu
+at level m, every level-m eigenfunction is one of three kinds:
 
-The gasket spectrum is highly degenerate, and LAPACK returns an arbitrary
-basis inside each eigenspace that changes with the BLAS thread count.  The
-solver therefore replaces every cluster (relative gap < 1e-9) by a canonical
-basis that is a function of the eigenspace alone: the M-Gram-Schmidt of a
-fixed pseudo-random probe projected onto it (see ``_canonical_cluster_bases``).
-A truncated solve cuts only after this step, so its basis is the leading
-columns of the full solve's, and the eigenvectors, and every field built
-from them, are reproducible across machines and thread counts.  Identities
-across different bases are still formulated on kernels/projectors, trimmed
-to the nearest cluster boundary (``SpectralBasis.cluster_complete``).
+* inherited: a level-(m-1) mode with mu' not in {0, 6} has two children, at
+  both roots of mu (5 - mu) = mu'; a mu' = 6 mode has one, at mu = 3; the
+  constant stays constant.  Vectors are extended by
+  :func:`~gasket_fgf.operators.decimation_extension`.
+* newborn at mu = 6: one per vertex x of V_{m-1}, supported on x and the
+  midpoints of its one or two level-(m-1) cells;
+* newborn at mu = 5: one per level-j cell, j <= m - 2, supported on the
+  midpoints of the level-(m-1) cells with a side on the edge of its hole.
+
+A newborn function spans the one-dimensional null space of the columns of
+S - lambda M on its support (one batched SVD per support size).  Each
+eigenspace carries a label -- birth level, birth value and root sequence --
+whose eigenvalue follows from the mu recursion alone, so eigenvalues,
+multiplicities and cluster boundaries are known before any vector exists,
+and a truncated solve builds only the eigenspaces it keeps.  A sub-gasket
+from :func:`~gasket_fgf.geometry.extract_cell` is solved as the full gasket
+of its own depth, whose vertices are then moved to the sub-gasket's ids
+through :func:`~gasket_fgf.geometry.embed_indices`.
+Eigenvectors are returned M-orthonormal, in continuum normalization (the
+stiffness and mass already carry (5/3)^m and 3^{-m}).
+
+The constructed basis inside a degenerate eigenspace is arbitrary, so the
+solver replaces every cluster by a canonical basis that is a function of the
+eigenspace alone: the M-Gram-Schmidt of a fixed pseudo-random probe
+projected onto it (see ``_canonical_cluster_bases``).  A truncated solve
+builds the cluster that holds its last mode whole and cuts only after this
+step, so its basis is the leading columns of the full solve's, and the
+eigenvectors, and every field built from them, are reproducible across
+machines and thread counts.  Identities across different bases are still
+formulated on kernels/projectors, trimmed to the nearest cluster boundary
+(``SpectralBasis.cluster_complete``).  The one limit is memory: an
+estimate of the solve's peak (the n x (J + 1) result plus the temporaries of
+the canonical step) must fit in the memory available to the process,
+checked before anything is allocated.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .constants import S_MIN
-from .geometry import LevelGraph, build_level
-from .operators import (MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass,
-                        decimation_extension)
+from .geometry import LevelGraph, build_level, embed_indices
+from .operators import (MassMatrix, StiffnessMatrix, _level_from_size, assemble_energy,
+                        decimation_extension, parent_cells)
 
-#: Largest dimension of the dense base solve (level 7 has 3,282 unknowns).
-DENSE_LIMIT = 4000
-
-#: Relative gap below which neighbouring eigenvalues count as one cluster.
-CLUSTER_GAP = 1e-9
+#: Columns per block when extending eigenvectors and checking residuals.
+BLOCK = 256
 
 
 class SolverError(RuntimeError):
@@ -63,6 +80,8 @@ class SpectralBasis:
 
     ``lambdas``/``vectors`` include the zero mode at index 0 (a constant,
     mass-normalized); ``count`` is the number of usable nonzero modes.
+    ``ends`` holds the exclusive end of each eigenspace among the nonzero
+    modes; the last one may lie beyond ``count`` when a solve cut it.
     """
 
     level: int
@@ -70,7 +89,7 @@ class SpectralBasis:
     vectors: np.ndarray
     mass: np.ndarray
     residual_norm: float
-    method: str
+    ends: np.ndarray
     word: tuple = ()
     graph: LevelGraph = field(default=None, repr=False)
 
@@ -93,13 +112,14 @@ class SpectralBasis:
         return self.vectors[:, 1:]
 
     def clusters(self):
-        """Maximal runs [lo, hi) of nonzero-mode indices with tiny relative gaps."""
-        return _cluster_runs(self.lam)
+        """Runs [lo, hi) of nonzero-mode indices, one per eigenspace (the last cut at ``count``)."""
+        lo = [0, *self.ends[:-1].tolist()]
+        return [(a, min(b, self.count)) for a, b in zip(lo, self.ends.tolist())]
 
     def cluster_complete(self, J):
-        """Largest J' <= J that does not split a degenerate cluster."""
-        ends = np.array([0] + [hi for _, hi in self.clusters()])
-        return int(ends[np.searchsorted(ends, max(int(J), 0), side="right") - 1])
+        """Largest J' <= J (and <= ``count``) that does not split an eigenspace."""
+        ends = np.concatenate([[0], self.ends])
+        return int(ends[np.searchsorted(ends, min(max(int(J), 0), self.count), side="right") - 1])
 
 
 def spectral_coeffs(basis: SpectralBasis, f, J):
@@ -107,34 +127,125 @@ def spectral_coeffs(basis: SpectralBasis, f, J):
     return basis.phi[:, :J].T @ (basis.mass * f)
 
 
-def _dense_eigen(stiffness: StiffnessMatrix, mass: MassMatrix):
-    """All eigenpairs by dense LAPACK in symmetrized coordinates D^{-1/2} S D^{-1/2}."""
-    mdiag = mass.diagonal
-    d = 1.0 / np.sqrt(mdiag)
-    a = stiffness.matrix.toarray() * d[:, None] * d[None, :]
-    a = 0.5 * (a + a.T)
-    w, psi = sla.eigh(a)
-    lambdas = np.array(w, dtype=np.float64)
-    lambdas[0] = 0.0
-    vectors = psi * d[:, None]
-    vectors[:, 0] = 1.0 / np.sqrt(mdiag.sum())
-    # project the exact constant out of every nonzero mode, then renormalize
-    const = vectors[:, 0]
-    coeff = (const * mdiag) @ vectors[:, 1:]
-    vectors[:, 1:] -= np.outer(const, coeff)
-    norms = np.sqrt(np.einsum("i,ij->j", mdiag, vectors[:, 1:] ** 2))
-    vectors[:, 1:] /= norms
-    return lambdas, vectors
+def _decimation_levels(m):
+    """Eigenspace labels of levels 0..m, from the mu recursion alone (no vectors).
+
+    Entry j is ``(mu, mult, parent)``: the renormalized eigenvalue and the
+    multiplicity of each level-j eigenspace, and the level-(j-1) eigenspace
+    it descends from (-1 for one born at level j).  Level 0 holds the
+    constant (mu = 0, always entry 0) and the two-dimensional mu = 6 space.
+    Level j lists the smaller root of every parent but mu = 6, the larger
+    root of every parent but mu = 0, then the newborn mu = 6 ((3^j + 3)/2
+    modes) and, from j = 2, mu = 5 ((3^(j-1) - 1)/2 modes).  The roots of
+    x (5 - x) = mu' lie in [0, 5/2) and (5/2, 5], so distinct labels have
+    distinct eigenvalues.
+    """
+    mu, mult, parent = np.array([0.0, 6.0]), np.array([1, 2]), np.array([-1, -1])
+    levels = [(mu, mult, parent)]
+    for j in range(1, m + 1):
+        small, large = np.flatnonzero(mu != 6.0), np.flatnonzero(mu != 0.0)
+        root = 5.0 + np.sqrt(25.0 - 4.0 * mu)
+        born = [(6.0, (3**j + 3) // 2)] + ([(5.0, (3 ** (j - 1) - 1) // 2)] if j >= 2 else [])
+        mu = np.concatenate([2.0 * mu[small] / root[small], 0.5 * root[large], [b[0] for b in born]])
+        mult = np.concatenate([mult[small], mult[large], [b[1] for b in born]])
+        parent = np.concatenate([small, large, np.full(len(born), -1)])
+        levels.append((mu, mult, parent))
+    return levels
 
 
-def _cluster_runs(lam):
-    """Maximal runs [lo, hi) of a sorted array whose neighbours differ by <= CLUSTER_GAP."""
-    cut = np.flatnonzero(np.diff(lam) > CLUSTER_GAP * np.maximum(lam[:-1], 1.0)) + 1
-    edges = [0, *cut.tolist(), len(lam)]
-    return list(zip(edges[:-1], edges[1:]))
+def _hole_cells(i, depth):
+    """Level-(i + depth + 1) cells with a side on the hole of each level-i cell, one row per hole.
+
+    The hole of cell w is bounded by the side of sub-cell w s opposite its
+    corner s, which the cells w s v with v free of the letter s line.
+    """
+    offsets = []
+    for s in range(3):
+        v = np.zeros(1, dtype=np.int64)
+        for _ in range(depth):
+            v = (3 * v[:, None] + [d for d in range(3) if d != s]).ravel()
+        offsets.append(s * 3**depth + v)
+    return np.arange(3**i)[:, None] * 3 ** (depth + 1) + np.concatenate(offsets)
 
 
-def _canonical_cluster_bases(lambdas, vectors, mass):
+def _newborn(fine: LevelGraph, mu):
+    """Local eigenfunctions born on ``fine`` at mu = 6 or 5, in batches of equal support size.
+
+    Yields ``(support, values)``, one row per eigenfunction: the
+    one-dimensional null space of the columns ``support`` of S - lambda M.
+    The rows are the corners and midpoints of the cells involved, repeated
+    where cells share a corner, which leaves the null space unchanged.
+    """
+    corners, mids = parent_cells(fine)
+    if mu == 6.0:  # one per vertex x of V_{m-1}: x and the midpoints of its one or two cells
+        flat = corners.ravel()
+        order = np.argsort(flat, kind="stable")
+        first = np.searchsorted(flat[order], np.arange(flat.max() + 1))
+        ncell = np.bincount(flat)
+        problems = [(x[:, None], order[first[x, None] + np.arange(k)] // 3)
+                    for k in (1, 2) for x in [np.flatnonzero(ncell == k)]]
+    else:  # one per level-i cell, i <= m - 2: the midpoints of the cells along its hole
+        problems = [(np.empty((3**i, 0), dtype=np.int64), _hole_cells(i, fine.level - i - 2))
+                    for i in range(fine.level - 1)]
+    lam = 1.5 * 5.0**fine.level * mu
+    op = (assemble_energy(fine).matrix - sp.diags_array(lam * fine.measure)).tocsr()
+    for extra, cells in problems:
+        if not len(cells):
+            continue
+        support = np.column_stack([extra, mids[cells].reshape(len(cells), -1)])
+        rows = np.concatenate([corners[cells], mids[cells]], axis=2).reshape(len(cells), -1)
+        r, c = np.broadcast_arrays(rows[:, :, None], support[:, None, :])
+        blocks = np.asarray(op[r.ravel(), c.ravel()]).reshape(r.shape)
+        yield support, np.linalg.svd(blocks, full_matrices=False)[2][:, -1, :]
+
+
+def _build_vectors(levels, keep):
+    """Vectors of the top-level eigenspaces ``keep``, in that order, built up from level 0."""
+    m = len(levels) - 1
+    layout = [None] * m + [keep]  # the eigenspaces each level provides, in column order
+    for j in range(m, 0, -1):
+        par = levels[j][2][layout[j]]
+        layout[j - 1] = np.unique(par[par >= 0])
+    # level 0: the constant, then a basis of the mean-zero (mu = 6) space; both
+    # are always needed, since lambda_1 descends from the mu = 6 space
+    vectors = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T
+    starts = np.array([0, 1])
+    for j in range(1, m + 1):
+        mu, mult, parent = levels[j]
+        groups = layout[j]
+        sizes = mult[groups]
+        first = np.cumsum(sizes) - sizes
+        group = np.repeat(groups, sizes)
+        fine, coarse = build_level(j), vectors
+        vectors = np.zeros((len(fine), sizes.sum()))
+        # inherited columns, a block at a time: column i of an eigenspace
+        # extends column i of its parent
+        cols = np.flatnonzero(parent[group] >= 0)
+        src = starts[parent[group[cols]]] + cols - np.repeat(first, sizes)[cols]
+        for lo in range(0, len(cols), BLOCK):
+            c = cols[lo : lo + BLOCK]
+            vectors[:, c] = decimation_extension(coarse[:, src[lo : lo + BLOCK]], fine, mu[group[c]])
+        for g, lo in zip(groups, first):
+            if parent[g] < 0:
+                for support, values in _newborn(fine, mu[g]):
+                    vectors[support, lo + np.arange(len(support))[:, None]] = values
+                    lo += len(support)
+        starts = np.zeros(len(mu), dtype=np.int64)
+        starts[groups] = first
+    return vectors
+
+
+def _available_memory():
+    """Bytes of memory the process may use: physical memory, or a lower cgroup limit."""
+    avail = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open("/sys/fs/cgroup/memory.max") as f:
+            return min(avail, int(f.read()))
+    except (OSError, ValueError):  # no cgroup v2 limit, or "max"
+        return avail
+
+
+def _canonical_cluster_bases(runs, vectors, mass):
     """Replace each cluster's vectors by a basis fixed by its eigenspace alone.
 
     For the cluster [lo, hi) of nonzero modes with block B (n x k): make B
@@ -147,7 +258,7 @@ def _canonical_cluster_bases(lambdas, vectors, mass):
     k = 1 it fixes the sign of the single mode.
     """
     n = vectors.shape[0]
-    for lo, hi in _cluster_runs(lambdas[1:]):
+    for lo, hi in runs:
         block = vectors[:, 1 + lo : 1 + hi]
         mblock = mass[:, None] * block
         # L^{-1} explicitly: L is near the identity, and one small call per
@@ -170,74 +281,82 @@ def solve_eigen(
 ) -> SpectralBasis:
     """Compute the ``count`` smallest nonzero generalized eigenpairs.
 
-    A dense solve at the base level k (k = m for a full spectrum) keeps its modes through the end of the cluster that holds mode
-    ``count``; m - k decimation steps map each mu = lambda / ((3/2) 5^j) to
-    the smaller root of x (5 - x) = mu and extend the vectors
-    (:func:`~gasket_fgf.operators.decimation_extension`).  Clusters are
-    canonicalized whole, then the result is cut to ``count`` modes.
+    The labels of :func:`_decimation_levels` give every eigenvalue and
+    eigenspace; the eigenspaces up to the one that holds mode ``count`` are
+    built from level 0 upward (newborn null spaces, then decimation
+    extension), placed in sorted order, canonicalized whole, and only then
+    cut to ``count`` modes.  No dense eigensolver runs at any level.
 
     Parameters
     ----------
-    stiffness, mass : operators from :mod:`gasket_fgf.operators`
+    stiffness, mass : operators from :mod:`gasket_fgf.operators`, of a full
+        gasket or a sub-gasket from :func:`~gasket_fgf.geometry.extract_cell`.
     count : number of nonzero modes requested (λ_0 = 0 is always included
         in the result in addition to these).
     tol : acceptance threshold on max_j ||S phi - lambda M phi||_2 / lambda.
-    graph : optional LevelGraph to attach for coordinate-aware diagnostics.
+    graph : the LevelGraph of the operators, attached for coordinate-aware
+        diagnostics; required for a sub-gasket, whose vertex order it gives.
 
     Raises
     ------
-    ValueError for out-of-range ``count``, and before any dense allocation
-    when the base solve exceeds ``DENSE_LIMIT`` unknowns (``count`` > 2186
-    at level >= 8); SolverError if the achieved residual exceeds ``tol``.
+    ValueError for out-of-range ``count``, a dimension that is no gasket's,
+    or a sub-gasket without its graph; and before any allocation when the
+    estimated peak -- the n x (J + 1) eigenvectors (J + 1 the columns through
+    the end of the last eigenspace), twice for a sub-gasket, whose rows are
+    renumbered by a copy, plus the canonical step's n x k and k x k
+    temporaries for the widest eigenspace k -- exceeds the available memory;
+    SolverError if the achieved residual exceeds ``tol``.
     """
     n = stiffness.dim
     count = int(count)
     if not 1 <= count <= n - 1:
         raise ValueError(f"count must lie in [1, {n - 1}] for dimension {n}")
-    level = stiffness.level
-    # on a full gasket the lowest 3^k - 1 nonzero modes of every deeper level
-    # descend from the level-k modes below its top cluster
-    full = n == (3 ** (level + 1) + 3) // 2
-    k = next((j for j in range(level) if 3**j > count), level) if full else level
-    base_dim = (3 ** (k + 1) + 3) // 2 if full else n
-    if base_dim > DENSE_LIMIT:
-        top = max(j for j in range(level) if (3 ** (j + 1) + 3) // 2 <= DENSE_LIMIT)
+    depth = _level_from_size(n)
+    word = graph.word if graph is not None else ()
+    if stiffness.level != depth + len(word):
         raise ValueError(
-            f"count={count} at level {level} needs a dense solve of dimension {base_dim} "
-            f"> {DENSE_LIMIT}; truncated solves on a full gasket reach count <= {3**top - 1}"
+            f"a level-{stiffness.level} operator of dimension {n} is a sub-gasket: pass its graph"
         )
-    if k == level:
-        lambdas, vectors = _dense_eigen(stiffness, mass)
-    else:
-        g = build_level(k)
-        lambdas, vectors = _dense_eigen(assemble_energy(g), assemble_mass(g))
-    keep = 1 + next(hi for _, hi in _cluster_runs(lambdas[1:]) if hi >= count)
-    lambdas, vectors = lambdas[:keep], vectors[:, :keep]
-    if k < level:
-        mu = lambdas / (1.5 * 5.0**k)  # lambda = (3/2) 5^j mu at level j
-        for j in range(k + 1, level + 1):
-            mu = 2.0 * mu / (5.0 + np.sqrt(25.0 - 4.0 * mu))  # smaller root, no cancellation
-            vectors = decimation_extension(vectors, build_level(j), mu)
-        lambdas = 1.5 * 5.0**level * mu
-    _canonical_cluster_bases(lambdas, vectors, mass.diagonal)
+    levels = _decimation_levels(depth)
+    mu, mult, _ = levels[-1]
+    order = np.argsort(mu, kind="stable")
+    ends = np.cumsum(mult[order])  # column ends; ends[0] = 1 is the constant
+    last = int(np.searchsorted(ends, count + 1))  # the eigenspace that holds mode `count`
+    keep = order[: last + 1]
+    width, k = int(ends[last]), int(mult[keep].max())
+    need = 8 * ((2 if word else 1) * n * width + 2 * n * k + 4 * k * k)
+    avail = _available_memory()
+    if need > avail:
+        raise ValueError(
+            f"count={count} needs {width} eigenvectors of dimension {n}: {need / 2**30:.1f} GiB "
+            f"at peak, more than the {avail / 2**30:.1f} GiB of available memory"
+        )
+    vectors = _build_vectors(levels, keep)
+    if word:  # extract_cell numbers vertices by parent id, not as build_level(depth) does
+        vectors = vectors[np.argsort(embed_indices(build_level(depth), graph))]
+    vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
+    lambdas = np.repeat(1.5 * 5.0**stiffness.level * mu[keep], mult[keep])
+    ends = ends[1 : last + 1] - 1
+    _canonical_cluster_bases(zip([0, *ends[:-1].tolist()], ends.tolist()), vectors, mass.diagonal)
     lambdas, vectors = lambdas[: count + 1], vectors[:, : count + 1]
 
-    lam = lambdas[1:]
-    resid = stiffness.matrix @ vectors[:, 1:] - (mass.diagonal[:, None] * vectors[:, 1:]) * lam
-    residual_norm = float(np.max(np.linalg.norm(resid, axis=0) / lam))
+    residual_norm = 0.0
+    for lo in range(1, count + 1, BLOCK):
+        v, lam = vectors[:, lo : lo + BLOCK], lambdas[lo : lo + BLOCK]
+        resid = stiffness.matrix @ v - (mass.diagonal[:, None] * v) * lam
+        residual_norm = max(residual_norm, float(np.max(np.linalg.norm(resid, axis=0) / lam)))
     if residual_norm > tol:
         raise SolverError(
             f"eigensolver residual {residual_norm:.3e} exceeds tolerance {tol:.3e}",
             residual=residual_norm,
         )
-    word = graph.word if graph is not None else ()
     return SpectralBasis(
-        level=level,
+        level=stiffness.level,
         lambdas=lambdas,
         vectors=vectors,
         mass=np.asarray(mass.diagonal),
         residual_norm=residual_norm,
-        method="dense" if k == level else "decimation",
+        ends=ends,
         word=word,
         graph=graph,
     )
@@ -256,8 +375,9 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
     ``spectrum`` is a SpectralBasis or a sorted array of nonzero
     eigenvalues.  The fit uses the middle (lo_frac, hi_frac) of the computed
     spectrum by index -- the bottom is preasymptotic, the top polluted by
-    discretization.  N is evaluated right-continuously with a CLUSTER_GAP
-    relative tie guard so degenerate clusters count their full multiplicity.
+    discretization.  N is evaluated right-continuously; ``solve_eigen`` gives
+    every mode of one eigenspace the same eigenvalue, bit for bit, so each
+    degenerate cluster counts its full multiplicity.
     The expected slope is d_h/d_w = ln3/ln5.
     """
     lam = spectrum.lam if isinstance(spectrum, SpectralBasis) else np.asarray(spectrum, dtype=np.float64)
@@ -266,7 +386,7 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
         raise ValueError("at least 100 modes are required for a Weyl exponent fit")
     lo, hi = int(J * lo_frac), int(J * hi_frac)
     lams = lam[lo:hi]
-    counts = np.searchsorted(lam, lams * (1.0 + CLUSTER_GAP), side="right")
+    counts = np.searchsorted(lam, lams, side="right")
     x, y = np.log(lams), np.log(counts)
     slope, intercept = np.polyfit(x, y, 1)
     fitted = slope * x + intercept

@@ -80,7 +80,7 @@ def get_basis(level, count=None, word=()):
     """Solve (and memoize) the eigenproblem for one level graph.
 
     A cached basis with at least ``count`` modes is reused; ``count=None``
-    requests the full spectrum (only sensible on dense-sized graphs).
+    requests the full spectrum, which needs n^2 doubles of memory.
     """
     word = tuple(word)
     graph = extract_cell(build_level(level), word) if word else build_level(level)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from gasket_fgf import cli
+from gasket_fgf import cli, spectral
 from gasket_fgf.constants import s_from_hurst
 from gasket_fgf.spectral import SolverError
 
@@ -59,6 +59,42 @@ def test_eigs_artifacts(tmp_path):
     header = vec.read_text().splitlines()[0]
     assert header.split(",")[:2] == ["vertex_id", "mode_0"]
     assert header.count("mode_") == 13
+
+
+#: Values whose 17-digit text is easy to get wrong: signed zero, subnormal, extremes.
+AWKWARD = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.7976931348623157e308,
+           -1e22, 1e16, 0.1, -1.0 / 3.0]
+
+
+def test_csv_writers_match_per_value_fmt(tmp_path, basis4):
+    # the row templates of write_eigen_csv/write_kernel_csv against the
+    # one-fmt-call-per-value writers they replaced
+    from dataclasses import replace
+
+    from gasket_fgf.io import fmt, write_eigen_csv, write_kernel_csv
+    from gasket_fgf.kernels import kernel_matrix
+
+    vectors = basis4.vectors.copy()
+    vectors.flat[: 7 * len(AWKWARD) : 7] = AWKWARD
+    basis = replace(basis4, vectors=vectors)
+    with open(tmp_path / "ref_modes.csv", "w") as fh:
+        fh.write("vertex_id," + ",".join(f"mode_{j}" for j in range(basis.count + 1)) + "\n")
+        for i in range(basis.dim):
+            fh.write(str(i) + "," + ",".join(fmt(v) for v in basis.vectors[i]) + "\n")
+    write_eigen_csv(basis, tmp_path / "modes.csv")
+    assert (tmp_path / "modes.csv").read_bytes() == (tmp_path / "ref_modes.csv").read_bytes()
+
+    kern = kernel_matrix(basis4, 1.0)
+    kern[0, : len(AWKWARD)] = AWKWARD
+    header = {"command": "kernel", "level": 4}
+    with open(tmp_path / "ref_kernel.csv", "w") as fh:
+        fh.write("# " + json.dumps(header, separators=(", ", ": ")) + "\n")
+        fh.write("i,j,value\n")
+        for i in range(len(kern)):
+            for j in range(i, len(kern)):
+                fh.write(f"{i},{j},{fmt(kern[i, j])}\n")
+    write_kernel_csv(kern, tmp_path / "kernel.csv", header=header)
+    assert (tmp_path / "kernel.csv").read_bytes() == (tmp_path / "ref_kernel.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +303,16 @@ def test_missing_required_flag(capsys):
     assert "--out" in capsys.readouterr().err
 
 
-def test_deep_count_beyond_decimation_reach_exits_2(tmp_path, capsys):
+def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the solve's estimated peak is checked against the available memory
+    # before anything is allocated; 3000 modes at level 8 need about 450 MiB
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
     with pytest.raises(SystemExit) as exc:
         run_cli(["eigs", "--level", "8", "--count", "3000", "--out", str(tmp_path / "e.json")])
     assert exc.value.code == 2
-    assert "2186" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "dimension 9843" in err and "GiB" in err
+    assert not (tmp_path / "e.json").exists()
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

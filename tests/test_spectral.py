@@ -4,14 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
+from gasket_fgf.geometry import build_level, extract_cell
 from gasket_fgf.operators import MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass
 from gasket_fgf.spectral import (
     SolverError,
     _canonical_cluster_bases,
+    _decimation_levels,
     counting_function,
     pick_truncation,
     solve_eigen,
@@ -23,6 +26,25 @@ from gasket_fgf.verify import get_basis
 # second Neumann eigenvalue of the renormalized level-m problems; the
 # sequence converges geometrically (ratio ~1/5) toward the gasket value
 LAMBDA_1 = {3: 26.918846, 4: 27.075234, 5: 27.106584, 6: 27.112857, 7: 27.114112}
+
+
+def dense_eigen(stiffness, mass):
+    """The oracle: every eigenpair by dense LAPACK in coordinates D^{-1/2} S D^{-1/2}.
+
+    Returns the eigenvalues and M-orthonormal eigenvectors.
+    """
+    d = 1.0 / np.sqrt(mass.diagonal)
+    a = stiffness.matrix.toarray() * d[:, None] * d[None, :]
+    w, psi = scipy.linalg.eigh(0.5 * (a + a.T))
+    return w, psi * d[:, None]
+
+
+def birth_levels(levels):
+    """Level at which each top-level eigenspace of ``_decimation_levels`` was born."""
+    born = np.zeros(len(levels[0][0]), dtype=np.int64)
+    for j, (_, _, parent) in enumerate(levels[1:], start=1):
+        born = np.where(parent >= 0, born[np.maximum(parent, 0)], j)
+    return born
 
 
 def test_mode_zero_is_constant(basis4):
@@ -58,7 +80,6 @@ def test_lambda_1_richardson_limit():
 
 def test_residual_reported(basis5):
     assert basis5.residual_norm <= 1e-8
-    assert basis5.method == "dense"
 
 
 def test_spectrum_increasing(basis5):
@@ -86,7 +107,7 @@ def test_cluster_basis_depends_on_eigenspace_only(basis5):
         u, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
         vectors[:, 1 + lo : 1 + hi] = vectors[:, 1 + lo : 1 + hi] @ u
     assert np.abs(vectors - basis5.vectors).max() > 0.1
-    _canonical_cluster_bases(basis5.lambdas, vectors, basis5.mass)
+    _canonical_cluster_bases(basis5.clusters(), vectors, basis5.mass)
     assert np.abs(vectors - basis5.vectors).max() <= 1e-10
 
 
@@ -97,28 +118,84 @@ def test_cluster_complete_trims(basis6, j, trimmed):
 
 @pytest.mark.parametrize("count,base", [(20, 3), (80, 4), (100, 5), (242, 5), (300, 6)])
 def test_truncated_solve_matches_full(g6, basis6, count, base):
-    # modes of a coarser level extended by spectral decimation; count 300
-    # cuts the 243..365 cluster, which is canonicalized whole before the cut
+    # modes 1..3^k - 1 of every deeper level descend from level k; count 300
+    # cuts the 243..365 cluster, which is built and canonicalized whole
+    # before the cut
+    levels = _decimation_levels(6)
+    mu, mult, _ = levels[-1]
+    order = np.argsort(mu)
+    held = order[: np.searchsorted(np.cumsum(mult[order]), count + 1) + 1]
+    assert birth_levels(levels)[held].max() <= base
     s, mm = assemble_energy(g6), assemble_mass(g6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         basis = solve_eigen(s, mm, count, graph=g6)
-    assert basis.method == ("decimation" if base < 6 else "dense")
     assert basis.count == count
+    assert basis.cluster_complete(count) == basis6.cluster_complete(count)
     np.testing.assert_allclose(basis.lambdas, basis6.lambdas[: count + 1], rtol=1e-10)
     assert np.abs(basis.vectors - basis6.vectors[:, : count + 1]).max() <= 1e-10
 
 
 def test_deep_truncated_solve_fails_before_dense_allocation():
-    class NoDense:  # a level-8 stiffness that must never be densified
-        shape = (9843, 9843)
+    class NoDense:  # a level-12 stiffness that must never be touched
+        shape = (797163, 797163)
 
         def toarray(self):
             raise AssertionError("dense allocation")
 
-    s, mm = StiffnessMatrix(8, NoDense(), 1.0), MassMatrix(8, np.full(9843, 1.0 / 9843))
-    with pytest.raises(ValueError, match="count <= 2186"):
-        solve_eigen(s, mm, 3000)
+        def __matmul__(self, other):
+            raise AssertionError("stiffness used")
+
+    n = NoDense.shape[0]
+    s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
+    with pytest.raises(ValueError, match=r"dimension 797163: 9995\.\d GiB at peak, more than"):
+        solve_eigen(s, mm, n - 1)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_decimation_labels_count_every_mode(m):
+    # eigenvalues only: no vector is built
+    mu, mult, parent = _decimation_levels(m)[-1]
+    nonzero = mu != 0.0
+    inherited, newborn = mult[nonzero & (parent >= 0)].sum(), mult[parent < 0].sum()
+    assert inherited + newborn == (3 ** (m + 1) + 3) // 2 - 1
+    assert mult[mu == 6.0].sum() == (3**m + 3) // 2
+    assert mult[mu == 5.0].sum() == (3 ** (m - 1) - 1) // 2
+    assert np.unique(mu).size == mu.size  # one eigenvalue per label
+    # the distinct nonzero values are the clusters the dense solver found
+    assert nonzero.sum() == {6: 95, 7: 191}.get(m, nonzero.sum())
+
+
+@pytest.mark.parametrize("level,word",
+                         [(m, ()) for m in range(1, 7)] + [(5, (0,)), (5, (1,)), (5, (2, 1))],
+                         ids=[f"L{m}" for m in range(1, 7)] + ["L5-cell0", "L5-cell1", "L5-cell21"])
+def test_decimation_matches_dense_oracle(level, word):
+    basis = get_basis(level, word=word)
+    g = basis.graph
+    w, psi = dense_eigen(assemble_energy(g), assemble_mass(g))
+    assert basis.count == len(g) - 1
+    np.testing.assert_allclose(basis.lam, w[1:], rtol=1e-10)
+    for lo, hi in basis.clusters():
+        ours, theirs = basis.phi[:, lo:hi], psi[:, 1 + lo : 1 + hi]
+        gap = (ours @ ours.T - theirs @ theirs.T) * basis.mass
+        assert np.abs(gap).max() <= 1e-10, (lo, hi)
+
+
+def test_sub_gasket_needs_its_graph():
+    g = extract_cell(build_level(4), (1,))
+    with pytest.raises(ValueError, match="sub-gasket: pass its graph"):
+        solve_eigen(assemble_energy(g), assemble_mass(g), 5)
+
+
+def test_full_solve_needs_no_dense_eigensolver(g6, basis6, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    basis = solve_eigen(assemble_energy(g6), assemble_mass(g6), len(g6) - 1, graph=g6)
+    assert basis.count == len(g6) - 1 and basis.residual_norm <= 1e-8
+    assert np.abs(basis.vectors - basis6.vectors).max() <= 1e-12
 
 
 def test_counting_function_right_continuous(basis5):
