@@ -41,6 +41,7 @@ from .spectral import (
     counting_function,
     pick_truncation,
     solve_eigen,
+    spectrum,
     tail_variance,
     weyl_exponent_fit,
 )

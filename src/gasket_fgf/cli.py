@@ -90,7 +90,7 @@ def build_parser():
     _add_common(k)
     k.add_argument("--level", type=int)
     _add_exponent(k)
-    k.add_argument("--modes", type=int, help="truncation J (default: all computed modes)")
+    k.add_argument("--modes", type=int, help="truncation J (default: every mode)")
     k.add_argument("--tail-budget", dest="tail_budget", type=float,
                    help="pick J so the omitted variance fraction stays below this")
     k.add_argument("--regime", choices=("auto", "power", "log", "bounded"))
@@ -171,28 +171,37 @@ def _require(args, parser, *names):
             parser.error(f"{flag} is required (flag or config)")
 
 
-def _solve(level, count=None, tol=None):
+def _solve(level, count, tol=None):
     from .geometry import build_level
     from .operators import assemble_energy, assemble_mass
     from .spectral import solve_eigen
 
     graph = build_level(level)
-    count = len(graph) - 1 if count is None else count
     kwargs = {} if tol is None else {"tol": tol}
     return graph, solve_eigen(assemble_energy(graph), assemble_mass(graph), count,
                               graph=graph, **kwargs)
 
 
-def _pick_modes(basis, args):
-    from .spectral import pick_truncation
+def _solve_modes(args):
+    """Graph, basis and J of ``kernel``/``sample``: J is fixed first, then only J modes are solved.
 
+    ``--modes`` is J itself; ``--tail-budget`` picks J from the exact level
+    spectrum, before any vector exists; neither means every mode.  J = 0 (a
+    budget of 1) still solves one mode, and its field or kernel is zero.
+    """
+    from .geometry import build_level
+    from .spectral import pick_truncation, spectrum
+
+    n = len(build_level(args.level))  # checks the level before the spectrum is formed
     if args.modes is not None:
-        if not 0 <= args.modes <= basis.count:
-            raise ValueError(f"modes must lie in [0, {basis.count}]")
-        return int(args.modes)
-    if args.tail_budget is not None:
-        return pick_truncation(basis, args.s, budget=args.tail_budget)
-    return basis.count
+        j = int(args.modes)
+        if not 1 <= j <= n - 1:
+            raise ValueError(f"count must lie in [1, {n - 1}] for dimension {n}")
+    elif args.tail_budget is not None:
+        j = pick_truncation(spectrum(args.level), args.s, budget=args.tail_budget)
+    else:
+        j = n - 1
+    return (*_solve(args.level, max(j, 1)), j)
 
 
 def cmd_build(args, parser):
@@ -228,8 +237,7 @@ def cmd_kernel(args, parser):
 
     _require(args, parser, "level", "out")
     _resolve_exponent(args, parser)
-    _, basis = _solve(args.level, args.modes)
-    j = _pick_modes(basis, args)
+    _, basis, j = _solve_modes(args)
     echo = {"command": "kernel", "level": args.level, "s": args.s, "H": args.hurst,
             "J": j}
     kernel = RieszKernel(args.s, basis, J=j)
@@ -254,8 +262,7 @@ def cmd_sample(args, parser):
         args.seed = 42
     if args.modes is None and args.tail_budget is None:
         args.tail_budget = 0.01
-    graph, basis = _solve(args.level, args.modes)
-    j = _pick_modes(basis, args)
+    graph, basis, j = _solve_modes(args)
     sample = sample_field(basis, args.s, args.seed, J=j)
     extra = {}
     if args.pin is not None:

@@ -15,11 +15,12 @@ at level m, every level-m eigenfunction is one of three kinds:
   midpoints of the level-(m-1) cells with a side on the edge of its hole.
 
 A newborn function spans the one-dimensional null space of the columns of
-S - lambda M on its support (one batched SVD per support size).  Each
+S - lambda M on its support (one batched QR and SVD per support size).  Each
 eigenspace carries a label -- birth level, birth value and root sequence --
 whose eigenvalue follows from the mu recursion alone, so eigenvalues,
-multiplicities and cluster boundaries are known before any vector exists,
-and a truncated solve builds only the eigenspaces it keeps.  A sub-gasket
+multiplicities and cluster boundaries are known before any vector exists
+(:func:`spectrum`; a truncation J can be picked from them), and a truncated
+solve builds only the eigenspaces it keeps.  A sub-gasket
 from :func:`~gasket_fgf.geometry.extract_cell` is solved as the full gasket
 of its own depth, whose vertices are then moved to the sub-gasket's ids
 through :func:`~gasket_fgf.geometry.embed_indices`.
@@ -29,15 +30,18 @@ stiffness and mass already carry (5/3)^m and 3^{-m}).
 The constructed basis inside a degenerate eigenspace is arbitrary, so the
 solver replaces every cluster by a canonical basis that is a function of the
 eigenspace alone: the M-Gram-Schmidt of a fixed pseudo-random probe
-projected onto it (see ``_canonical_cluster_bases``).  A truncated solve
-builds the cluster that holds its last mode whole and cuts only after this
-step, so its basis is the leading columns of the full solve's, and the
-eigenvectors, and every field built from them, are reproducible across
+projected onto it (see ``_canonical_basis``); its n-sized products use the
+constructed block as a sparse matrix.  A truncated solve builds the cluster
+that holds its last mode whole, because the canonical basis needs its span,
+but forms only the canonical columns up to the cut (Gram-Schmidt is
+sequential), so its basis is the leading columns of the full solve's, and
+the eigenvectors, and every field built from them, are reproducible across
 machines and thread counts.  Identities across different bases are still
 formulated on kernels/projectors, trimmed to the nearest cluster boundary
 (``SpectralBasis.cluster_complete``).  The one limit is memory: an
-estimate of the solve's peak (the n x (J + 1) result plus the temporaries of
-the canonical step) must fit in the memory available to the process,
+estimate of the solve's peak (the n x (J + 1) result, the last eigenspace
+and the temporaries of the canonical step) must fit in the memory available
+to the process,
 checked before anything is allocated.
 """
 
@@ -172,7 +176,8 @@ def _newborn(fine: LevelGraph, mu):
     """Local eigenfunctions born on ``fine`` at mu = 6 or 5, in batches of equal support size.
 
     Yields ``(support, values)``, one row per eigenfunction: the
-    one-dimensional null space of the columns ``support`` of S - lambda M.
+    one-dimensional null space of the columns ``support`` of S - lambda M,
+    as a unit vector of either sign (the canonical step fixes the basis).
     The rows are the corners and midpoints of the cells involved, repeated
     where cells share a corner, which leaves the null space unchanged.
     """
@@ -196,11 +201,41 @@ def _newborn(fine: LevelGraph, mu):
         rows = np.concatenate([corners[cells], mids[cells]], axis=2).reshape(len(cells), -1)
         r, c = np.broadcast_arrays(rows[:, :, None], support[:, None, :])
         blocks = np.asarray(op[r.ravel(), c.ravel()]).reshape(r.shape)
-        yield support, np.linalg.svd(blocks, full_matrices=False)[2][:, -1, :]
+        # R of a QR has the null space of the (taller) block: the SVD then runs on a square matrix
+        yield support, np.linalg.svd(np.linalg.qr(blocks, mode="r"))[2][:, -1, :]
 
 
-def _build_vectors(levels, keep):
-    """Vectors of the top-level eigenspaces ``keep``, in that order, built up from level 0."""
+def _fill(levels, j, groups, coarse, starts, out):
+    """Write the level-j eigenspaces ``groups`` into the columns of ``out``, in that order.
+
+    ``coarse`` holds the level-(j - 1) vectors, eigenspace e from column
+    ``starts[e]`` on; column i of an inherited eigenspace extends column i of
+    its parent.
+    """
+    mu, mult, parent = levels[j]
+    fine = build_level(j)
+    sizes = mult[groups]
+    first = np.cumsum(sizes) - sizes
+    group = np.repeat(groups, sizes)
+    cols = np.flatnonzero(parent[group] >= 0)  # inherited columns, a block at a time
+    src = starts[parent[group[cols]]] + cols - np.repeat(first, sizes)[cols]
+    for lo in range(0, len(cols), BLOCK):
+        c = cols[lo : lo + BLOCK]
+        out[:, c] = decimation_extension(coarse[:, src[lo : lo + BLOCK]], fine, mu[group[c]])
+    for g, lo in zip(groups, first):
+        if parent[g] < 0:
+            for support, values in _newborn(fine, mu[g]):
+                out[support, lo + np.arange(len(support))[:, None]] = values
+                lo += len(support)
+
+
+def _build_vectors(levels, keep, count):
+    """Vectors of the top-level eigenspaces ``keep``, built up from level 0.
+
+    Returns the n x (count + 1) result, with every eigenspace but the last
+    in its leading columns, and the last eigenspace whole, apart, as a
+    sparse n x k matrix.
+    """
     m = len(levels) - 1
     layout = [None] * m + [keep]  # the eigenspaces each level provides, in column order
     for j in range(m, 0, -1):
@@ -209,30 +244,23 @@ def _build_vectors(levels, keep):
     # level 0: the constant, then a basis of the mean-zero (mu = 6) space; both
     # are always needed, since lambda_1 descends from the mu = 6 space
     vectors = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T
+    if m == 0:
+        return np.column_stack([vectors[:, :1], np.zeros((3, count))]), sp.csc_array(vectors[:, 1:])
     starts = np.array([0, 1])
-    for j in range(1, m + 1):
-        mu, mult, parent = levels[j]
-        groups = layout[j]
-        sizes = mult[groups]
-        first = np.cumsum(sizes) - sizes
-        group = np.repeat(groups, sizes)
-        fine, coarse = build_level(j), vectors
-        vectors = np.zeros((len(fine), sizes.sum()))
-        # inherited columns, a block at a time: column i of an eigenspace
-        # extends column i of its parent
-        cols = np.flatnonzero(parent[group] >= 0)
-        src = starts[parent[group[cols]]] + cols - np.repeat(first, sizes)[cols]
-        for lo in range(0, len(cols), BLOCK):
-            c = cols[lo : lo + BLOCK]
-            vectors[:, c] = decimation_extension(coarse[:, src[lo : lo + BLOCK]], fine, mu[group[c]])
-        for g, lo in zip(groups, first):
-            if parent[g] < 0:
-                for support, values in _newborn(fine, mu[g]):
-                    vectors[support, lo + np.arange(len(support))[:, None]] = values
-                    lo += len(support)
-        starts = np.zeros(len(mu), dtype=np.int64)
-        starts[groups] = first
-    return vectors
+    for j in range(1, m):
+        groups, sizes = layout[j], levels[j][1][layout[j]]
+        out = np.zeros((len(build_level(j)), sizes.sum()))
+        _fill(levels, j, groups, vectors, starts, out)
+        vectors = out
+        starts = np.zeros(len(levels[j][0]), dtype=np.int64)
+        starts[groups] = np.cumsum(sizes) - sizes
+    n = len(build_level(m))
+    last = np.zeros((n, levels[m][1][keep[-1]]))
+    _fill(levels, m, keep[-1:], vectors, starts, last)
+    last = sp.csc_array(last)  # mostly zeros: made sparse before the result is allocated
+    head = np.zeros((n, count + 1))
+    _fill(levels, m, keep[:-1], vectors, starts, head)
+    return head, last
 
 
 def _available_memory():
@@ -245,31 +273,39 @@ def _available_memory():
         return avail
 
 
-def _canonical_cluster_bases(runs, vectors, mass):
-    """Replace each cluster's vectors by a basis fixed by its eigenspace alone.
+def _canonical_basis(block, mass, lo, j):
+    """The first j columns of a basis of span(``block``) fixed by that span alone.
 
-    For the cluster [lo, hi) of nonzero modes with block B (n x k): make B
-    M-orthonormal (B L^{-T}, with L L^T = B^T M B), project a fixed probe Q
-    (n x k, from ``default_rng([n, lo])``) onto its span, C = B^T M Q, and
-    keep B Q_C, where Q_C R_C = C with diag(R_C) > 0.  A change of basis
-    B -> B U (U orthogonal) turns C into U^T C and leaves B Q_C unchanged:
-    the result is the M-Gram-Schmidt of the projected probe columns.  No
-    pivoting and no threshold enter, so symmetry ties cannot flip it; for
-    k = 1 it fixes the sign of the single mode.
+    ``block`` (sparse, n x k) spans the cluster [lo, hi) of nonzero modes.
+    Make it M-orthonormal (B L^{-T}, with L L^T = B^T M B), project a fixed
+    probe Q (n x k, from ``default_rng([n, lo])``) onto its span,
+    C = L^{-1} B^T M Q, and keep B L^{-T} Q_C, where Q_C R_C = C with
+    diag(R_C) > 0.  A change of basis B -> B U (U orthogonal) turns C into
+    U^T C and leaves the result unchanged: it is the M-Gram-Schmidt of the
+    projected probe columns.  Gram-Schmidt is sequential, so the first j
+    columns need only the first j probe columns: a k x j QR and an n x j
+    product.  No pivoting and no threshold enter, so symmetry ties cannot
+    flip it; for k = 1 it fixes the sign of the single mode.
     """
-    n = vectors.shape[0]
+    n, k = block.shape
+    mblock = block.copy()
+    mblock.data *= mass[block.indices]
+    # L^{-1} explicitly: L is near the identity, and one small call per
+    # cluster beats two triangular solves when BLAS runs threaded
+    linv, _ = sla.lapack.dtrtri(sla.cholesky((block.T @ mblock).toarray(), lower=True), lower=1)
+    probe = np.random.default_rng([n, lo]).standard_normal((n, k))[:, :j]  # the stream of all k columns
+    c = linv @ (mblock.T @ probe)
+    del probe  # an n x k temporary: free it before the last product
+    q, r = np.linalg.qr(c)
+    q *= np.copysign(1.0, np.diag(r))
+    return block @ (linv.T @ q)
+
+
+def _canonical_cluster_bases(runs, vectors, mass):
+    """Replace each cluster [lo, hi) of ``vectors`` by its canonical basis, in place."""
     for lo, hi in runs:
-        block = vectors[:, 1 + lo : 1 + hi]
-        mblock = mass[:, None] * block
-        # L^{-1} explicitly: L is near the identity, and one small call per
-        # cluster beats two triangular solves when BLAS runs threaded
-        linv, _ = sla.lapack.dtrtri(sla.cholesky(block.T @ mblock, lower=True), lower=1)
-        probe = np.random.default_rng([n, lo]).standard_normal((n, hi - lo))
-        c = linv @ (mblock.T @ probe)
-        del mblock, probe  # two n x k temporaries: free them before the last product
-        q, r = np.linalg.qr(c)
-        q *= np.copysign(1.0, np.diag(r))
-        vectors[:, 1 + lo : 1 + hi] = block @ (linv.T @ q)
+        block = sp.csc_array(vectors[:, 1 + lo : 1 + hi])
+        vectors[:, 1 + lo : 1 + hi] = _canonical_basis(block, mass, lo, hi - lo)
 
 
 def solve_eigen(
@@ -281,11 +317,14 @@ def solve_eigen(
 ) -> SpectralBasis:
     """Compute the ``count`` smallest nonzero generalized eigenpairs.
 
-    The labels of :func:`_decimation_levels` give every eigenvalue and
-    eigenspace; the eigenspaces up to the one that holds mode ``count`` are
-    built from level 0 upward (newborn null spaces, then decimation
-    extension), placed in sorted order, canonicalized whole, and only then
-    cut to ``count`` modes.  No dense eigensolver runs at any level.
+    The labels of :func:`_decimation_levels` give every eigenspace, and
+    :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
+    holds mode ``count`` are built from level 0 upward (newborn null spaces,
+    then decimation extension) in sorted order and replaced by their
+    canonical bases.  The last one is built whole, but only its canonical
+    columns up to mode ``count`` are formed, so the result is the leading
+    ``count`` modes of the full solve.  No dense eigensolver runs at any
+    level.
 
     Parameters
     ----------
@@ -301,10 +340,11 @@ def solve_eigen(
     ------
     ValueError for out-of-range ``count``, a dimension that is no gasket's,
     or a sub-gasket without its graph; and before any allocation when the
-    estimated peak -- the n x (J + 1) eigenvectors (J + 1 the columns through
-    the end of the last eigenspace), twice for a sub-gasket, whose rows are
-    renumbered by a copy, plus the canonical step's n x k and k x k
-    temporaries for the widest eigenspace k -- exceeds the available memory;
+    estimated peak -- the n x (count + 1) result, twice for a sub-gasket,
+    whose rows are renumbered by a copy, plus n x k for the widest
+    eigenspace k (the last one's block, or a probe), the n x j columns kept
+    of the last eigenspace and the canonical step's k x k temporaries --
+    exceeds the available memory;
     SolverError if the achieved residual exceeds ``tol``.
     """
     n = stiffness.dim
@@ -323,22 +363,25 @@ def solve_eigen(
     ends = np.cumsum(mult[order])  # column ends; ends[0] = 1 is the constant
     last = int(np.searchsorted(ends, count + 1))  # the eigenspace that holds mode `count`
     keep = order[: last + 1]
-    width, k = int(ends[last]), int(mult[keep].max())
-    need = 8 * ((2 if word else 1) * n * width + 2 * n * k + 4 * k * k)
+    ends = ends[1 : last + 1] - 1
+    lo = int(ends[-2]) if last > 1 else 0  # the last eigenspace is [lo, ends[-1])
+    k = int(mult[keep].max())
+    need = 8 * ((2 if word else 1) * n * (count + 1) + n * (k + count - lo) + 4 * k * k)
     avail = _available_memory()
     if need > avail:
         raise ValueError(
-            f"count={count} needs {width} eigenvectors of dimension {n}: {need / 2**30:.1f} GiB "
-            f"at peak, more than the {avail / 2**30:.1f} GiB of available memory"
+            f"count={count} needs {ends[-1] + 1} eigenvectors of dimension {n}: "
+            f"{need / 2**30:.1f} GiB at peak, more than the {avail / 2**30:.1f} GiB of available memory"
         )
-    vectors = _build_vectors(levels, keep)
+    vectors, block = _build_vectors(levels, keep, count)
     if word:  # extract_cell numbers vertices by parent id, not as build_level(depth) does
-        vectors = vectors[np.argsort(embed_indices(build_level(depth), graph))]
+        rows = np.argsort(embed_indices(build_level(depth), graph))
+        vectors, block = vectors[rows], sp.csc_array(block[rows])
+    vectors[:, 1 + lo :] = _canonical_basis(block, mass.diagonal, lo, count - lo)
+    # every eigenspace but the last, in place
+    _canonical_cluster_bases(zip([0, *ends[:-2].tolist()], ends[:-1].tolist()), vectors, mass.diagonal)
     vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
-    lambdas = np.repeat(1.5 * 5.0**stiffness.level * mu[keep], mult[keep])
-    ends = ends[1 : last + 1] - 1
-    _canonical_cluster_bases(zip([0, *ends[:-1].tolist()], ends.tolist()), vectors, mass.diagonal)
-    lambdas, vectors = lambdas[: count + 1], vectors[:, : count + 1]
+    lambdas = np.concatenate([[0.0], spectrum(stiffness.level, word)[:count]])
 
     residual_norm = 0.0
     for lo in range(1, count + 1, BLOCK):
@@ -360,6 +403,19 @@ def solve_eigen(
         word=word,
         graph=graph,
     )
+
+
+def spectrum(level, word=()):
+    """Sorted nonzero eigenvalues lambda_1 <= ... <= lambda_{n-1}, without any vector.
+
+    The eigenvalues of the level-``level`` operators, or of the sub-gasket
+    of cell ``word`` (:func:`~gasket_fgf.geometry.extract_cell`, in the
+    parent's normalization), from the labels of :func:`_decimation_levels`;
+    :func:`solve_eigen` reports these same values.
+    """
+    mu, mult, _ = _decimation_levels(level - len(word))[-1]
+    order = np.argsort(mu, kind="stable")
+    return np.repeat(1.5 * 5.0**level * mu[order], mult[order])[1:]
 
 
 def counting_function(basis: SpectralBasis, t):
@@ -396,21 +452,38 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
     return WeylFit(float(slope), float(intercept), r2, (float(lams[0]), float(lams[-1])), hi - lo)
 
 
-def tail_variance(basis: SpectralBasis, s, J):
-    """Omitted-mode variance sum_{j > J} lambda_j^{-2s} within the computed spectrum."""
+def _level_spectrum(spec):
+    """The whole level spectrum of a SpectralBasis, or a sorted eigenvalue array as given."""
+    if isinstance(spec, SpectralBasis):
+        return spectrum(spec.level, spec.word)
+    return np.asarray(spec, dtype=np.float64)
+
+
+def tail_variance(spec, s, J):
+    """Omitted-mode variance sum_{j > J} lambda_j^{-2s} of the level spectrum.
+
+    ``spec`` is a SpectralBasis, whose whole level spectrum counts (also
+    the modes a truncated solve did not compute), or a sorted array of
+    nonzero eigenvalues.
+    """
     if s <= S_MIN:
         raise ValueError(f"s must exceed {S_MIN:.5f} for a square-summable spectral tail")
+    lam = _level_spectrum(spec)
     J = int(J)
-    if not 0 <= J <= basis.count:
-        raise ValueError(f"J must lie in [0, {basis.count}]")
-    return float(np.sum(basis.lam[J:] ** (-2.0 * s)))
+    if not 0 <= J <= len(lam):
+        raise ValueError(f"J must lie in [0, {len(lam)}]")
+    return float(np.sum(lam[J:] ** (-2.0 * s)))
 
 
-def pick_truncation(basis: SpectralBasis, s, budget=0.01):
-    """Smallest J whose tail variance is <= budget * total variance."""
+def pick_truncation(spec, s, budget=0.01):
+    """Smallest J whose tail variance is <= budget * total variance.
+
+    ``spec`` is taken as by :func:`tail_variance`, so J depends on the
+    eigenvalues alone and can be picked before any vector is built.
+    """
     if s <= S_MIN:
         raise ValueError(f"s must exceed {S_MIN:.5f} for a square-summable spectral tail")
-    terms = basis.lam ** (-2.0 * s)
+    terms = _level_spectrum(spec) ** (-2.0 * s)
     total = float(terms.sum())
     prefix = np.concatenate([[0.0], np.cumsum(terms)])
     tails = total - prefix

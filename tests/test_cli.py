@@ -12,6 +12,7 @@ import pytest
 from gasket_fgf import cli, spectral
 from gasket_fgf.constants import s_from_hurst
 from gasket_fgf.spectral import SolverError
+from gasket_fgf.verify import get_basis
 
 
 def run_cli(args):
@@ -164,6 +165,61 @@ def test_sample_modes_flag_truncates(tmp_path):
                     "--out", str(out)]) == 0
     header = json.loads(out.read_text().splitlines()[0][2:])
     assert header["J"] == 7
+
+
+@pytest.mark.parametrize("modes", ["0", "42"])
+def test_modes_out_of_range_exits_2(tmp_path, capsys, modes):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--level", "3", "--s", "0.5", "--modes", modes,
+                 "--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    assert "count must lie in [1, 41] for dimension 42" in capsys.readouterr().err
+
+
+def test_sample_budget_solves_only_its_modes(tmp_path, monkeypatch):
+    # J comes from the exact spectrum before any vector exists, the solve
+    # builds J modes only, and the artifacts equal those of --modes J
+    counts = []
+    solve = spectral.solve_eigen
+
+    def spy(stiffness, mass, count, **kwargs):
+        counts.append(count)
+        return solve(stiffness, mass, count, **kwargs)
+
+    monkeypatch.setattr(spectral, "solve_eigen", spy)
+
+    def sample(name, *flag):
+        out, pgm = tmp_path / f"{name}.csv", tmp_path / f"{name}.pgm"
+        assert run_cli(["sample", "--level", "5", "--s", "0.5", "--seed", "11", *flag,
+                        "--out", str(out), "--pgm", str(pgm)]) == 0
+        return out.read_bytes(), pgm.read_bytes()
+
+    budget = sample("budget", "--tail-budget", "0.01")
+    j = json.loads(budget[0].decode().splitlines()[0][2:])["J"]
+    assert counts == [j] and 0 < j < 365
+    assert sample("modes", "--modes", str(j)) == budget
+
+
+def test_zero_budget_modes_give_zero_artifacts(tmp_path):
+    # a budget of 1 keeps no mode: one mode is solved, the field and kernel are zero
+    f, k = tmp_path / "f.csv", tmp_path / "k.csv"
+    assert run_cli(["sample", "--level", "3", "--s", "0.5", "--tail-budget", "1",
+                    "--out", str(f)]) == 0
+    assert run_cli(["kernel", "--level", "3", "--s", "0.5", "--tail-budget", "1",
+                    "--out", str(k)]) == 0
+    assert json.loads(f.read_text().splitlines()[0][2:])["J"] == 0
+    assert not np.loadtxt(f, delimiter=",", skiprows=2)[:, 3].any()
+    assert not np.loadtxt(k, delimiter=",", skiprows=2)[:, 2].any()
+
+
+def test_truncated_kernel_report_counts_the_whole_tail(tmp_path):
+    # the tail variance is relative to the level-3 spectrum, not to the 40 modes solved
+    rep = tmp_path / "r.json"
+    assert run_cli(["kernel", "--level", "3", "--s", "0.6", "--modes", "40",
+                    "--out", str(tmp_path / "k.csv"), "--report", str(rep)]) == 0
+    lam = get_basis(3).lam
+    assert len(lam) == 41
+    assert read_json(rep)["tail_variance"] == pytest.approx(np.sum(lam[40:] ** -1.2), rel=1e-12)
 
 
 def test_determinism_across_directories(tmp_path):

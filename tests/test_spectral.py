@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,11 @@ from gasket_fgf.spectral import (
     SolverError,
     _canonical_cluster_bases,
     _decimation_levels,
+    _newborn,
     counting_function,
     pick_truncation,
     solve_eigen,
+    spectrum,
     tail_variance,
     weyl_exponent_fit,
 )
@@ -116,11 +119,11 @@ def test_cluster_complete_trims(basis6, j, trimmed):
     assert basis6.cluster_complete(j) == trimmed
 
 
-@pytest.mark.parametrize("count,base", [(20, 3), (80, 4), (100, 5), (242, 5), (300, 6)])
+@pytest.mark.parametrize("count,base", [(20, 3), (80, 4), (100, 5), (242, 5), (300, 6), (800, 6)])
 def test_truncated_solve_matches_full(g6, basis6, count, base):
-    # modes 1..3^k - 1 of every deeper level descend from level k; count 300
-    # cuts the 243..365 cluster, which is built and canonicalized whole
-    # before the cut
+    # modes 1..3^k - 1 of every deeper level descend from level k; counts 300
+    # and 800 cut the 243..365 and the 728..1094 (mu = 6) clusters, which are
+    # built whole and canonicalized only up to the cut
     levels = _decimation_levels(6)
     mu, mult, _ = levels[-1]
     order = np.argsort(mu)
@@ -132,8 +135,8 @@ def test_truncated_solve_matches_full(g6, basis6, count, base):
         basis = solve_eigen(s, mm, count, graph=g6)
     assert basis.count == count
     assert basis.cluster_complete(count) == basis6.cluster_complete(count)
-    np.testing.assert_allclose(basis.lambdas, basis6.lambdas[: count + 1], rtol=1e-10)
-    assert np.abs(basis.vectors - basis6.vectors[:, : count + 1]).max() <= 1e-10
+    np.testing.assert_array_equal(basis.lambdas, basis6.lambdas[: count + 1])
+    assert np.abs(basis.vectors - basis6.vectors[:, : count + 1]).max() <= 1e-12
 
 
 def test_deep_truncated_solve_fails_before_dense_allocation():
@@ -181,6 +184,27 @@ def test_decimation_matches_dense_oracle(level, word):
         assert np.abs(gap).max() <= 1e-10, (lo, hi)
 
 
+def test_spectrum_is_the_solvers(basis6, sub_basis5):
+    # eigenvalues without vectors, bit for bit those of the solve
+    np.testing.assert_array_equal(spectrum(6), basis6.lam)
+    np.testing.assert_array_equal(spectrum(5, (0,)), sub_basis5.lam)
+    assert len(spectrum(10)) == (3**11 + 3) // 2 - 1
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_newborn_null_vectors(m):
+    # each newborn function is a unit eigenvector of the whole level-m problem
+    fine = build_level(m)
+    for mu in (6.0, 5.0):
+        op = assemble_energy(fine).matrix - sp.diags_array(1.5 * 5.0**m * mu * fine.measure)
+        for support, values in _newborn(fine, mu):
+            cols = np.repeat(np.arange(len(support)), support.shape[1])
+            v = sp.csc_array((values.ravel(), (support.ravel(), cols)), shape=(len(fine), len(support)))
+            resid = np.linalg.norm((op @ v).toarray(), axis=0)
+            assert resid.max() <= 1e-12 * abs(op).max()
+            np.testing.assert_allclose(np.linalg.norm(values, axis=1), 1.0, rtol=1e-12)
+
+
 def test_sub_gasket_needs_its_graph():
     g = extract_cell(build_level(4), (1,))
     with pytest.raises(ValueError, match="sub-gasket: pass its graph"):
@@ -222,6 +246,15 @@ def test_weyl_window_is_mid_spectrum(basis6):
     lo, hi = fit.window
     assert basis6.lam[0] < lo < hi < basis6.lam[299]
     assert fit.npoints < 300
+
+
+def test_truncation_reads_the_level_spectrum(g6, basis6):
+    # a truncated basis, the full one and the bare eigenvalues give the same tail and J
+    s, mm = assemble_energy(g6), assemble_mass(g6)
+    short = solve_eigen(s, mm, 100, graph=g6)
+    for spec in (short, spectrum(6)):
+        assert tail_variance(spec, 0.5, 100) == tail_variance(basis6, 0.5, 100) > 0
+        assert pick_truncation(spec, 0.5, budget=0.01) == pick_truncation(basis6, 0.5, budget=0.01)
 
 
 def test_tail_variance_monotone(basis5):
