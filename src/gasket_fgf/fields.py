@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .constants import check_s, hurst_from_s
 from .geometry import LevelGraph, SymmetryMap, embed_indices
@@ -29,6 +30,7 @@ from .kernels import (
     binned_points,
     kernel_matrix,
     pair_sample,
+    squared_increments,
 )
 from .spectral import SpectralBasis, spectral_coeffs
 
@@ -111,9 +113,7 @@ def sample_field(basis: SpectralBasis, s, seed, J=None) -> FieldSample:
     BLAS thread count, for truncated solves too (see :mod:`gasket_fgf.spectral`).
     """
     check_s(s)
-    J = basis.count if J is None else int(J)
-    if not 0 <= J <= basis.count:
-        raise ValueError(f"J too large: must lie in [0, {basis.count}]")
+    J = basis.truncation(J)
     coeff = np.random.default_rng(seed).standard_normal(J)
     values = basis.phi[:, :J] @ (basis.lam[:J] ** (-float(s)) * coeff)
     return FieldSample(
@@ -188,7 +188,7 @@ def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> Covar
     max |emp - exact| / se must stay below 5 for a healthy sampler.
     """
     check_s(s)
-    J = basis.count if J is None else int(J)
+    J = basis.truncation(J)
     seeds = list(seeds)
     R = len(seeds)
     if R < 1000:
@@ -233,9 +233,7 @@ def variogram(
     Bins left with a single pair are dropped with a warning.
     """
     check_s(s)
-    if basis.graph is None:
-        raise ValueError("basis carries no graph; solve with graph= to enable regressions")
-    J = basis.count if J is None else int(J)
+    J = basis.truncation(J)
     lo, hi = window
     m = basis.graph.level
     if not (2.0 ** -(m + 1) <= lo < hi <= 2.0 ** -2 * (1 + 1e-12)):
@@ -245,9 +243,7 @@ def variogram(
     iu, ju, dp = pair_sample(basis.graph, npairs, pair_seed)
 
     if mode == "exact":
-        c = kernel_matrix(basis, 2.0 * s, J)
-        diag = np.diag(c)
-        d2 = diag[iu] + diag[ju] - 2.0 * c[iu, ju]
+        d2 = squared_increments(basis, s, iu, ju, J)
         replications = 0
     elif mode == "mc":
         if not seeds:
@@ -305,7 +301,8 @@ def hoelder_statistic(
     if any(not 0.0 < d < 1.0 / np.e for d in deltas):
         raise ValueError("every delta must lie in (0, 1/e)")
     pts = graph.points
-    iu, ju = np.triu_indices(len(graph), 1)
+    # only pairs within the largest annulus count: a k-d tree lists them, not all O(n^2)
+    iu, ju = cKDTree(pts).query_pairs(max(deltas) * (1 + 1e-9), output_type="ndarray").T
     dp = np.linalg.norm(pts[iu] - pts[ju], axis=1)
     dx = np.abs(sample.values[iu] - sample.values[ju])
     values = []
@@ -356,10 +353,7 @@ def symmetry_invariance_test(basis: SpectralBasis, s, sym: SymmetryMap, J=None) 
     variance).
     """
     check_s(s)
-    J = basis.count if J is None else int(J)
-    if not 0 <= J <= basis.count:
-        raise ValueError(f"J must lie in [0, {basis.count}]")
-    J = basis.cluster_complete(J)
+    J = basis.cluster_complete(basis.truncation(J))
     c = kernel_matrix(basis, 2.0 * s, J)
     p = sym.permutation
     deviation = float(np.abs(c[np.ix_(p, p)] - c).max())
@@ -391,7 +385,7 @@ def scaling_invariance_test(
     common cluster-complete truncation.
     """
     check_s(s)
-    word = tuple(basis_sub.word) if word is None else tuple(word)
+    word = basis_sub.graph.word if word is None else tuple(word)
     n = len(word)
     if basis_sub.level != basis_ref.level + n:
         raise ValueError(
@@ -408,12 +402,7 @@ def scaling_invariance_test(
     J = basis_sub.cluster_complete(J)
     c_ref = kernel_matrix(basis_ref, 2.0 * s, J)
     c_sub = kernel_matrix(basis_sub, 2.0 * s, J)
-    if n == 0:
-        idx = np.arange(len(basis_ref.graph)) if basis_ref.graph is not None else np.arange(c_ref.shape[0])
-    else:
-        if basis_ref.graph is None or basis_sub.graph is None:
-            raise ValueError("both bases must carry their graphs to identify vertices")
-        idx = embed_indices(basis_ref.graph, basis_sub.graph)
+    idx = embed_indices(basis_ref.graph, basis_sub.graph)
     mapped = c_sub[np.ix_(idx, idx)] * 2.0 ** (2.0 * n * h)
     thr = np.quantile(np.abs(c_ref), 0.75)
     msk = np.abs(c_ref) >= thr

@@ -79,11 +79,8 @@ class HeatKernelEvaluator:
     """Truncated heat kernel p_t on the vertices of one level graph."""
 
     def __init__(self, basis: SpectralBasis, J=None):
-        J = basis.count if J is None else int(J)
-        if not 0 <= J <= basis.count:
-            raise ValueError(f"J must lie in [0, {basis.count}]")
         self.basis = basis
-        self.J = J
+        self.J = basis.truncation(J)
 
     def matrix(self, t):
         """Dense p_t(x,y) over all vertex pairs."""
@@ -173,9 +170,7 @@ def kernel_matrix(basis: SpectralBasis, exponent, J=None):
     boundary (``basis.cluster_complete``), where the matrix does not depend
     on the basis inside degenerate eigenspaces.
     """
-    J = basis.count if J is None else int(J)
-    if not 0 <= J <= basis.count:
-        raise ValueError(f"J must lie in [0, {basis.count}]")
+    J = basis.truncation(J)
     phi = basis.phi[:, :J]
     return (phi * basis.lam[:J] ** (-float(exponent))) @ phi.T
 
@@ -185,12 +180,9 @@ class RieszKernel:
 
     def __init__(self, s, basis: SpectralBasis, J=None):
         check_s(s)
-        J = basis.count if J is None else int(J)
-        if not 0 <= J <= basis.count:
-            raise ValueError(f"J must lie in [0, {basis.count}]")
         self.s = float(s)
         self.basis = basis
-        self.J = J
+        self.J = basis.truncation(J)
         self._matrix = None
 
     @property
@@ -214,7 +206,7 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    J = basis.count if J is None else int(J)
+    J = basis.truncation(J)
     lam = basis.lam[:J]
     if T is None:
         T = 20.0 / lam[0]
@@ -250,7 +242,7 @@ def apply_fractional_laplacian(basis: SpectralBasis, s, f, J=None):
     graph generator itself); the field-admissible window only constrains
     the *inverse* exponents used for sampling.
     """
-    J = basis.count if J is None else int(J)
+    J = basis.truncation(J)
     f = np.asarray(f, dtype=np.float64)
     f = f - float(basis.mass @ f) / basis.mass.sum()
     return basis.phi[:, :J] @ (basis.lam[:J] ** float(s) * spectral_coeffs(basis, f, J))
@@ -271,6 +263,13 @@ def unrank_pairs(n, flat):
     ends = np.cumsum(np.arange(n - 1, 0, -1))
     i = np.searchsorted(ends, flat, side="right")
     return i, flat - ends[i] + n
+
+
+def squared_increments(basis: SpectralBasis, s, iu, ju, J):
+    """E (X(x) - X(y))^2 = G_2s(x,x) + G_2s(y,y) - 2 G_2s(x,y) at the pairs (iu, ju)."""
+    c = kernel_matrix(basis, 2.0 * s, J)
+    diag = np.diag(c)
+    return diag[iu] + diag[ju] - 2.0 * c[iu, ju]
 
 
 def pair_sample(graph, npairs=DEFAULT_PAIR_COUNT, seed=DEFAULT_PAIR_SEED):
@@ -379,8 +378,6 @@ def estimate_bound_fit(
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    if basis.graph is None:
-        raise ValueError("basis carries no graph; solve with graph= to enable regressions")
     lo, hi = window
     if not 0 < lo < hi <= 1.0:
         raise ValueError("window endpoints must lie in (0, 1] (diameter of the gasket)")
@@ -388,7 +385,7 @@ def estimate_bound_fit(
         regime = _resolve_regime(s)
     if regime not in ("power", "log", "bounded"):
         raise ValueError(f"unknown regime {regime!r}")
-    J = basis.count if J is None else int(J)
+    J = basis.truncation(J)
     iu, ju, dp = pair_sample(basis.graph, npairs, seed)
     g = kernel_matrix(basis, s, J)
     vals = np.abs(g[iu, ju])
@@ -448,13 +445,9 @@ def increment_l2_check(
     fitted log-log slope must clear that exponent minus a 0.2 allowance.
     """
     check_s(s)
-    if basis.graph is None:
-        raise ValueError("basis carries no graph; solve with graph= to enable regressions")
-    J = basis.count if J is None else int(J)
+    J = basis.truncation(J)
     iu, ju, dp = pair_sample(basis.graph, npairs, seed)
-    c = kernel_matrix(basis, 2.0 * s, J)
-    diag = np.diag(c)
-    d2 = diag[iu] + diag[ju] - 2.0 * c[iu, ju]
+    d2 = squared_increments(basis, s, iu, ju, J)
     slope, _, residual, _, dropped = binned_loglog_fit(dp, d2, window, nbins, agg="mean")
     if dropped:
         warnings.warn(f"{dropped} distance bin(s) had < 2 pairs and were dropped")

@@ -39,9 +39,9 @@ the eigenvectors, and every field built from them, are reproducible across
 machines and thread counts.  Identities across different bases are still
 formulated on kernels/projectors, trimmed to the nearest cluster boundary
 (``SpectralBasis.cluster_complete``).  The one limit is memory: an
-estimate of the solve's peak (the n x (J + 1) result, the last eigenspace
-and the temporaries of the canonical step) must fit in the memory available
-to the process,
+estimate of the solve's peak (the n x (J + 1) result, the last eigenspace,
+the temporaries of the canonical step and the column blocks of the extension
+and residual loops) must fit in the memory available to the process,
 checked before anything is allocated.
 """
 
@@ -86,6 +86,9 @@ class SpectralBasis:
     mass-normalized); ``count`` is the number of usable nonzero modes.
     ``ends`` holds the exclusive end of each eigenspace among the nonzero
     modes; the last one may lie beyond ``count`` when a solve cut it.
+    ``graph`` is the level graph the basis lives on (vertex order,
+    coordinates and, for a sub-gasket, its cell word), always attached by
+    :func:`solve_eigen`.
     """
 
     level: int
@@ -94,8 +97,7 @@ class SpectralBasis:
     mass: np.ndarray
     residual_norm: float
     ends: np.ndarray
-    word: tuple = ()
-    graph: LevelGraph = field(default=None, repr=False)
+    graph: LevelGraph = field(repr=False)
 
     @property
     def dim(self):
@@ -114,6 +116,13 @@ class SpectralBasis:
     def phi(self):
         """Eigenvectors of the nonzero modes, one per column."""
         return self.vectors[:, 1:]
+
+    def truncation(self, J=None):
+        """The number of modes J to use: ``count`` for None, else J checked against [0, count]."""
+        J = self.count if J is None else int(J)
+        if not 0 <= J <= self.count:
+            raise ValueError(f"J must lie in [0, {self.count}]")
+        return J
 
     def clusters(self):
         """Runs [lo, hi) of nonzero-mode indices, one per eigenspace (the last cut at ``count``)."""
@@ -333,8 +342,9 @@ def solve_eigen(
     count : number of nonzero modes requested (λ_0 = 0 is always included
         in the result in addition to these).
     tol : acceptance threshold on max_j ||S phi - lambda M phi||_2 / lambda.
-    graph : the LevelGraph of the operators, attached for coordinate-aware
-        diagnostics; required for a sub-gasket, whose vertex order it gives.
+    graph : the LevelGraph of the operators, attached to the result;
+        needed only for a sub-gasket, whose vertex order it gives (a full
+        gasket gets ``build_level`` of its level).
 
     Raises
     ------
@@ -343,8 +353,9 @@ def solve_eigen(
     estimated peak -- the n x (count + 1) result, twice for a sub-gasket,
     whose rows are renumbered by a copy, plus n x k for the widest
     eigenspace k (the last one's block, or a probe), the n x j columns kept
-    of the last eigenspace and the canonical step's k x k temporaries --
-    exceeds the available memory;
+    of the last eigenspace, the canonical step's k x k temporaries and four
+    n x ``BLOCK`` blocks of the extension and residual loops -- exceeds the
+    available memory;
     SolverError if the achieved residual exceeds ``tol``.
     """
     n = stiffness.dim
@@ -366,13 +377,16 @@ def solve_eigen(
     ends = ends[1 : last + 1] - 1
     lo = int(ends[-2]) if last > 1 else 0  # the last eigenspace is [lo, ends[-1])
     k = int(mult[keep].max())
-    need = 8 * ((2 if word else 1) * n * (count + 1) + n * (k + count - lo) + 4 * k * k)
+    b = min(BLOCK, count)  # decimation_extension and the residual check hold a few n x b blocks
+    need = 8 * ((2 if word else 1) * n * (count + 1) + n * (k + count - lo + 4 * b) + 4 * k * k)
     avail = _available_memory()
     if need > avail:
         raise ValueError(
             f"count={count} needs {ends[-1] + 1} eigenvectors of dimension {n}: "
             f"{need / 2**30:.1f} GiB at peak, more than the {avail / 2**30:.1f} GiB of available memory"
         )
+    if graph is None:  # after the memory check: a refused solve builds no graph
+        graph = build_level(depth)
     vectors, block = _build_vectors(levels, keep, count)
     if word:  # extract_cell numbers vertices by parent id, not as build_level(depth) does
         rows = np.argsort(embed_indices(build_level(depth), graph))
@@ -400,7 +414,6 @@ def solve_eigen(
         mass=np.asarray(mass.diagonal),
         residual_norm=residual_norm,
         ends=ends,
-        word=word,
         graph=graph,
     )
 
@@ -455,7 +468,7 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
 def _level_spectrum(spec):
     """The whole level spectrum of a SpectralBasis, or a sorted eigenvalue array as given."""
     if isinstance(spec, SpectralBasis):
-        return spectrum(spec.level, spec.word)
+        return spectrum(spec.level, spec.graph.word)
     return np.asarray(spec, dtype=np.float64)
 
 

@@ -4,7 +4,10 @@ Each ``check_*`` function runs one criterion at its stated configuration and
 returns a :class:`CheckResult` with the measured numbers, so both the CLI
 (`verify` subcommand) and the test suite consume the same code path.  The
 level/s/seed knobs default to the acceptance configuration; smaller levels
-are useful for smoke runs.
+are useful for smoke runs.  Bases come from :func:`get_basis`, one full
+solve per level graph for the life of the process; the checks that read
+eigenvalues only (lambda_1, the Weyl fits) take them from
+:func:`~gasket_fgf.spectral.spectrum` and solve nothing.
 
 One check is expected to fail at desk scale and is reported honestly: the
 on-diagonal heat-kernel slope over t in [2^-10, 2^-2] (criterion 4d).  The
@@ -20,6 +23,7 @@ c t^{-a} <= mean p_t <= C t^{-a} over [2^-10, 1] are reported in the detail.
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from .fields import (
     variogram,
 )
 from .operators import assemble_energy, assemble_mass, energy_value, self_similar_energy_residual
-from .spectral import pick_truncation, solve_eigen, spectral_coeffs, weyl_exponent_fit
+from .spectral import pick_truncation, solve_eigen, spectral_coeffs, spectrum, weyl_exponent_fit
 
 
 @dataclass
@@ -73,27 +77,15 @@ def _short(v):
     return str(v)
 
 
-_basis_cache = {}
+@lru_cache(maxsize=None)
+def get_basis(level, word=()):
+    """The full spectral basis of one level graph (the sub-gasket of cell ``word``), solved once.
 
-
-def get_basis(level, count=None, word=()):
-    """Solve (and memoize) the eigenproblem for one level graph.
-
-    A cached basis with at least ``count`` modes is reused; ``count=None``
-    requests the full spectrum, which needs n^2 doubles of memory.
+    A full spectrum needs n^2 doubles of memory; checks that need
+    eigenvalues only read :func:`~gasket_fgf.spectral.spectrum` instead.
     """
-    word = tuple(word)
     graph = extract_cell(build_level(level), word) if word else build_level(level)
-    dim = len(graph)
-    count = dim - 1 if count is None else int(count)
-    key = (level, word)
-    hit = _basis_cache.get(key)
-    if hit is not None and hit.count >= count:
-        return hit
-    basis = solve_eigen(assemble_energy(graph), assemble_mass(graph), count, graph=graph)
-    if hit is None or basis.count > hit.count:
-        _basis_cache[key] = basis
-    return basis
+    return solve_eigen(assemble_energy(graph), assemble_mass(graph), len(graph) - 1, graph=graph)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +101,7 @@ def check_structure(level=6, **_):
     mass_dev = max(
         abs(build_level(m).measure.sum() - 1.0) for m in range(level + 1)
     )
-    small = get_basis(min(level, 4), count=2)
-    lam1 = float(small.lam[0])
+    lam1 = float(spectrum(min(level, 4))[0])
     fine = build_level(3)
     rels = []
     s_fine = assemble_energy(fine)
@@ -159,10 +150,7 @@ def check_spectral(level=6, count=300, **_):
 
 
 def check_weyl(level=6, count=300, **_):
-    slopes = []
-    for m in (level, level + 1):
-        basis = get_basis(m, count=count)
-        slopes.append(weyl_exponent_fit(basis.lam[:count]).slope)
+    slopes = [weyl_exponent_fit(spectrum(m)[:count]).slope for m in (level, level + 1)]
     target = SPECTRAL_EXPONENT
     passed = all(abs(sl - target) <= 0.05 for sl in slopes)
     return CheckResult(

@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-Bases are session-scoped and routed through :func:`gasket_fgf.verify.get_basis`
-so unit tests and the acceptance gate share one eigensolve per configuration.
+Bases are the full solves of :func:`gasket_fgf.verify.get_basis`, which keeps
+one per level graph for the process, so unit tests and the acceptance gate
+share one eigensolve per level graph.
 """
 
 import numpy as np

@@ -445,11 +445,7 @@ def test_verify_unknown_suite(capsys):
 
 def test_console_script_runs(tmp_path):
     out = tmp_path / "graph.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "gasket_fgf.cli", "build", "--level", "2",
-         "--out", str(out)],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
+    _run_child(["build", "--level", "2", "--out", str(out)], 1)
     assert out.exists()
 
 

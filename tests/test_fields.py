@@ -156,6 +156,31 @@ def test_hoelder_overclaim_raises_slope_gap(basis6):
         assert true.slope - over.slope > 0.1
 
 
+def _hoelder_values_all_pairs(sample, graph, hurst_claim, deltas):
+    """The annulus sups over the ``triu_indices`` list of every vertex pair."""
+    pts = graph.points
+    iu, ju = np.triu_indices(len(graph), 1)
+    dp = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    dx = np.abs(sample.values[iu] - sample.values[ju])
+    values = []
+    for d in deltas:
+        msk = (dp > d / 2.0) & (dp <= d)
+        w = dp[msk] ** float(hurst_claim) * np.sqrt(np.abs(np.log(dp[msk])))
+        values.append(float((dx[msk] / w).max()) if msk.any() else float("nan"))
+    return values
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+@pytest.mark.parametrize("deltas", [(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
+                                    tuple(2.0 ** -k for k in range(2, 7))], ids=["default", "wide"])
+def test_hoelder_matches_all_pairs(request, level, deltas):
+    basis = request.getfixturevalue(f"basis{level}")
+    smp = sample_field(basis, 0.5, seed=5000)
+    rep = hoelder_statistic(smp, basis.graph, smp.hurst, deltas)
+    np.testing.assert_array_equal(rep.values,
+                                  _hoelder_values_all_pairs(smp, basis.graph, smp.hurst, deltas))
+
+
 def test_hoelder_inconclusive_when_annulus_empty(basis4):
     smp = sample_field(basis4, 0.5, seed=3)
     rep = hoelder_statistic(smp, basis4.graph, smp.hurst,

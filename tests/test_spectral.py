@@ -1,5 +1,6 @@
 """Eigensolver hygiene, Weyl counting, and truncation bookkeeping."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,8 +10,19 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_fgf import spectral
 from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
-from gasket_fgf.geometry import build_level, extract_cell
+from gasket_fgf.fields import empirical_covariance, sample_field, symmetry_invariance_test, variogram
+from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
+from gasket_fgf.kernels import (
+    HeatKernelEvaluator,
+    RieszKernel,
+    apply_fractional_laplacian,
+    estimate_bound_fit,
+    increment_l2_check,
+    kernel_matrix,
+    riesz_value_quadrature,
+)
 from gasket_fgf.operators import MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass
 from gasket_fgf.spectral import (
     SolverError,
@@ -151,7 +163,7 @@ def test_deep_truncated_solve_fails_before_dense_allocation():
 
     n = NoDense.shape[0]
     s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    with pytest.raises(ValueError, match=r"dimension 797163: 9995\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 10001\.\d GiB at peak, more than"):
         solve_eigen(s, mm, n - 1)
 
 
@@ -209,6 +221,53 @@ def test_sub_gasket_needs_its_graph():
     g = extract_cell(build_level(4), (1,))
     with pytest.raises(ValueError, match="sub-gasket: pass its graph"):
         solve_eigen(assemble_energy(g), assemble_mass(g), 5)
+
+
+def test_full_solve_attaches_its_graph(basis4):
+    g = build_level(4)
+    basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1)
+    assert basis.graph is build_level(4)
+    assert variogram(basis, 0.5) == variogram(basis4, 0.5)
+
+
+def test_memory_check_counts_block_temporaries(monkeypatch):
+    # at a small count the n x BLOCK blocks of the extension and the
+    # residual check, not the result, make the peak
+    g = build_level(7)
+    s, mm = assemble_energy(g), assemble_mass(g)
+    solve_eigen(s, mm, 50, graph=g)  # every level's graph and operators are cached from here on
+    tracemalloc.start()
+    try:
+        solve_eigen(s, mm, 50, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(spectral, "_available_memory", lambda: peak - 1)
+    with pytest.raises(ValueError, match="GiB at peak, more than"):
+        solve_eigen(s, mm, 50, graph=g)
+
+
+J_CONSUMERS = {
+    "HeatKernelEvaluator": lambda b, J: HeatKernelEvaluator(b, J),
+    "kernel_matrix": lambda b, J: kernel_matrix(b, 1.0, J),
+    "RieszKernel": lambda b, J: RieszKernel(0.5, b, J),
+    "riesz_value_quadrature": lambda b, J: riesz_value_quadrature(b, 0.5, 0, 1, J=J),
+    "apply_fractional_laplacian": lambda b, J: apply_fractional_laplacian(b, 0.5, b.mass, J),
+    "estimate_bound_fit": lambda b, J: estimate_bound_fit(b, 0.5, J=J),
+    "increment_l2_check": lambda b, J: increment_l2_check(b, 0.5, J=J),
+    "sample_field": lambda b, J: sample_field(b, 0.5, 1, J=J),
+    "empirical_covariance": lambda b, J: empirical_covariance(b, 0.5, range(1000), [(0, 1)], J=J),
+    "variogram": lambda b, J: variogram(b, 0.5, J=J),
+    "symmetry_invariance_test":
+        lambda b, J: symmetry_invariance_test(b, 0.5, symmetry_permutation(b.graph, 1), J),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(J_CONSUMERS))
+def test_truncation_checked_in_one_place(basis4, consumer):
+    for J in (-1, basis4.count + 1):
+        with pytest.raises(ValueError, match=rf"^J must lie in \[0, {basis4.count}\]$"):
+            J_CONSUMERS[consumer](basis4, J)
 
 
 def test_full_solve_needs_no_dense_eigensolver(g6, basis6, monkeypatch):
