@@ -164,11 +164,14 @@ def white_noise_pairing(sample: FieldSample, basis: SpectralBasis, f, s=None):
 
 
 def _mc_blocks(basis, s, seeds, J, verts=slice(None)):
-    """Field values at ``verts``, one row per seed, MC_CHUNK seeds per block.
+    """Field values at ``verts``, one column per seed, MC_CHUNK seeds per block.
 
-    Row r holds, to rounding, the realization that
+    Each block is vertices x replications and C-contiguous, so the values at
+    one vertex are one contiguous row and a gather of vertices copies whole
+    rows.  Column r holds, to rounding, the realization that
     ``sample_field(basis, s, seeds[r], J)`` draws, restricted to the chosen
-    vertices.
+    vertices.  The product is formed with one row per seed and then
+    transposed, so the values are bit for bit those of that seed-major product.
     """
     phi = basis.phi[verts, :J]
     scale = basis.lam[:J] ** (-float(s))
@@ -177,7 +180,18 @@ def _mc_blocks(basis, s, seeds, J, verts=slice(None)):
         chunk = seeds[lo : lo + MC_CHUNK]
         for r, sd in enumerate(chunk):
             block[r] = np.random.default_rng(sd).standard_normal(J)
-        yield (block[: len(chunk)] * scale) @ phi.T
+        yield np.ascontiguousarray(((block[: len(chunk)] * scale) @ phi.T).T)
+
+
+def _mc_increments(basis, s, seeds, J, iu, ju):
+    """Monte Carlo mean of (X(x) - X(y))^2 over ``seeds`` at the pairs (iu, ju)."""
+    acc = np.zeros(len(iu))
+    for x in _mc_blocks(basis, s, seeds, J):
+        d = x[iu]  # one row per pair: all replications of the block
+        d -= x[ju]
+        d *= d
+        acc += d.sum(axis=1)
+    return acc / len(seeds)
 
 
 def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> CovarianceReport:
@@ -194,14 +208,15 @@ def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> Covar
     if R < 1000:
         raise ValueError("at least 1000 replications are required")
     pairs = np.asarray(pairs, dtype=np.int64)
-    pi, pj = pairs[:, 0], pairs[:, 1]
-    # the Monte Carlo values are needed only at the vertices the pairs touch
+    # both the Monte Carlo values and the exact kernel are needed only at
+    # the vertices the pairs touch: G_2s(x, y) = sum_j lambda_j^{-2s} Phi_j(x) Phi_j(y)
     verts, local = np.unique(pairs, return_inverse=True)
     ia, ja = local.reshape(pairs.shape).T
-    prod = np.concatenate([x[:, ia] * x[:, ja] for x in _mc_blocks(basis, s, seeds, J, verts)])
-    exact = kernel_matrix(basis, 2.0 * s, J)[pi, pj]
-    se = prod.std(axis=0, ddof=1) / np.sqrt(R)
-    z = (prod.mean(axis=0) - exact) / se
+    prod = np.concatenate([x[ia] * x[ja] for x in _mc_blocks(basis, s, seeds, J, verts)], axis=1)
+    rows = basis.phi[verts, :J]
+    exact = ((rows[ia] * basis.lam[:J] ** (-2.0 * s)) * rows[ja]).sum(axis=1)
+    se = prod.std(axis=1, ddof=1) / np.sqrt(R)
+    z = (prod.mean(axis=1) - exact) / se
     max_abs_z = float(np.abs(z).max())
     return CovarianceReport(
         s=float(s),
@@ -252,10 +267,7 @@ def variogram(
         replications = len(seeds)
         keep = (dp >= lo) & (dp <= hi)
         iu, ju, dp = iu[keep], ju[keep], dp[keep]
-        acc = np.zeros(len(dp))
-        for x in _mc_blocks(basis, s, seeds, J):
-            acc += ((x[:, iu] - x[:, ju]) ** 2).sum(axis=0)
-        d2 = acc / replications
+        d2 = _mc_increments(basis, s, seeds, J, iu, ju)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -182,23 +182,41 @@ def write_field_csv(sample, graph, path, extra=None):
             fh.write(f"{v.id},{fmt(x)},{fmt(y)},{fmt(sample.values[v.id])}\n")
 
 
-def write_pgm(values, graph, path, size=512):
-    """Nearest-vertex grayscale raster of a vertex function (binary PGM).
+def pixel_vertices(graph, size=512):
+    """Nearest vertex of every pixel centre, a size x size index array.
 
-    Pixels outside influence of any vertex still take the nearest vertex's
-    shade; the image spans the gasket bounding box [0,1] x [0, sqrt(3)/2]
-    with row 0 at the top.
+    The raster spans the gasket bounding box [0,1] x [0, sqrt(3)/2] with
+    row 0 at the top.  A full gasket is symmetric under x -> 1 - x, so when
+    the pixel columns are as well (exactly, as at size 512) only the left
+    ceil(size/2) columns are looked up and the right ones take the mirror
+    images of their vertices.  Where two vertices are equally near a pixel,
+    the right half thus takes the mirror of the left half's choice.
     """
     from scipy.spatial import cKDTree
 
-    values = np.asarray(values, dtype=np.float64)
     tree = cKDTree(graph.points)
     height = float(np.sqrt(3.0) / 2.0)
     xs = (np.arange(size) + 0.5) / size
     ys = height * (1.0 - (np.arange(size) + 0.5) / size)
-    gx, gy = np.meshgrid(xs, ys)
+    mirror = not graph.word and np.array_equal(xs[::-1], 1.0 - xs)
+    cols = xs[: (size + 1) // 2] if mirror else xs
+    gx, gy = np.meshgrid(cols, ys)
     _, nearest = tree.query(np.column_stack([gx.ravel(), gy.ravel()]))
-    shade = values[nearest]
+    nearest = nearest.reshape(size, len(cols))
+    if mirror:
+        pts = graph.points
+        _, image = tree.query(np.column_stack([1.0 - pts[:, 0], pts[:, 1]]))
+        nearest = np.column_stack([nearest, image[nearest[:, : size // 2][:, ::-1]]])
+    return nearest
+
+
+def write_pgm(values, graph, path, size=512):
+    """Nearest-vertex grayscale raster of a vertex function (binary PGM).
+
+    Pixels outside influence of any vertex still take the nearest vertex's
+    shade (:func:`pixel_vertices`).
+    """
+    shade = np.asarray(values, dtype=np.float64)[pixel_vertices(graph, size)]
     lo, hi = shade.min(), shade.max()
     if hi > lo:
         pix = np.round(255.0 * (shade - lo) / (hi - lo)).astype(np.uint8)

@@ -18,8 +18,10 @@ The time-integral route G_s = (1/Gamma(s)) int_0^inf t^{s-1}(p_t - 1) dt is
 implemented only as a quadrature cross-check of the spectral sum.
 """
 
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -277,18 +279,27 @@ def pair_sample(graph, npairs=DEFAULT_PAIR_COUNT, seed=DEFAULT_PAIR_SEED):
 
     All distinct pairs when the graph is small (level <= 4 or fewer pairs
     than requested); otherwise a uniform random subsample without
-    replacement, reproducible from ``seed``.
+    replacement, reproducible from the integer ``seed``.  The sample is a
+    function of (graph, npairs, seed), so the last few are cached and every
+    caller gets the same read-only arrays.
     """
+    return _pair_sample(graph, None if npairs is None else int(npairs), operator.index(seed))
+
+
+@lru_cache(maxsize=4)
+def _pair_sample(graph, npairs, seed):
     n = len(graph)
     total = n * (n - 1) // 2
     if graph.level > ALL_PAIRS_MAX_LEVEL and npairs is not None and total > npairs:
-        flat = np.random.default_rng(seed).choice(total, int(npairs), replace=False)
+        flat = np.random.default_rng(seed).choice(total, npairs, replace=False)
         flat.sort()
         iu, ju = unrank_pairs(n, flat)
     else:
         iu, ju = np.triu_indices(n, 1)
     pts = graph.points
     d = np.linalg.norm(pts[iu] - pts[ju], axis=1)
+    for a in (iu, ju, d):
+        a.setflags(write=False)
     return iu, ju, d
 
 

@@ -40,9 +40,9 @@ machines and thread counts.  Identities across different bases are still
 formulated on kernels/projectors, trimmed to the nearest cluster boundary
 (``SpectralBasis.cluster_complete``).  The one limit is memory: an
 estimate of the solve's peak (the n x (J + 1) result, the last eigenspace,
-the temporaries of the canonical step and the column blocks of the extension
-and residual loops) must fit in the memory available to the process,
-checked before anything is allocated.
+the temporaries of the canonical step, the column blocks of the extension
+and residual loops, and the O(n) index arrays and operators) must fit in
+the memory available to the process, checked before anything is allocated.
 """
 
 import os
@@ -354,7 +354,8 @@ def solve_eigen(
     whose rows are renumbered by a copy, plus n x k for the widest
     eigenspace k (the last one's block, or a probe), the n x j columns kept
     of the last eigenspace, the canonical step's k x k temporaries and four
-    n x ``BLOCK`` blocks of the extension and residual loops -- exceeds the
+    n x ``BLOCK`` blocks of the extension and residual loops, and 8 n for the
+    O(n) index arrays and operators of the construction -- exceeds the
     available memory;
     SolverError if the achieved residual exceeds ``tol``.
     """
@@ -378,7 +379,10 @@ def solve_eigen(
     lo = int(ends[-2]) if last > 1 else 0  # the last eigenspace is [lo, ends[-1])
     k = int(mult[keep].max())
     b = min(BLOCK, count)  # decimation_extension and the residual check hold a few n x b blocks
-    need = 8 * ((2 if word else 1) * n * (count + 1) + n * (k + count - lo + 4 * b) + 4 * k * k)
+    # 8 n more: the cell table of parent_cells with its corner and midpoint
+    # copies, the last eigenspace in sparse form next to its dense build, the
+    # level operators of the newborn null spaces and the level spectrum
+    need = 8 * ((2 if word else 1) * n * (count + 1) + n * (k + count - lo + 4 * b + 8) + 4 * k * k)
     avail = _available_memory()
     if need > avail:
         raise ValueError(

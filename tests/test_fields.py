@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gasket_fgf import fields
 from gasket_fgf.constants import hurst_from_s
 from gasket_fgf.fields import (
     empirical_covariance,
@@ -17,7 +18,8 @@ from gasket_fgf.fields import (
     white_noise_pairing,
 )
 from gasket_fgf.geometry import symmetry_permutation
-from gasket_fgf.kernels import kernel_matrix
+from gasket_fgf.kernels import kernel_matrix, pair_sample
+from gasket_fgf.spectral import pick_truncation
 
 
 def test_sample_reproducible(basis4):
@@ -123,6 +125,59 @@ def test_variogram_mc_converges(basis5):
     assert rep.slope == pytest.approx(0.7603, abs=1e-3)
     assert rep.half_width < 0.05
     assert abs(rep.slope - 2 * hurst_from_s(0.5)) <= 2 * max(rep.half_width, 0.05)
+
+
+def seed_major_blocks(basis, s, seeds, J, verts=slice(None)):
+    """Monte Carlo field values one row per seed, MC_CHUNK seeds per block."""
+    phi = basis.phi[verts, :J]
+    scale = basis.lam[:J] ** (-float(s))
+    for lo in range(0, len(seeds), fields.MC_CHUNK):
+        noise = [np.random.default_rng(sd).standard_normal(J) for sd in seeds[lo : lo + fields.MC_CHUNK]]
+        yield (np.array(noise) * scale) @ phi.T
+
+
+def column_gather_increments(basis, s, seeds, J, iu, ju):
+    """Mean squared increments gathered column by column from seed-major blocks."""
+    acc = np.zeros(len(iu))
+    for x in seed_major_blocks(basis, s, seeds, J):
+        acc += ((x[:, iu] - x[:, ju]) ** 2).sum(axis=0)
+    return acc / len(seeds)
+
+
+@pytest.mark.parametrize("level,nseeds", [(4, 120), (6, 1030)])
+def test_variogram_mc_equals_column_gather(request, monkeypatch, level, nseeds):
+    # vertex-major blocks gather whole rows; the report is bit for bit the
+    # seed-major one (1,030 seeds leave a partial last block)
+    basis = request.getfixturevalue(f"basis{level}")
+    J = pick_truncation(basis, 0.5)
+    seeds = np.random.default_rng(level).integers(0, 2**63, nseeds).tolist()
+    iu, ju, _ = pair_sample(basis.graph)
+    np.testing.assert_array_equal(fields._mc_increments(basis, 0.5, seeds, J, iu[:5000], ju[:5000]),
+                                  column_gather_increments(basis, 0.5, seeds, J, iu[:5000], ju[:5000]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = variogram(basis, 0.5, seeds=seeds, mode="mc", J=J)
+        monkeypatch.setattr(fields, "_mc_increments", column_gather_increments)
+        ref = variogram(basis, 0.5, seeds=seeds, mode="mc", J=J)
+    assert rep == ref
+    assert rep.replications == nseeds
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_empirical_covariance_matches_kernel_matrix(request, level):
+    # the exact G_2s from the rows the pairs touch, against the dense kernel
+    basis = request.getfixturevalue(f"basis{level}")
+    J = pick_truncation(basis, 0.5)
+    n = len(basis.graph)
+    rng = np.random.default_rng(level)
+    pairs = np.column_stack([rng.choice(n, 100), rng.choice(n, 100)])
+    seeds = rng.integers(0, 2**63, 1000).tolist()
+    rep = empirical_covariance(basis, 0.5, seeds, pairs, J=J)
+    prod = np.concatenate([x[:, pairs[:, 0]] * x[:, pairs[:, 1]]
+                           for x in seed_major_blocks(basis, 0.5, seeds, J)])
+    exact = kernel_matrix(basis, 1.0, J)[pairs[:, 0], pairs[:, 1]]
+    z = (prod.mean(axis=0) - exact) / (prod.std(axis=0, ddof=1) / np.sqrt(len(seeds)))
+    assert abs(rep.max_abs_z - np.abs(z).max()) <= 1e-12
 
 
 def test_variogram_window_validation(basis5):

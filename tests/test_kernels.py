@@ -212,6 +212,17 @@ def test_pair_sample_subsamples_reproducibly(g6):
     assert not np.array_equal(i1, i3)
 
 
+def test_pair_sample_is_shared_and_read_only(g6):
+    first = pair_sample(g6, 5000, 9)
+    again = pair_sample(g6, npairs=5000, seed=np.int64(9))
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    with pytest.raises(TypeError):
+        pair_sample(g6, 5000, np.random.default_rng(9))
+
+
 @pytest.mark.parametrize("npairs,seed", [(100_000, 2024), (5000, 9)])
 def test_pair_sample_matches_triu_reference(g6, npairs, seed):
     # the flat indices are unranked without building the n(n-1)/2 index arrays

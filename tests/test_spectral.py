@@ -247,6 +247,25 @@ def test_memory_check_counts_block_temporaries(monkeypatch):
         solve_eigen(s, mm, 50, graph=g)
 
 
+@pytest.mark.parametrize("level", [6, 7])
+@pytest.mark.parametrize("count", [1, 2, 10])
+def test_memory_check_bounds_small_counts(monkeypatch, level, count):
+    # at the smallest counts the O(n) index arrays and operators of the
+    # construction, not the column blocks, make the peak
+    g = build_level(level)
+    s, mm = assemble_energy(g), assemble_mass(g)
+    solve_eigen(s, mm, count, graph=g)  # caches warmed
+    tracemalloc.start()
+    try:
+        solve_eigen(s, mm, count, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(spectral, "_available_memory", lambda: peak - 1)
+    with pytest.raises(ValueError, match="GiB at peak, more than"):
+        solve_eigen(s, mm, count, graph=g)
+
+
 J_CONSUMERS = {
     "HeatKernelEvaluator": lambda b, J: HeatKernelEvaluator(b, J),
     "kernel_matrix": lambda b, J: kernel_matrix(b, 1.0, J),
