@@ -28,21 +28,19 @@ Eigenvectors are returned M-orthonormal, in continuum normalization (the
 stiffness and mass already carry (5/3)^m and 3^{-m}).
 
 The constructed basis inside a degenerate eigenspace is arbitrary, so the
-solver replaces every cluster by a canonical basis that is a function of the
-eigenspace alone: the M-Gram-Schmidt of a fixed pseudo-random probe
-projected onto it (see ``_canonical_basis``); its n-sized products use the
-constructed block as a sparse matrix.  A truncated solve builds the cluster
-that holds its last mode whole, because the canonical basis needs its span,
-but forms only the canonical columns up to the cut (Gram-Schmidt is
-sequential), so its basis is the leading columns of the full solve's, and
-the eigenvectors, and every field built from them, are reproducible across
-machines and thread counts.  Identities across different bases are still
-formulated on kernels/projectors, trimmed to the nearest cluster boundary
-(``SpectralBasis.cluster_complete``).  The one limit is memory: an
-estimate of the solve's peak (the n x (J + 1) result, the last eigenspace,
-the temporaries of the canonical step, the column blocks of the extension
-and residual loops, and the O(n) index arrays and operators) must fit in
-the memory available to the process, checked before anything is allocated.
+solver builds the kept eigenspaces one at a time, each as a sparse block,
+and replaces each by a canonical basis, a function of the eigenspace alone:
+the M-Gram-Schmidt of a fixed pseudo-random probe projected onto it (see
+``_canonical_basis``).  A truncated solve builds the eigenspace that holds
+its last mode whole, because the canonical basis needs its span, but forms
+only the columns up to the cut (Gram-Schmidt is sequential), so its basis
+is the leading columns of the full solve's, and the eigenvectors, and every
+field built from them, are reproducible across machines and thread counts.
+Identities across different bases are still formulated on
+kernels/projectors, trimmed to the nearest cluster boundary
+(``SpectralBasis.cluster_complete``).  The one limit is memory: an estimate
+of the solve's peak must fit in the memory available to the process,
+checked before anything is allocated (see :func:`solve_eigen`).
 """
 
 import os
@@ -214,17 +212,18 @@ def _newborn(fine: LevelGraph, mu):
         yield support, np.linalg.svd(np.linalg.qr(blocks, mode="r"))[2][:, -1, :]
 
 
-def _fill(levels, j, groups, coarse, starts, out):
-    """Write the level-j eigenspaces ``groups`` into the columns of ``out``, in that order.
+def _fill(levels, j, groups, coarse, starts):
+    """The level-j eigenspaces ``groups`` as the columns of a dense array, in that order.
 
     ``coarse`` holds the level-(j - 1) vectors, eigenspace e from column
     ``starts[e]`` on; column i of an inherited eigenspace extends column i of
-    its parent.
+    its parent.  Returns the array and its own ``starts``.
     """
     mu, mult, parent = levels[j]
     fine = build_level(j)
     sizes = mult[groups]
     first = np.cumsum(sizes) - sizes
+    out = np.zeros((len(fine), sizes.sum()))
     group = np.repeat(groups, sizes)
     cols = np.flatnonzero(parent[group] >= 0)  # inherited columns, a block at a time
     src = starts[parent[group[cols]]] + cols - np.repeat(first, sizes)[cols]
@@ -236,14 +235,17 @@ def _fill(levels, j, groups, coarse, starts, out):
             for support, values in _newborn(fine, mu[g]):
                 out[support, lo + np.arange(len(support))[:, None]] = values
                 lo += len(support)
+    starts = np.zeros(len(mu), dtype=np.int64)
+    starts[groups] = first
+    return out, starts
 
 
-def _build_vectors(levels, keep, count):
-    """Vectors of the top-level eigenspaces ``keep``, built up from level 0.
+def _eigenspace_blocks(levels, keep):
+    """The top-level eigenspaces ``keep``, built up from level 0, one sparse n x k block each.
 
-    Returns the n x (count + 1) result, with every eigenspace but the last
-    in its leading columns, and the last eigenspace whole, apart, as a
-    sparse n x k matrix.
+    Yields them in the order of ``keep``, filled about ``BLOCK`` columns at
+    a time (a wider eigenspace alone); a dense batch and the coarse level
+    are freed before the last block they give is yielded.
     """
     m = len(levels) - 1
     layout = [None] * m + [keep]  # the eigenspaces each level provides, in column order
@@ -252,24 +254,27 @@ def _build_vectors(levels, keep, count):
         layout[j - 1] = np.unique(par[par >= 0])
     # level 0: the constant, then a basis of the mean-zero (mu = 6) space; both
     # are always needed, since lambda_1 descends from the mu = 6 space
-    vectors = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T
-    if m == 0:
-        return np.column_stack([vectors[:, :1], np.zeros((3, count))]), sp.csc_array(vectors[:, 1:])
+    coarse = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T
     starts = np.array([0, 1])
+    if m == 0:
+        yield sp.csc_array(coarse[:, 1:])
+        return
     for j in range(1, m):
-        groups, sizes = layout[j], levels[j][1][layout[j]]
-        out = np.zeros((len(build_level(j)), sizes.sum()))
-        _fill(levels, j, groups, vectors, starts, out)
-        vectors = out
-        starts = np.zeros(len(levels[j][0]), dtype=np.int64)
-        starts[groups] = np.cumsum(sizes) - sizes
-    n = len(build_level(m))
-    last = np.zeros((n, levels[m][1][keep[-1]]))
-    _fill(levels, m, keep[-1:], vectors, starts, last)
-    last = sp.csc_array(last)  # mostly zeros: made sparse before the result is allocated
-    head = np.zeros((n, count + 1))
-    _fill(levels, m, keep[:-1], vectors, starts, head)
-    return head, last
+        coarse, starts = _fill(levels, j, layout[j], coarse, starts)
+    mult = levels[m][1]
+    cuts = [0]  # the first eigenspace of each batch
+    for i in range(1, len(keep)):
+        if mult[keep[cuts[-1] : i + 1]].sum() > BLOCK:
+            cuts.append(i)
+    for first, stop in zip(cuts, [*cuts[1:], len(keep)]):
+        out, at = _fill(levels, m, keep[first:stop], coarse, starts)
+        if stop == len(keep):
+            del coarse
+        for g in keep[first:stop]:
+            block = sp.csc_array(out[:, at[g] : at[g] + mult[g]])
+            if g == keep[stop - 1]:
+                del out
+            yield block
 
 
 def _available_memory():
@@ -292,9 +297,10 @@ def _canonical_basis(block, mass, lo, j):
     diag(R_C) > 0.  A change of basis B -> B U (U orthogonal) turns C into
     U^T C and leaves the result unchanged: it is the M-Gram-Schmidt of the
     projected probe columns.  Gram-Schmidt is sequential, so the first j
-    columns need only the first j probe columns: a k x j QR and an n x j
-    product.  No pivoting and no threshold enter, so symmetry ties cannot
-    flip it; for k = 1 it fixes the sign of the single mode.
+    columns need only the first j probe columns: an n x j probe, drawn a
+    row block at a time, a k x j QR and an n x j product.  No pivoting and
+    no threshold enter, so symmetry ties cannot flip it; for k = 1 it fixes
+    the sign of the single mode.
     """
     n, k = block.shape
     mblock = block.copy()
@@ -302,19 +308,14 @@ def _canonical_basis(block, mass, lo, j):
     # L^{-1} explicitly: L is near the identity, and one small call per
     # cluster beats two triangular solves when BLAS runs threaded
     linv, _ = sla.lapack.dtrtri(sla.cholesky((block.T @ mblock).toarray(), lower=True), lower=1)
-    probe = np.random.default_rng([n, lo]).standard_normal((n, k))[:, :j]  # the stream of all k columns
+    rng, probe = np.random.default_rng([n, lo]), np.empty((n, j))
+    for i in range(0, n, BLOCK):  # the stream of all k columns, drawn BLOCK rows at a time
+        probe[i : i + BLOCK] = rng.standard_normal((min(BLOCK, n - i), k))[:, :j]
     c = linv @ (mblock.T @ probe)
-    del probe  # an n x k temporary: free it before the last product
+    del probe  # an n x j temporary: free it before the last product
     q, r = np.linalg.qr(c)
     q *= np.copysign(1.0, np.diag(r))
     return block @ (linv.T @ q)
-
-
-def _canonical_cluster_bases(runs, vectors, mass):
-    """Replace each cluster [lo, hi) of ``vectors`` by its canonical basis, in place."""
-    for lo, hi in runs:
-        block = sp.csc_array(vectors[:, 1 + lo : 1 + hi])
-        vectors[:, 1 + lo : 1 + hi] = _canonical_basis(block, mass, lo, hi - lo)
 
 
 def solve_eigen(
@@ -329,11 +330,10 @@ def solve_eigen(
     The labels of :func:`_decimation_levels` give every eigenspace, and
     :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
     holds mode ``count`` are built from level 0 upward (newborn null spaces,
-    then decimation extension) in sorted order and replaced by their
-    canonical bases.  The last one is built whole, but only its canonical
-    columns up to mode ``count`` are formed, so the result is the leading
-    ``count`` modes of the full solve.  No dense eigensolver runs at any
-    level.
+    then decimation extension) and made canonical one at a time, in sorted
+    order.  The last one is built whole, but only its canonical columns up
+    to mode ``count`` are formed, so the result is the leading ``count``
+    modes of the full solve.  No dense eigensolver runs at any level.
 
     Parameters
     ----------
@@ -350,13 +350,12 @@ def solve_eigen(
     ------
     ValueError for out-of-range ``count``, a dimension that is no gasket's,
     or a sub-gasket without its graph; and before any allocation when the
-    estimated peak -- the n x (count + 1) result, twice for a sub-gasket,
-    whose rows are renumbered by a copy, plus n x k for the widest
-    eigenspace k (the last one's block, or a probe), the n x j columns kept
-    of the last eigenspace, the canonical step's k x k temporaries and four
-    n x ``BLOCK`` blocks of the extension and residual loops, and 8 n for the
-    O(n) index arrays and operators of the construction -- exceeds the
-    available memory;
+    estimated peak -- the n x (count + 1) result, n x k twice for the
+    widest eigenspace k (its dense batch next to the coarse level it
+    extends), the canonical step's k x k temporaries, four n x ``BLOCK``
+    blocks of the extension and residual loops (or a batch of narrower
+    eigenspaces next to one's probe), and 10 n for the O(n) index arrays and
+    operators of the construction -- exceeds the available memory;
     SolverError if the achieved residual exceeds ``tol``.
     """
     n = stiffness.dim
@@ -371,18 +370,16 @@ def solve_eigen(
         )
     levels = _decimation_levels(depth)
     mu, mult, _ = levels[-1]
-    order = np.argsort(mu, kind="stable")
-    ends = np.cumsum(mult[order])  # column ends; ends[0] = 1 is the constant
-    last = int(np.searchsorted(ends, count + 1))  # the eigenspace that holds mode `count`
-    keep = order[: last + 1]
-    ends = ends[1 : last + 1] - 1
-    lo = int(ends[-2]) if last > 1 else 0  # the last eigenspace is [lo, ends[-1])
+    order = np.argsort(mu, kind="stable")[1:]  # the constant (mu = 0) comes first
+    ends = np.cumsum(mult[order])  # exclusive ends among the nonzero modes
+    keep = order[: np.searchsorted(ends, count) + 1]  # up to the eigenspace that holds mode `count`
+    ends = ends[: len(keep)]
     k = int(mult[keep].max())
     b = min(BLOCK, count)  # decimation_extension and the residual check hold a few n x b blocks
-    # 8 n more: the cell table of parent_cells with its corner and midpoint
-    # copies, the last eigenspace in sparse form next to its dense build, the
-    # level operators of the newborn null spaces and the level spectrum
-    need = 8 * ((2 if word else 1) * n * (count + 1) + n * (k + count - lo + 4 * b + 8) + 4 * k * k)
+    # 10 n: the cell table of parent_cells with its corner and midpoint copies,
+    # the level operators of the newborn null spaces, the level spectrum and
+    # a sub-gasket's row order
+    need = 8 * (n * (count + 1) + n * (2 * k + 4 * b + 10) + 4 * k * k)
     avail = _available_memory()
     if need > avail:
         raise ValueError(
@@ -391,14 +388,13 @@ def solve_eigen(
         )
     if graph is None:  # after the memory check: a refused solve builds no graph
         graph = build_level(depth)
-    vectors, block = _build_vectors(levels, keep, count)
-    if word:  # extract_cell numbers vertices by parent id, not as build_level(depth) does
-        rows = np.argsort(embed_indices(build_level(depth), graph))
-        vectors, block = vectors[rows], sp.csc_array(block[rows])
-    vectors[:, 1 + lo :] = _canonical_basis(block, mass.diagonal, lo, count - lo)
-    # every eigenspace but the last, in place
-    _canonical_cluster_bases(zip([0, *ends[:-2].tolist()], ends[:-1].tolist()), vectors, mass.diagonal)
+    # extract_cell numbers vertices by parent id, not as build_level(depth) does
+    rows = np.argsort(embed_indices(build_level(depth), graph)) if word else None
+    vectors = np.empty((n, count + 1))
     vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
+    for lo, hi, block in zip(ends - mult[keep], np.minimum(ends, count), _eigenspace_blocks(levels, keep)):
+        block = block[rows] if word else block
+        vectors[:, 1 + lo : 1 + hi] = _canonical_basis(block, mass.diagonal, lo, hi - lo)
     lambdas = np.concatenate([[0.0], spectrum(stiffness.level, word)[:count]])
 
     residual_norm = 0.0
@@ -493,16 +489,18 @@ def tail_variance(spec, s, J):
 
 
 def pick_truncation(spec, s, budget=0.01):
-    """Smallest J whose tail variance is <= budget * total variance.
+    """Smallest J whose tail variance is <= budget * total variance, budget in [0, 1].
 
     ``spec`` is taken as by :func:`tail_variance`, so J depends on the
-    eigenvalues alone and can be picked before any vector is built.
+    eigenvalues alone and can be picked before any vector is built; a
+    budget of 0 keeps every mode.
     """
     if s <= S_MIN:
         raise ValueError(f"s must exceed {S_MIN:.5f} for a square-summable spectral tail")
+    if not 0.0 <= budget <= 1.0:
+        raise ValueError(f"budget must lie in [0, 1], not {budget}")
     terms = _level_spectrum(spec) ** (-2.0 * s)
     total = float(terms.sum())
-    prefix = np.concatenate([[0.0], np.cumsum(terms)])
-    tails = total - prefix
-    ok = np.nonzero(tails <= budget * total)[0]
-    return int(ok[0])
+    tails = total - np.concatenate([[0.0], np.cumsum(terms)])
+    tails[-1] = 0.0  # nothing lies past the last mode, whatever the rounding of the sums
+    return int(np.argmax(tails <= budget * total))

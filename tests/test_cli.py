@@ -176,6 +176,23 @@ def test_modes_out_of_range_exits_2(tmp_path, capsys, modes):
     assert "count must lie in [1, 41] for dimension 42" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["-0.5", "nan"])
+def test_budget_outside_unit_interval_exits_2(tmp_path, capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--level", "3", "--s", "0.5", "--tail-budget", budget,
+                 "--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    assert "budget must lie in [0, 1]" in capsys.readouterr().err
+
+
+def test_full_budget_keeps_every_mode(tmp_path):
+    # a budget of 0 keeps all 41 nonzero modes of level 3
+    out = tmp_path / "f.csv"
+    assert run_cli(["sample", "--level", "3", "--s", "0.5", "--tail-budget", "0",
+                    "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0][2:])["J"] == 41
+
+
 def test_sample_budget_solves_only_its_modes(tmp_path, monkeypatch):
     # J comes from the exact spectrum before any vector exists, the solve
     # builds J modes only, and the artifacts equal those of --modes J

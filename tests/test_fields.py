@@ -19,7 +19,8 @@ from gasket_fgf.fields import (
 )
 from gasket_fgf.geometry import symmetry_permutation
 from gasket_fgf.kernels import kernel_matrix, pair_sample
-from gasket_fgf.spectral import pick_truncation
+from gasket_fgf.operators import assemble_energy, assemble_mass
+from gasket_fgf.spectral import pick_truncation, solve_eigen
 
 
 def test_sample_reproducible(basis4):
@@ -31,6 +32,41 @@ def test_sample_reproducible(basis4):
     assert a.generator == "PCG64"
     assert a.seed == 42
     assert a.hurst == pytest.approx(hurst_from_s(0.5))
+
+
+# fixed-seed field values (s = 0.5, seed 7) at a dozen vertices: a
+# realisation is a function of (level, s, seed, J), so these move only with
+# a change to the canonical eigenspace bases or to the coefficient stream
+GOLDEN_L6 = [0, 1, 2, 3, 10, 57, 100, 250, 400, 611, 800, 1094]
+GOLDEN_SUB5 = [0, 1, 2, 3, 7, 15, 30, 44, 61, 80, 100, 122]
+GOLDEN_FIELDS = {
+    "full-J878": [
+        -0.4312143774935996, 0.19416878553224703, -0.15203068328043945, 0.18804302968089823,
+        -0.024906433176802394, -0.32646258039007714, -0.46538470153079636, 0.24967422680881513,
+        -0.1855725717023168, 0.3635719629542272, 0.1804650783643723, 0.14410323752367332,
+    ],
+    "count300": [
+        -0.40230056941913395, 0.18573408585380935, 0.028138917497753907, 0.2066463438662559,
+        -0.11209151760127159, -0.3345071750542045, -0.48605595202939167, 0.07657156940839271,
+        -0.17401854262821684, 0.3457262545977832, 0.23459728258313173, 0.10477046418720354,
+    ],
+    "sub5": [
+        0.17471780390040492, -0.0005514176313000177, -0.33560265909897, 0.23556257109175666,
+        -0.21302694198355113, -0.21288290663684115, -0.17273257252320115, 0.08787966784868831,
+        -0.29100548367486645, -0.054503140318355014, -0.20560574223127043, 0.12614314560619452,
+    ],
+}
+
+
+def test_golden_fields(g6, basis6, sub_basis5):
+    short = solve_eigen(assemble_energy(g6), assemble_mass(g6), 300, graph=g6)
+    cases = {
+        "full-J878": sample_field(basis6, 0.5, 7, J=878).values[GOLDEN_L6],
+        "count300": sample_field(short, 0.5, 7).values[GOLDEN_L6],
+        "sub5": sample_field(sub_basis5, 0.5, 7).values[GOLDEN_SUB5],
+    }
+    for name, values in cases.items():
+        np.testing.assert_allclose(values, GOLDEN_FIELDS[name], rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_sample_is_spectral_synthesis(basis4):

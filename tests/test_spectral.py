@@ -26,7 +26,7 @@ from gasket_fgf.kernels import (
 from gasket_fgf.operators import MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass
 from gasket_fgf.spectral import (
     SolverError,
-    _canonical_cluster_bases,
+    _canonical_basis,
     _decimation_levels,
     _newborn,
     counting_function,
@@ -122,7 +122,9 @@ def test_cluster_basis_depends_on_eigenspace_only(basis5):
         u, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
         vectors[:, 1 + lo : 1 + hi] = vectors[:, 1 + lo : 1 + hi] @ u
     assert np.abs(vectors - basis5.vectors).max() > 0.1
-    _canonical_cluster_bases(basis5.clusters(), vectors, basis5.mass)
+    for lo, hi in basis5.clusters():
+        block = sp.csc_array(vectors[:, 1 + lo : 1 + hi])
+        vectors[:, 1 + lo : 1 + hi] = _canonical_basis(block, basis5.mass, lo, hi - lo)
     assert np.abs(vectors - basis5.vectors).max() <= 1e-10
 
 
@@ -266,6 +268,24 @@ def test_memory_check_bounds_small_counts(monkeypatch, level, count):
         solve_eigen(s, mm, count, graph=g)
 
 
+@pytest.mark.parametrize("count", [50, None], ids=["count50", "full"])
+def test_memory_check_bounds_sub_gasket(monkeypatch, count):
+    # a sub-gasket renumbers the rows of each block, not of a second result
+    g = extract_cell(build_level(7), (1,))
+    s, mm = assemble_energy(g), assemble_mass(g)
+    count = len(g) - 1 if count is None else count
+    solve_eigen(s, mm, count, graph=g)  # caches warmed
+    tracemalloc.start()
+    try:
+        solve_eigen(s, mm, count, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(spectral, "_available_memory", lambda: peak - 1)
+    with pytest.raises(ValueError, match="GiB at peak, more than"):
+        solve_eigen(s, mm, count, graph=g)
+
+
 J_CONSUMERS = {
     "HeatKernelEvaluator": lambda b, J: HeatKernelEvaluator(b, J),
     "kernel_matrix": lambda b, J: kernel_matrix(b, 1.0, J),
@@ -348,6 +368,20 @@ def test_pick_truncation_level6(basis6):
     total = tail_variance(basis6, 0.5, 0)
     assert tail_variance(basis6, 0.5, j) <= 0.01 * total
     assert tail_variance(basis6, 0.5, j - 1) > 0.01 * total
+
+
+@pytest.mark.parametrize("s", [0.5, 0.8])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pick_truncation_zero_budget_keeps_every_mode(m, s):
+    # the tail past the last mode is exactly 0, whatever the rounding of the sums
+    lam = spectrum(m)
+    assert pick_truncation(lam, s, budget=0.0) == len(lam)
+
+
+@pytest.mark.parametrize("budget", [-0.5, 1.5, float("nan")])
+def test_pick_truncation_rejects_budget_outside_unit_interval(budget):
+    with pytest.raises(ValueError, match=r"budget must lie in \[0, 1\]"):
+        pick_truncation(spectrum(4), 0.5, budget=budget)
 
 
 @given(st.floats(0.36, 0.64), st.floats(0.005, 0.2))
