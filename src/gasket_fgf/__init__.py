@@ -68,6 +68,7 @@ from .fields import (
     pinned_field,
     sample_field,
     scaling_invariance_test,
+    stream_field,
     symmetry_invariance_test,
     variogram,
     white_noise_pairing,

@@ -182,17 +182,17 @@ def _solve(level, count, tol=None):
                               graph=graph, **kwargs)
 
 
-def _solve_modes(args):
-    """Graph, basis and J of ``kernel``/``sample``: J is fixed first, then only J modes are solved.
+def _modes(args):
+    """Graph and J of ``kernel``/``sample``, fixed before any vector exists.
 
     ``--modes`` is J itself; ``--tail-budget`` picks J from the exact level
-    spectrum, before any vector exists; neither means every mode.  J = 0 (a
-    budget of 1) still solves one mode, and its field or kernel is zero.
+    spectrum; neither means every mode.
     """
     from .geometry import build_level
     from .spectral import pick_truncation, spectrum
 
-    n = len(build_level(args.level))  # checks the level before the spectrum is formed
+    graph = build_level(args.level)  # checks the level before the spectrum is formed
+    n = len(graph)
     if args.modes is not None:
         j = int(args.modes)
         if not 1 <= j <= n - 1:
@@ -201,7 +201,7 @@ def _solve_modes(args):
         j = pick_truncation(spectrum(args.level), args.s, budget=args.tail_budget)
     else:
         j = n - 1
-    return (*_solve(args.level, max(j, 1)), j)
+    return graph, j
 
 
 def cmd_build(args, parser):
@@ -237,7 +237,8 @@ def cmd_kernel(args, parser):
 
     _require(args, parser, "level", "out")
     _resolve_exponent(args, parser)
-    _, basis, j = _solve_modes(args)
+    _, j = _modes(args)
+    _, basis = _solve(args.level, max(j, 1))  # J = 0 (a budget of 1) still solves one mode
     echo = {"command": "kernel", "level": args.level, "s": args.s, "H": args.hurst,
             "J": j}
     kernel = RieszKernel(args.s, basis, J=j)
@@ -253,8 +254,9 @@ def cmd_kernel(args, parser):
 
 
 def cmd_sample(args, parser):
-    from .fields import pinned_field, sample_field
+    from .fields import pinned_field, stream_field
     from .io import write_field_csv, write_pgm
+    from .operators import assemble_energy, assemble_mass
 
     _require(args, parser, "level", "out")
     _resolve_exponent(args, parser)
@@ -262,8 +264,9 @@ def cmd_sample(args, parser):
         args.seed = 42
     if args.modes is None and args.tail_budget is None:
         args.tail_budget = 0.01
-    graph, basis, j = _solve_modes(args)
-    sample = sample_field(basis, args.s, args.seed, J=j)
+    graph, j = _modes(args)
+    sample = stream_field(assemble_energy(graph), assemble_mass(graph), args.s, args.seed, j,
+                          graph=graph)
     extra = {}
     if args.pin is not None:
         sample = pinned_field(sample, args.pin)

@@ -32,7 +32,8 @@ from .kernels import (
     pair_sample,
     squared_increments,
 )
-from .spectral import SpectralBasis, spectral_coeffs
+from .operators import MassMatrix, StiffnessMatrix
+from .spectral import SpectralBasis, canonical_blocks, spectral_coeffs
 
 #: Replications per block when accumulating Monte Carlo statistics.
 MC_CHUNK = 50
@@ -118,6 +119,39 @@ def sample_field(basis: SpectralBasis, s, seed, J=None) -> FieldSample:
     values = basis.phi[:, :J] @ (basis.lam[:J] ** (-float(s)) * coeff)
     return FieldSample(
         level=basis.level,
+        s=float(s),
+        hurst=hurst_from_s(s),
+        modes=J,
+        seed=seed,
+        coefficients=coeff,
+        values=values,
+    )
+
+
+def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J,
+                 graph: LevelGraph = None) -> FieldSample:
+    """``sample_field(solve_eigen(stiffness, mass, J, graph=graph), s, seed)``, without the n x J basis.
+
+    The same draws from ``default_rng(seed)`` weight the same canonical
+    modes, but each block of :func:`~gasket_fgf.spectral.canonical_blocks`
+    is added into the field as it is formed and then dropped, so the memory
+    check counts the stream and the field, not a basis.  The values agree
+    with ``sample_field`` to rounding.  J = 0 gives the identically zero
+    field and solves nothing.
+    """
+    check_s(s)
+    n = stiffness.dim
+    if not 0 <= J <= n - 1:
+        raise ValueError(f"J must lie in [0, {n - 1}]")
+    coeff = np.random.default_rng(seed).standard_normal(J)
+    values = np.zeros(n)
+    if J:
+        _, lam, _, blocks = canonical_blocks(stiffness, mass, J, 8 * (n + 2 * J), graph=graph)
+        weights = lam ** (-float(s)) * coeff
+        for lo, v, _ in blocks:
+            values += v @ weights[lo : lo + v.shape[1]]
+    return FieldSample(
+        level=stiffness.level,
         s=float(s),
         hurst=hurst_from_s(s),
         modes=J,

@@ -38,9 +38,15 @@ is the leading columns of the full solve's, and the eigenvectors, and every
 field built from them, are reproducible across machines and thread counts.
 Identities across different bases are still formulated on
 kernels/projectors, trimmed to the nearest cluster boundary
-(``SpectralBasis.cluster_complete``).  The one limit is memory: an estimate
-of the solve's peak must fit in the memory available to the process,
-checked before anything is allocated (see :func:`solve_eigen`).
+(``SpectralBasis.cluster_complete``).
+
+The canonical modes come as one stream, :func:`canonical_blocks`: at most
+``BLOCK`` columns of one eigenspace at a time, each residual-checked as it
+is formed.  :func:`solve_eigen` writes the blocks into an n x (count + 1)
+basis; :func:`~gasket_fgf.fields.stream_field` adds each into a field and
+drops it, so a field never needs the n x J basis.  The one limit is memory:
+an estimate of the stream's peak plus what its consumer holds must fit in
+the memory available to the process, checked before anything is allocated.
 """
 
 import os
@@ -212,6 +218,21 @@ def _newborn(fine: LevelGraph, mu):
         yield support, np.linalg.svd(np.linalg.qr(blocks, mode="r"))[2][:, -1, :]
 
 
+def _newborn_block(fine: LevelGraph, mu):
+    """The eigenspace born on ``fine`` at mu = 6 or 5 as one sparse block, one column per eigenfunction.
+
+    The columns follow the order of :func:`_newborn`; no dense column is formed.
+    """
+    rows, cols, vals, k = [], [], [], 0
+    for support, values in _newborn(fine, mu):
+        rows.append(support.ravel())
+        cols.append(np.repeat(np.arange(k, k + len(support)), support.shape[1]))
+        vals.append(values.ravel())
+        k += len(support)
+    return sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(len(fine), k))
+
+
 def _fill(levels, j, groups, coarse, starts):
     """The level-j eigenspaces ``groups`` as the columns of a dense array, in that order.
 
@@ -232,9 +253,8 @@ def _fill(levels, j, groups, coarse, starts):
         out[:, c] = decimation_extension(coarse[:, src[lo : lo + BLOCK]], fine, mu[group[c]])
     for g, lo in zip(groups, first):
         if parent[g] < 0:
-            for support, values in _newborn(fine, mu[g]):
-                out[support, lo + np.arange(len(support))[:, None]] = values
-                lo += len(support)
+            born = _newborn_block(fine, mu[g]).tocoo()
+            out[born.row, lo + born.col] = born.data
     starts = np.zeros(len(mu), dtype=np.int64)
     starts[groups] = first
     return out, starts
@@ -243,9 +263,11 @@ def _fill(levels, j, groups, coarse, starts):
 def _eigenspace_blocks(levels, keep):
     """The top-level eigenspaces ``keep``, built up from level 0, one sparse n x k block each.
 
-    Yields them in the order of ``keep``, filled about ``BLOCK`` columns at
-    a time (a wider eigenspace alone); a dense batch and the coarse level
-    are freed before the last block they give is yielded.
+    Yields them in the order of ``keep``.  An inherited eigenspace is filled
+    with its neighbours about ``BLOCK`` columns at a time (a wider one
+    alone), and a dense batch is freed before the last block it gives is
+    yielded; a newborn one goes straight to its sparse block.  The coarse
+    level is freed once no inherited eigenspace is left to extend.
     """
     m = len(levels) - 1
     layout = [None] * m + [keep]  # the eigenspaces each level provides, in column order
@@ -261,15 +283,19 @@ def _eigenspace_blocks(levels, keep):
         return
     for j in range(1, m):
         coarse, starts = _fill(levels, j, layout[j], coarse, starts)
-    mult = levels[m][1]
-    cuts = [0]  # the first eigenspace of each batch
+    mu, mult, parent = levels[m]
+    born = parent[keep] < 0
+    cuts = [0]  # the first eigenspace of each batch; a newborn one is a batch of its own
     for i in range(1, len(keep)):
-        if mult[keep[cuts[-1] : i + 1]].sum() > BLOCK:
+        if born[i] or born[i - 1] or mult[keep[cuts[-1] : i + 1]].sum() > BLOCK:
             cuts.append(i)
     for first, stop in zip(cuts, [*cuts[1:], len(keep)]):
+        if born[first]:
+            yield _newborn_block(build_level(m), mu[keep[first]])
+            continue
         out, at = _fill(levels, m, keep[first:stop], coarse, starts)
-        if stop == len(keep):
-            del coarse
+        if born[stop:].all():
+            coarse = None
         for g in keep[first:stop]:
             block = sp.csc_array(out[:, at[g] : at[g] + mult[g]])
             if g == keep[stop - 1]:
@@ -288,19 +314,21 @@ def _available_memory():
 
 
 def _canonical_basis(block, mass, lo, j):
-    """The first j columns of a basis of span(``block``) fixed by that span alone.
+    """Coefficients of the first j columns of a basis of span(``block``) fixed by that span alone.
 
     ``block`` (sparse, n x k) spans the cluster [lo, hi) of nonzero modes.
     Make it M-orthonormal (B L^{-T}, with L L^T = B^T M B), project a fixed
     probe Q (n x k, from ``default_rng([n, lo])``) onto its span,
-    C = L^{-1} B^T M Q, and keep B L^{-T} Q_C, where Q_C R_C = C with
-    diag(R_C) > 0.  A change of basis B -> B U (U orthogonal) turns C into
-    U^T C and leaves the result unchanged: it is the M-Gram-Schmidt of the
-    projected probe columns.  Gram-Schmidt is sequential, so the first j
-    columns need only the first j probe columns: an n x j probe, drawn a
-    row block at a time, a k x j QR and an n x j product.  No pivoting and
-    no threshold enter, so symmetry ties cannot flip it; for k = 1 it fixes
-    the sign of the single mode.
+    C = L^{-1} B^T M Q, and return the k x j matrix L^{-T} Q_C, where
+    Q_C R_C = C with diag(R_C) > 0: the basis is B L^{-T} Q_C.  A change of
+    basis B -> B U (U orthogonal) turns C into U^T C and leaves the basis
+    unchanged: it is the M-Gram-Schmidt of the projected probe columns.
+    Gram-Schmidt is sequential, so the first j columns need only the first
+    j probe columns and a k x j QR.  The probe is projected a row chunk of
+    at most n x ``BLOCK`` normals at a time (row chunks of
+    ``standard_normal((n, k))`` are the same stream), so no n x j array is
+    formed.  No pivoting and no threshold enter, so symmetry ties cannot
+    flip it; for k = 1 it fixes the sign of the single mode.
     """
     n, k = block.shape
     mblock = block.copy()
@@ -308,55 +336,52 @@ def _canonical_basis(block, mass, lo, j):
     # L^{-1} explicitly: L is near the identity, and one small call per
     # cluster beats two triangular solves when BLAS runs threaded
     linv, _ = sla.lapack.dtrtri(sla.cholesky((block.T @ mblock).toarray(), lower=True), lower=1)
-    rng, probe = np.random.default_rng([n, lo]), np.empty((n, j))
-    for i in range(0, n, BLOCK):  # the stream of all k columns, drawn BLOCK rows at a time
-        probe[i : i + BLOCK] = rng.standard_normal((min(BLOCK, n - i), k))[:, :j]
-    c = linv @ (mblock.T @ probe)
-    del probe  # an n x j temporary: free it before the last product
-    q, r = np.linalg.qr(c)
+    rng, step = np.random.default_rng([n, lo]), n * BLOCK // k
+    c = np.zeros((k, j))
+    for i in range(0, n, step):
+        c += mblock[i : i + step].T @ rng.standard_normal((min(step, n - i), k))[:, :j]
+    q, r = np.linalg.qr(linv @ c)
     q *= np.copysign(1.0, np.diag(r))
-    return block @ (linv.T @ q)
+    return linv.T @ q
 
 
-def solve_eigen(
-    stiffness: StiffnessMatrix,
-    mass: MassMatrix,
-    count,
-    tol=1e-8,
-    graph: LevelGraph = None,
-) -> SpectralBasis:
-    """Compute the ``count`` smallest nonzero generalized eigenpairs.
+#: Bytes of Python objects and small index arrays that no O(n) term covers;
+#: they make the peak of the smallest sub-gaskets.
+FIXED_BYTES = 2**16
+
+
+def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, tol=1e-8,
+                     graph: LevelGraph = None):
+    """The ``count`` smallest nonzero eigenpairs as a stream of canonical column blocks.
 
     The labels of :func:`_decimation_levels` give every eigenspace, and
     :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
     holds mode ``count`` are built from level 0 upward (newborn null spaces,
     then decimation extension) and made canonical one at a time, in sorted
     order.  The last one is built whole, but only its canonical columns up
-    to mode ``count`` are formed, so the result is the leading ``count``
+    to mode ``count`` are formed, so the stream is the leading ``count``
     modes of the full solve.  No dense eigensolver runs at any level.
 
-    Parameters
-    ----------
-    stiffness, mass : operators from :mod:`gasket_fgf.operators`, of a full
-        gasket or a sub-gasket from :func:`~gasket_fgf.geometry.extract_cell`.
-    count : number of nonzero modes requested (λ_0 = 0 is always included
-        in the result in addition to these).
-    tol : acceptance threshold on max_j ||S phi - lambda M phi||_2 / lambda.
-    graph : the LevelGraph of the operators, attached to the result;
-        needed only for a sub-gasket, whose vertex order it gives (a full
-        gasket gets ``build_level`` of its level).
+    ``count`` and the memory are checked at once, and the stream is returned
+    as ``(graph, lambdas, ends, blocks)``: the graph (``build_level`` of a
+    full gasket's level when none is given), the ``count`` eigenvalues, the
+    exclusive end of each eigenspace built among the nonzero modes, and an
+    iterator of ``(lo, v, residual)``.  ``v`` holds the canonical modes
+    lo, lo + 1, ... (0-based among the nonzero modes), at most ``BLOCK``
+    columns of one eigenspace, and ``residual`` is its
+    max_j ||S phi_j - lambda_j M phi_j||_2 / lambda_j, checked against
+    ``tol`` as the block is formed.
 
-    Raises
-    ------
-    ValueError for out-of-range ``count``, a dimension that is no gasket's,
-    or a sub-gasket without its graph; and before any allocation when the
-    estimated peak -- the n x (count + 1) result, n x k twice for the
-    widest eigenspace k (its dense batch next to the coarse level it
-    extends), the canonical step's k x k temporaries, four n x ``BLOCK``
-    blocks of the extension and residual loops (or a batch of narrower
-    eigenspaces next to one's probe), and 10 n for the O(n) index arrays and
-    operators of the construction -- exceeds the available memory;
-    SolverError if the achieved residual exceeds ``tol``.
+    Raises ValueError for out-of-range ``count``, a dimension that is no
+    gasket's, or a sub-gasket without its graph; and before any allocation
+    when the estimated peak -- ``held`` bytes the caller keeps besides the
+    stream, n x k twice for the widest eigenspace k (a dense batch next to
+    the coarse level it extends), the canonical step's k x k temporaries,
+    four n x ``BLOCK`` blocks of the extension and residual loops (or a
+    batch of narrower eigenspaces next to one's probe chunk), 10 n for the
+    O(n) index arrays and operators of the construction, and
+    ``FIXED_BYTES`` -- exceeds the available memory.  The iterator raises
+    SolverError at the first block whose residual exceeds ``tol``.
     """
     n = stiffness.dim
     count = int(count)
@@ -375,11 +400,11 @@ def solve_eigen(
     keep = order[: np.searchsorted(ends, count) + 1]  # up to the eigenspace that holds mode `count`
     ends = ends[: len(keep)]
     k = int(mult[keep].max())
-    b = min(BLOCK, count)  # decimation_extension and the residual check hold a few n x b blocks
+    b = min(BLOCK, count)
     # 10 n: the cell table of parent_cells with its corner and midpoint copies,
     # the level operators of the newborn null spaces, the level spectrum and
     # a sub-gasket's row order
-    need = 8 * (n * (count + 1) + n * (2 * k + 4 * b + 10) + 4 * k * k)
+    need = held + 8 * (n * (2 * k + 4 * b + 10) + 4 * k * k) + FIXED_BYTES
     avail = _available_memory()
     if need > avail:
         raise ValueError(
@@ -390,26 +415,68 @@ def solve_eigen(
         graph = build_level(depth)
     # extract_cell numbers vertices by parent id, not as build_level(depth) does
     rows = np.argsort(embed_indices(build_level(depth), graph)) if word else None
-    vectors = np.empty((n, count + 1))
-    vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
-    for lo, hi, block in zip(ends - mult[keep], np.minimum(ends, count), _eigenspace_blocks(levels, keep)):
-        block = block[rows] if word else block
-        vectors[:, 1 + lo : 1 + hi] = _canonical_basis(block, mass.diagonal, lo, hi - lo)
-    lambdas = np.concatenate([[0.0], spectrum(stiffness.level, word)[:count]])
+    lambdas = spectrum(stiffness.level, word)[:count]
 
+    def blocks():
+        for lo, hi, block in zip(ends - mult[keep], np.minimum(ends, count), _eigenspace_blocks(levels, keep)):
+            block = block[rows] if word else block
+            coef = _canonical_basis(block, mass.diagonal, lo, hi - lo)
+            for a in range(lo, hi, BLOCK):
+                v = block @ coef[:, a - lo : a - lo + BLOCK]
+                lam = lambdas[a : a + v.shape[1]]
+                resid = stiffness.matrix @ v - (mass.diagonal[:, None] * v) * lam
+                residual = float(np.max(np.linalg.norm(resid, axis=0) / lam))
+                if residual > tol:
+                    raise SolverError(
+                        f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
+                        residual=residual,
+                    )
+                yield a, v, residual
+
+    return graph, lambdas, ends, blocks()
+
+
+def solve_eigen(
+    stiffness: StiffnessMatrix,
+    mass: MassMatrix,
+    count,
+    tol=1e-8,
+    graph: LevelGraph = None,
+) -> SpectralBasis:
+    """Compute the ``count`` smallest nonzero generalized eigenpairs.
+
+    Writes the blocks of :func:`canonical_blocks` into one n x (count + 1)
+    array, whose column 0 is the constant mode.
+
+    Parameters
+    ----------
+    stiffness, mass : operators from :mod:`gasket_fgf.operators`, of a full
+        gasket or a sub-gasket from :func:`~gasket_fgf.geometry.extract_cell`.
+    count : number of nonzero modes requested (λ_0 = 0 is always included
+        in the result in addition to these).
+    tol : acceptance threshold on max_j ||S phi - lambda M phi||_2 / lambda.
+    graph : the LevelGraph of the operators, attached to the result;
+        needed only for a sub-gasket, whose vertex order it gives (a full
+        gasket gets ``build_level`` of its level).
+
+    Raises
+    ------
+    ValueError as :func:`canonical_blocks` does, whose memory estimate
+    counts the n x (count + 1) result here; SolverError if the achieved
+    residual exceeds ``tol``.
+    """
+    n = stiffness.dim
+    graph, lambdas, ends, blocks = canonical_blocks(stiffness, mass, count, 8 * n * (int(count) + 1),
+                                                    tol, graph)
+    vectors = np.empty((n, len(lambdas) + 1))
+    vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
     residual_norm = 0.0
-    for lo in range(1, count + 1, BLOCK):
-        v, lam = vectors[:, lo : lo + BLOCK], lambdas[lo : lo + BLOCK]
-        resid = stiffness.matrix @ v - (mass.diagonal[:, None] * v) * lam
-        residual_norm = max(residual_norm, float(np.max(np.linalg.norm(resid, axis=0) / lam)))
-    if residual_norm > tol:
-        raise SolverError(
-            f"eigensolver residual {residual_norm:.3e} exceeds tolerance {tol:.3e}",
-            residual=residual_norm,
-        )
+    for lo, v, residual in blocks:
+        vectors[:, 1 + lo : 1 + lo + v.shape[1]] = v
+        residual_norm = max(residual_norm, residual)
     return SpectralBasis(
         level=stiffness.level,
-        lambdas=lambdas,
+        lambdas=np.concatenate([[0.0], lambdas]),
         vectors=vectors,
         mass=np.asarray(mass.diagonal),
         residual_norm=residual_norm,

@@ -5,9 +5,12 @@ one per level graph for the process, so unit tests and the acceptance gate
 share one eigensolve per level graph.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gasket_fgf import spectral
 from gasket_fgf.geometry import build_level, extract_cell
 from gasket_fgf.verify import get_basis
 
@@ -56,3 +59,29 @@ def cell_graph(g4):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def memory_bound(monkeypatch):
+    """Check that a call's memory estimate bounds its traced peak; returns the peak in bytes.
+
+    The call runs once to warm the caches (every level's graph), once under
+    tracemalloc, and once more with the available memory one byte below
+    that peak, which its memory check must refuse.
+    """
+
+    def check(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_available_memory", lambda: peak - 1)
+            with pytest.raises(ValueError, match="GiB at peak, more than"):
+                call()
+        return peak
+
+    return check

@@ -194,16 +194,16 @@ def test_full_budget_keeps_every_mode(tmp_path):
 
 
 def test_sample_budget_solves_only_its_modes(tmp_path, monkeypatch):
-    # J comes from the exact spectrum before any vector exists, the solve
-    # builds J modes only, and the artifacts equal those of --modes J
-    counts = []
-    solve = spectral.solve_eigen
+    # J comes from the exact spectrum before any vector exists, the stream
+    # builds the eigenspaces up to mode J only, and the artifacts equal those of --modes J
+    built = []
+    blocks = spectral._eigenspace_blocks
 
-    def spy(stiffness, mass, count, **kwargs):
-        counts.append(count)
-        return solve(stiffness, mass, count, **kwargs)
+    def spy(levels, keep):
+        built.append(keep)
+        return blocks(levels, keep)
 
-    monkeypatch.setattr(spectral, "solve_eigen", spy)
+    monkeypatch.setattr(spectral, "_eigenspace_blocks", spy)
 
     def sample(name, *flag):
         out, pgm = tmp_path / f"{name}.csv", tmp_path / f"{name}.pgm"
@@ -213,12 +213,19 @@ def test_sample_budget_solves_only_its_modes(tmp_path, monkeypatch):
 
     budget = sample("budget", "--tail-budget", "0.01")
     j = json.loads(budget[0].decode().splitlines()[0][2:])["J"]
-    assert counts == [j] and 0 < j < 365
+    assert len(built) == 1 and 0 < j < 365
+    mu, mult, _ = spectral._decimation_levels(5)[-1]
+    ends = np.cumsum(mult[built[0]])
+    # the lowest eigenspaces, in order, up to the one that holds mode J
+    np.testing.assert_array_equal(np.repeat(1.5 * 5.0**5 * mu[built[0]], mult[built[0]]),
+                                  spectral.spectrum(5)[: ends[-1]])
+    assert ends[-2] < j <= ends[-1]
     assert sample("modes", "--modes", str(j)) == budget
 
 
 def test_zero_budget_modes_give_zero_artifacts(tmp_path):
-    # a budget of 1 keeps no mode: one mode is solved, the field and kernel are zero
+    # a budget of 1 keeps no mode: the field is zero and solves nothing; the
+    # kernel solves one mode and is zero
     f, k = tmp_path / "f.csv", tmp_path / "k.csv"
     assert run_cli(["sample", "--level", "3", "--s", "0.5", "--tail-budget", "1",
                     "--out", str(f)]) == 0
@@ -386,6 +393,19 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "dimension 9843" in err and "GiB" in err
     assert not (tmp_path / "e.json").exists()
+
+
+def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # the streamed draw has an estimate of its own, with no n x J term, checked
+    # before anything is allocated; the level-8 budget draw needs about 0.9 GiB
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",
+                 "--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "dimension 9843" in err and "GiB at peak" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -5,22 +5,23 @@ import warnings
 import numpy as np
 import pytest
 
-from gasket_fgf import fields
-from gasket_fgf.constants import hurst_from_s
+from gasket_fgf import fields, spectral
+from gasket_fgf.constants import hurst_from_s, s_from_hurst
 from gasket_fgf.fields import (
     empirical_covariance,
     hoelder_statistic,
     pinned_field,
     sample_field,
     scaling_invariance_test,
+    stream_field,
     symmetry_invariance_test,
     variogram,
     white_noise_pairing,
 )
-from gasket_fgf.geometry import symmetry_permutation
+from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
 from gasket_fgf.kernels import kernel_matrix, pair_sample
 from gasket_fgf.operators import assemble_energy, assemble_mass
-from gasket_fgf.spectral import pick_truncation, solve_eigen
+from gasket_fgf.spectral import pick_truncation, solve_eigen, spectrum
 
 
 def test_sample_reproducible(basis4):
@@ -67,6 +68,54 @@ def test_golden_fields(g6, basis6, sub_basis5):
     }
     for name, values in cases.items():
         np.testing.assert_allclose(values, GOLDEN_FIELDS[name], rtol=0, atol=1e-10, err_msg=name)
+
+
+def budget_modes(level, s, J):
+    """J itself, or the J of a 1% tail budget at ``level`` for J = None."""
+    return pick_truncation(spectrum(level), s, budget=0.01) if J is None else J
+
+
+@pytest.mark.parametrize("level,word,J", [
+    pytest.param(5, (), None, id="l5-budget"),
+    pytest.param(6, (), None, id="l6-budget"),
+    pytest.param(7, (), None, id="l7-budget"),
+    pytest.param(6, (), 300, id="l6-cut300"),
+    pytest.param(6, (1,), 200, id="sub6-cut200"),
+])
+def test_stream_field_is_the_basis_field(level, word, J):
+    # the same draws on the same canonical modes, one eigenspace block at a
+    # time; mode 300 of level 6 cuts the 243..365 eigenspace, and a
+    # sub-gasket renumbers the rows of each block
+    s, g = s_from_hurst(0.3), extract_cell(build_level(level), word)
+    S, M, J = assemble_energy(g), assemble_mass(g), budget_modes(level, s, J)
+    ref = sample_field(solve_eigen(S, M, J, graph=g), s, 12345)
+    got = stream_field(S, M, s, 12345, J, graph=g)
+    np.testing.assert_array_equal(got.coefficients, ref.coefficients)
+    np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-12)
+    assert (got.level, got.s, got.hurst, got.modes, got.seed) == (ref.level, ref.s, ref.hurst, J, 12345)
+
+
+def test_stream_field_without_modes_solves_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("no eigenspace may be built for J = 0")
+
+    monkeypatch.setattr(spectral, "_eigenspace_blocks", refuse)
+    g = build_level(5)
+    got = stream_field(assemble_energy(g), assemble_mass(g), 0.5, 3, 0, graph=g)
+    assert got.modes == 0 and len(got.coefficients) == 0
+    assert got.values.shape == (len(g),) and not got.values.any()
+
+
+@pytest.mark.parametrize("level", [6, 7])
+@pytest.mark.parametrize("J", [1, 2, 10, None], ids=["J1", "J2", "J10", "budget"])
+def test_stream_field_memory_check_bounds_peak(memory_bound, level, J):
+    # no n x J array: the estimate holds the stream and the field, and the
+    # level-7 budget draw peaks below the 68 MB of the basis it no longer forms
+    s, g, budget = s_from_hurst(0.3), build_level(level), J is None
+    S, M, J = assemble_energy(g), assemble_mass(g), budget_modes(level, s, J)
+    peak = memory_bound(lambda: stream_field(S, M, s, 1, J, graph=g))
+    if budget and level == 7:
+        assert peak < 8 * len(g) * J
 
 
 def test_sample_is_spectral_synthesis(basis4):

@@ -1,6 +1,5 @@
 """Eigensolver hygiene, Weyl counting, and truncation bookkeeping."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +9,6 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasket_fgf import spectral
 from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
 from gasket_fgf.fields import empirical_covariance, sample_field, symmetry_invariance_test, variogram
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
@@ -124,7 +122,7 @@ def test_cluster_basis_depends_on_eigenspace_only(basis5):
     assert np.abs(vectors - basis5.vectors).max() > 0.1
     for lo, hi in basis5.clusters():
         block = sp.csc_array(vectors[:, 1 + lo : 1 + hi])
-        vectors[:, 1 + lo : 1 + hi] = _canonical_basis(block, basis5.mass, lo, hi - lo)
+        vectors[:, 1 + lo : 1 + hi] = block @ _canonical_basis(block, basis5.mass, lo, hi - lo)
     assert np.abs(vectors - basis5.vectors).max() <= 1e-10
 
 
@@ -232,58 +230,36 @@ def test_full_solve_attaches_its_graph(basis4):
     assert variogram(basis, 0.5) == variogram(basis4, 0.5)
 
 
-def test_memory_check_counts_block_temporaries(monkeypatch):
+def test_memory_check_counts_block_temporaries(memory_bound):
     # at a small count the n x BLOCK blocks of the extension and the
     # residual check, not the result, make the peak
     g = build_level(7)
     s, mm = assemble_energy(g), assemble_mass(g)
-    solve_eigen(s, mm, 50, graph=g)  # every level's graph and operators are cached from here on
-    tracemalloc.start()
-    try:
-        solve_eigen(s, mm, 50, graph=g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(spectral, "_available_memory", lambda: peak - 1)
-    with pytest.raises(ValueError, match="GiB at peak, more than"):
-        solve_eigen(s, mm, 50, graph=g)
+    memory_bound(lambda: solve_eigen(s, mm, 50, graph=g))
 
 
 @pytest.mark.parametrize("level", [6, 7])
 @pytest.mark.parametrize("count", [1, 2, 10])
-def test_memory_check_bounds_small_counts(monkeypatch, level, count):
+def test_memory_check_bounds_small_counts(memory_bound, level, count):
     # at the smallest counts the O(n) index arrays and operators of the
     # construction, not the column blocks, make the peak
     g = build_level(level)
     s, mm = assemble_energy(g), assemble_mass(g)
-    solve_eigen(s, mm, count, graph=g)  # caches warmed
-    tracemalloc.start()
-    try:
-        solve_eigen(s, mm, count, graph=g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(spectral, "_available_memory", lambda: peak - 1)
-    with pytest.raises(ValueError, match="GiB at peak, more than"):
-        solve_eigen(s, mm, count, graph=g)
+    memory_bound(lambda: solve_eigen(s, mm, count, graph=g))
 
 
-@pytest.mark.parametrize("count", [50, None], ids=["count50", "full"])
-def test_memory_check_bounds_sub_gasket(monkeypatch, count):
-    # a sub-gasket renumbers the rows of each block, not of a second result
-    g = extract_cell(build_level(7), (1,))
+@pytest.mark.parametrize("level,word,count", [
+    pytest.param(7, (1,), 50, id="count50"),
+    pytest.param(7, (1,), None, id="full"),
+    *(pytest.param(5, (0,), c, id=f"n123-count{c}") for c in (1, 2, 10)),
+])
+def test_memory_check_bounds_sub_gasket(memory_bound, level, word, count):
+    # a sub-gasket renumbers the rows of each block, not of a second result;
+    # at n = 123 the fixed overhead (FIXED_BYTES) outweighs every O(n) term
+    g = extract_cell(build_level(level), word)
     s, mm = assemble_energy(g), assemble_mass(g)
     count = len(g) - 1 if count is None else count
-    solve_eigen(s, mm, count, graph=g)  # caches warmed
-    tracemalloc.start()
-    try:
-        solve_eigen(s, mm, count, graph=g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(spectral, "_available_memory", lambda: peak - 1)
-    with pytest.raises(ValueError, match="GiB at peak, more than"):
-        solve_eigen(s, mm, count, graph=g)
+    memory_bound(lambda: solve_eigen(s, mm, count, graph=g))
 
 
 J_CONSUMERS = {
@@ -399,6 +375,13 @@ def test_solver_error_carries_residual():
     err = SolverError("bad convergence", residual=0.125)
     assert isinstance(err, RuntimeError)
     assert err.residual == 0.125
+
+
+def test_residual_check_refuses_a_tighter_tolerance(g3):
+    # each block is checked as it is formed; the first one over tol stops the solve
+    with pytest.raises(SolverError) as exc:
+        solve_eigen(assemble_energy(g3), assemble_mass(g3), 10, tol=1e-30, graph=g3)
+    assert exc.value.residual > 1e-30
 
 
 def test_count_cannot_exceed_dimension(g3):
