@@ -165,8 +165,11 @@ def pinned_field(sample: FieldSample, q=0) -> FieldSample:
     """The same realization pinned to zero at vertex q (default corner q_0).
 
     Post-processing subtraction X(x) - X(q); the result is no longer
-    mean-zero, it vanishes at q instead.
+    mean-zero, it vanishes at q instead.  Raises ValueError for q outside
+    [0, n - 1].
     """
+    if not 0 <= q < len(sample.values):
+        raise ValueError(f"pinned vertex must lie in [0, {len(sample.values) - 1}], not {q}")
     return dataclasses.replace(sample, values=sample.values - sample.values[q])
 
 

@@ -17,6 +17,7 @@ approximates the gasket Laplacian in continuum normalization.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -139,24 +140,39 @@ def parent_cells(fine: LevelGraph):
     return tri[:, [0, 1, 2], [0, 1, 2]], tri[:, [0, 1, 0], [1, 2, 2]]
 
 
-def decimation_extension(u, fine: LevelGraph, mu):
-    """Extend level-(m-1) eigenfunctions to V_m = ``fine`` by spectral decimation.
+@lru_cache(maxsize=None)
+def _extension_pattern(level):
+    """The pattern of E(mu) onto ``level``: entries 1, 2, 3 for the weights 1, alpha(mu), beta(mu).
 
-    Column j of ``u`` becomes the level-m eigenfunction with renormalized
-    eigenvalue ``mu[j]`` (lambda = (3/2) 5^m mu): the midpoint z of side xy
-    of a level-(m-1) cell with opposite corner w gets u(z) =
+    Cached by level, not by graph, so a rebuilt graph adds no second copy.
+    """
+    fine = build_level(level)
+    (a, b, c), (mab, mbc, mca) = (x.T for x in parent_cells(fine))
+    coarse = np.arange((3**level + 3) // 2)
+    idx = sp.get_index_dtype(maxval=len(fine))  # int32 indices keep every block at 12 bytes per entry
+    rows = np.concatenate([coarse, *np.repeat([mab, mbc, mca], 3, axis=0)]).astype(idx)
+    cols = np.concatenate([coarse, a, b, c, b, c, a, c, a, b]).astype(idx)
+    kind = np.repeat([1, 2, 2, 3, 2, 2, 3, 2, 2, 3], [len(coarse)] + [len(a)] * 9)
+    return sp.csc_array((kind, (rows, cols)), shape=(len(fine), len(coarse)))
+
+
+def decimation_extension(u, fine: LevelGraph, mu):
+    """Extend level-(m-1) eigenfunctions of one eigenvalue to V_m = ``fine`` by spectral decimation.
+
+    Each column of ``u`` becomes a level-m eigenfunction with renormalized
+    eigenvalue ``mu`` (a scalar; lambda = (3/2) 5^m mu): the midpoint z of
+    side xy of a level-(m-1) cell with opposite corner w gets u(z) =
     ((4 - mu)(u(x) + u(y)) + 2 u(w)) / ((2 - mu)(5 - mu)) (Dalrymple,
     Strichartz & Vinson 1999); ``mu = 0`` is harmonic extension.  Vertex ids
-    are stable under refinement, and each midpoint lies on one cell side.
+    are stable under refinement and each midpoint lies on one cell side, so
+    this is one sparse matrix E(mu) = [I; alpha(mu) side + beta(mu) opposite]
+    of a fixed pattern, applied to ``u``: a dense array, or a sparse block
+    that comes back column-compressed.
     """
-    u = np.asarray(u, dtype=np.float64)
-    (a, b, c), (mab, mbc, mca) = (x.T for x in parent_cells(fine))
-    g = np.empty((len(fine),) + u.shape[1:])
-    g[: len(u)] = u
+    e = _extension_pattern(fine.level)
     denom = (2.0 - mu) * (5.0 - mu)
-    for z, x, y, w in ((mab, a, b, c), (mbc, b, c, a), (mca, c, a, b)):
-        g[z] = ((4.0 - mu) * (u[x] + u[y]) + 2.0 * u[w]) / denom
-    return g
+    weights = np.array([0.0, 1.0, (4.0 - mu) / denom, 2.0 / denom])
+    return sp.csc_array((weights[e.data], e.indices, e.indptr), shape=e.shape) @ u
 
 
 def harmonic_extension(f_coarse, fine: LevelGraph, coarse: LevelGraph = None):

@@ -40,9 +40,12 @@ Identities across different bases are still formulated on
 kernels/projectors, trimmed to the nearest cluster boundary
 (``SpectralBasis.cluster_complete``).
 
-The canonical modes come as one stream, :func:`canonical_blocks`: at most
-``BLOCK`` columns of one eigenspace at a time, each residual-checked as it
-is formed.  :func:`solve_eigen` writes the blocks into an n x (count + 1)
+Every eigenspace of every level is held as a sparse block, and an inherited
+one is its parent's block times the one extension matrix E(mu) of
+:func:`~gasket_fgf.operators.decimation_extension`; no dense n x k array is
+formed.  The canonical modes come as one stream, :func:`canonical_blocks`:
+at most ``BLOCK`` columns of one eigenspace at a time, each residual-checked
+as it is formed.  :func:`solve_eigen` writes the blocks into an n x (count + 1)
 basis; :func:`~gasket_fgf.fields.stream_field` adds each into a field and
 drops it, so a field never needs the n x J basis.  The one limit is memory:
 an estimate of the stream's peak plus what its consumer holds must fit in
@@ -61,7 +64,7 @@ from .geometry import LevelGraph, build_level, embed_indices
 from .operators import (MassMatrix, StiffnessMatrix, _level_from_size, assemble_energy,
                         decimation_extension, parent_cells)
 
-#: Columns per block when extending eigenvectors and checking residuals.
+#: Columns per block when forming canonical modes and checking residuals.
 BLOCK = 256
 
 
@@ -229,78 +232,44 @@ def _newborn_block(fine: LevelGraph, mu):
         cols.append(np.repeat(np.arange(k, k + len(support)), support.shape[1]))
         vals.append(values.ravel())
         k += len(support)
-    return sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(len(fine), k))
-
-
-def _fill(levels, j, groups, coarse, starts):
-    """The level-j eigenspaces ``groups`` as the columns of a dense array, in that order.
-
-    ``coarse`` holds the level-(j - 1) vectors, eigenspace e from column
-    ``starts[e]`` on; column i of an inherited eigenspace extends column i of
-    its parent.  Returns the array and its own ``starts``.
-    """
-    mu, mult, parent = levels[j]
-    fine = build_level(j)
-    sizes = mult[groups]
-    first = np.cumsum(sizes) - sizes
-    out = np.zeros((len(fine), sizes.sum()))
-    group = np.repeat(groups, sizes)
-    cols = np.flatnonzero(parent[group] >= 0)  # inherited columns, a block at a time
-    src = starts[parent[group[cols]]] + cols - np.repeat(first, sizes)[cols]
-    for lo in range(0, len(cols), BLOCK):
-        c = cols[lo : lo + BLOCK]
-        out[:, c] = decimation_extension(coarse[:, src[lo : lo + BLOCK]], fine, mu[group[c]])
-    for g, lo in zip(groups, first):
-        if parent[g] < 0:
-            born = _newborn_block(fine, mu[g]).tocoo()
-            out[born.row, lo + born.col] = born.data
-    starts = np.zeros(len(mu), dtype=np.int64)
-    starts[groups] = first
-    return out, starts
+    rows, cols = (np.concatenate(x).astype(sp.get_index_dtype(maxval=len(fine))) for x in (rows, cols))
+    return sp.csc_array((np.concatenate(vals), (rows, cols)), shape=(len(fine), k))
 
 
 def _eigenspace_blocks(levels, keep):
     """The top-level eigenspaces ``keep``, built up from level 0, one sparse n x k block each.
 
-    Yields them in the order of ``keep``.  An inherited eigenspace is filled
-    with its neighbours about ``BLOCK`` columns at a time (a wider one
-    alone), and a dense batch is freed before the last block it gives is
-    yielded; a newborn one goes straight to its sparse block.  The coarse
-    level is freed once no inherited eigenspace is left to extend.
+    Every eigenspace of every level is a sparse block: a newborn one comes
+    from its null spaces, and an inherited one is its parent's block
+    extended by :func:`~gasket_fgf.operators.decimation_extension` at its
+    own mu.  A level below the top builds only the eigenspaces the level
+    above extends, and a block is dropped once its last child is built; the
+    top level yields ``keep`` one at a time, in order.
     """
     m = len(levels) - 1
-    layout = [None] * m + [keep]  # the eigenspaces each level provides, in column order
+    layout = [None] * m + [keep]  # the eigenspaces each level provides
     for j in range(m, 0, -1):
         par = levels[j][2][layout[j]]
         layout[j - 1] = np.unique(par[par >= 0])
     # level 0: the constant, then a basis of the mean-zero (mu = 6) space; both
     # are always needed, since lambda_1 descends from the mu = 6 space
-    coarse = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T
-    starts = np.array([0, 1])
-    if m == 0:
-        yield sp.csc_array(coarse[:, 1:])
-        return
-    for j in range(1, m):
-        coarse, starts = _fill(levels, j, layout[j], coarse, starts)
-    mu, mult, parent = levels[m]
-    born = parent[keep] < 0
-    cuts = [0]  # the first eigenspace of each batch; a newborn one is a batch of its own
-    for i in range(1, len(keep)):
-        if born[i] or born[i - 1] or mult[keep[cuts[-1] : i + 1]].sum() > BLOCK:
-            cuts.append(i)
-    for first, stop in zip(cuts, [*cuts[1:], len(keep)]):
-        if born[first]:
-            yield _newborn_block(build_level(m), mu[keep[first]])
-            continue
-        out, at = _fill(levels, m, keep[first:stop], coarse, starts)
-        if born[stop:].all():
-            coarse = None
-        for g in keep[first:stop]:
-            block = sp.csc_array(out[:, at[g] : at[g] + mult[g]])
-            if g == keep[stop - 1]:
-                del out
-            yield block
+    base = np.split(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T, [1], axis=1)
+    blocks = {}
+    for j in range(m + 1):
+        mu, _, parent = levels[j]
+        coarse, blocks = blocks, {}
+        last = dict(zip(parent[layout[j]], layout[j]))  # the last child of each parent
+        for g in layout[j]:
+            p = parent[g]
+            if j == 0:
+                blocks[g] = sp.csc_array(base[g])
+            elif p < 0:
+                blocks[g] = _newborn_block(build_level(j), mu[g])
+            else:
+                u = coarse.pop(p) if last[p] == g else coarse[p]
+                blocks[g] = decimation_extension(u, build_level(j), mu[g])
+            if j == m:
+                yield blocks.pop(g)
 
 
 def _available_memory():
@@ -372,21 +341,25 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     max_j ||S phi_j - lambda_j M phi_j||_2 / lambda_j, checked against
     ``tol`` as the block is formed.
 
-    Raises ValueError for out-of-range ``count``, a dimension that is no
-    gasket's, or a sub-gasket without its graph; and before any allocation
-    when the estimated peak -- ``held`` bytes the caller keeps besides the
-    stream, n x k twice for the widest eigenspace k (a dense batch next to
-    the coarse level it extends), the canonical step's k x k temporaries,
-    four n x ``BLOCK`` blocks of the extension and residual loops (or a
-    batch of narrower eigenspaces next to one's probe chunk), 10 n for the
-    O(n) index arrays and operators of the construction, and
-    ``FIXED_BYTES`` -- exceeds the available memory.  The iterator raises
-    SolverError at the first block whose residual exceeds ``tol``.
+    Raises ValueError for out-of-range ``count``, a ``tol`` that is not
+    finite and positive, a dimension that is no gasket's, or a sub-gasket
+    without its graph; and before any allocation when the estimated peak
+    -- ``held`` bytes the caller keeps besides the stream, 2 n per kept
+    eigenspace for the sparse blocks of the two levels below the top (an
+    eigenspace of level j has at most 3 n_j nonzeros), the canonical step's
+    k x k temporaries for the widest eigenspace k, four n x min(``BLOCK``,
+    k) blocks of the residual check or the probe, 26 n for the block at
+    hand with its copies and the O(n) index arrays and operators of the
+    construction, and ``FIXED_BYTES`` -- exceeds the available memory.  The
+    iterator raises SolverError at the first block whose residual exceeds
+    ``tol``.
     """
     n = stiffness.dim
     count = int(count)
     if not 1 <= count <= n - 1:
         raise ValueError(f"count must lie in [1, {n - 1}] for dimension {n}")
+    if not 0.0 < tol < np.inf:  # a NaN tol would pass every residual
+        raise ValueError(f"tol must be finite and > 0, not {tol}")
     depth = _level_from_size(n)
     word = graph.word if graph is not None else ()
     if stiffness.level != depth + len(word):
@@ -400,11 +373,15 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     keep = order[: np.searchsorted(ends, count) + 1]  # up to the eigenspace that holds mode `count`
     ends = ends[: len(keep)]
     k = int(mult[keep].max())
-    b = min(BLOCK, count)
-    # 10 n: the cell table of parent_cells with its corner and midpoint copies,
-    # the level operators of the newborn null spaces, the level spectrum and
-    # a sub-gasket's row order
-    need = held + 8 * (n * (2 * k + 4 * b + 10) + 4 * k * k) + FIXED_BYTES
+    b = min(BLOCK, k)
+    # 2 n per kept eigenspace: the blocks of the two levels below the top, at
+    # most 3 n_j nonzeros of 12 bytes each at level j (n_{m-1} ~ n / 3), and
+    # at most one per kept eigenspace at each level.  26 n: the block at hand
+    # with its M-weighted and renumbered copies and E(mu) (16 n), and the cell
+    # table of parent_cells with its corner and midpoint copies, the level
+    # operators of the newborn null spaces, the level spectrum and a
+    # sub-gasket's row order (10 n)
+    need = held + 8 * (n * (2 * len(keep) + 4 * b + 26) + 4 * k * k) + FIXED_BYTES
     avail = _available_memory()
     if need > avail:
         raise ValueError(

@@ -159,6 +159,27 @@ def test_sample_pin_flag(tmp_path):
     assert first_value == 0.0
 
 
+@pytest.mark.parametrize("pin", ["99999", "-1"])
+def test_sample_pin_outside_graph_exits_2(tmp_path, capsys, pin):
+    out = tmp_path / "field.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--level", "3", "--s", "0.5", "--pin", pin, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "pinned vertex must lie in [0, 41]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_eigs_tolerance_outside_range_exits_2(tmp_path, capsys, tol):
+    # a NaN tol would switch the residual certificate off, a negative one fail every solve
+    out = tmp_path / "e.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["eigs", "--level", "3", "--count", "12", "--tol", tol, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_modes_flag_truncates(tmp_path):
     out = tmp_path / "field.csv"
     assert run_cli(["sample", "--level", "3", "--s", "0.5", "--modes", "7",
@@ -385,7 +406,7 @@ def test_missing_required_flag(capsys):
 
 def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the solve's estimated peak is checked against the available memory
-    # before anything is allocated; 3000 modes at level 8 need about 450 MiB
+    # before anything is allocated; 3000 modes at level 8 need about 0.4 GiB
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
     with pytest.raises(SystemExit) as exc:
         run_cli(["eigs", "--level", "8", "--count", "3000", "--out", str(tmp_path / "e.json")])
@@ -397,7 +418,7 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the streamed draw has an estimate of its own, with no n x J term, checked
-    # before anything is allocated; the level-8 budget draw needs about 0.9 GiB
+    # before anything is allocated; the level-8 budget draw needs about 0.5 GiB
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",

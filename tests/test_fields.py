@@ -148,6 +148,13 @@ def test_pinned_field(basis4):
         np.diff(pinned.values), np.diff(smp.values), atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [-1, 123])
+def test_pinned_vertex_must_exist(basis4, q):
+    # q = -1 would pin the last vertex through Python's negative indexing
+    with pytest.raises(ValueError, match=r"pinned vertex must lie in \[0, 122\]"):
+        pinned_field(sample_field(basis4, 0.5, seed=5), q=q)
+
+
 def test_white_noise_pairing_per_mode(basis4):
     smp = sample_field(basis4, 0.5, seed=9)
     for j in (0, 3, 17):

@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf.geometry import build_level
 from gasket_fgf.operators import (
+    _extension_pattern,
     assemble_energy,
     assemble_mass,
+    decimation_extension,
     energy_value,
     harmonic_extension,
+    parent_cells,
     restriction_indices,
     self_similar_energy_residual,
 )
@@ -98,6 +102,49 @@ def test_one_fifth_two_fifths_rule():
     assert h[b[2]] == pytest.approx(0.0, abs=1e-14)
     mids = sorted(np.delete(h, b))
     np.testing.assert_allclose(mids, [1.0 / 5.0, 2.0 / 5.0, 2.0 / 5.0], atol=1e-13)
+
+
+# mu = 0 (harmonic), the one child of mu' = 6, and both roots of mu (5 - mu) = 3
+EXTENSION_MUS = [0.0, 3.0, (5.0 - np.sqrt(13.0)) / 2.0, (5.0 + np.sqrt(13.0)) / 2.0]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("mu", EXTENSION_MUS)
+def test_decimation_extension_is_the_midpoint_rule(m, mu, rng):
+    # E(mu) u keeps the coarse values and gives the midpoint z of side xy of a
+    # coarse cell with opposite corner w ((4 - mu)(u(x) + u(y)) + 2 u(w)) / ((2 - mu)(5 - mu))
+    fine, n = build_level(m), len(build_level(m - 1))
+    u = rng.standard_normal((n, 3))
+    got = decimation_extension(u, fine, mu)
+    (a, b, c), (mab, mbc, mca) = (x.T for x in parent_cells(fine))
+    want = np.empty((len(fine), 3))
+    want[:n] = u
+    for z, x, y, w in ((mab, a, b, c), (mbc, b, c, a), (mca, c, a, b)):
+        want[z] = ((4.0 - mu) * (u[x] + u[y]) + 2.0 * u[w]) / ((2.0 - mu) * (5.0 - mu))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    np.testing.assert_array_equal(got[:n], u)
+
+
+@pytest.mark.parametrize("mu", EXTENSION_MUS)
+def test_decimation_extension_dense_and_sparse_agree(mu, rng):
+    # one matrix for both: a sparse block comes back column-compressed, with the same entries
+    fine = build_level(5)
+    u = sp.random_array((len(build_level(4)), 7), density=0.2, format="csc", rng=rng)
+    got = decimation_extension(u, fine, mu)
+    assert got.format == "csc"
+    dense = decimation_extension(u.toarray(), fine, mu)
+    np.testing.assert_allclose(got.toarray(), dense, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(decimation_extension(u.toarray()[:, 0], fine, mu), dense[:, 0],
+                               rtol=0, atol=1e-14)
+
+
+def test_extension_pattern_is_cached_per_level():
+    # a rebuilt graph of a cached level adds no second pattern, so a process
+    # that rebuilds its graphs does not grow
+    decimation_extension(np.zeros(15), build_level(3), 0.0)
+    size = _extension_pattern.cache_info().currsize
+    decimation_extension(np.zeros(15), build_level.__wrapped__(3), 0.0)
+    assert _extension_pattern.cache_info().currsize == size
 
 
 def test_harmonic_extension_preserves_energy(rng):

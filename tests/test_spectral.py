@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_fgf import spectral
 from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
 from gasket_fgf.fields import empirical_covariance, sample_field, symmetry_invariance_test, variogram
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
@@ -163,7 +164,7 @@ def test_deep_truncated_solve_fails_before_dense_allocation():
 
     n = NoDense.shape[0]
     s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    with pytest.raises(ValueError, match=r"dimension 797163: 10001\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 6918\.\d GiB at peak, more than"):
         solve_eigen(s, mm, n - 1)
 
 
@@ -217,6 +218,36 @@ def test_newborn_null_vectors(m):
             np.testing.assert_allclose(np.linalg.norm(values, axis=1), 1.0, rtol=1e-12)
 
 
+def test_solve_extends_sparse_blocks_at_one_mu(g6, monkeypatch):
+    # every eigenspace of every level is a sparse block, extended at its own scalar mu
+    seen, extend = [], spectral.decimation_extension
+
+    def spy(u, fine, mu):
+        seen.append((sp.issparse(u), np.ndim(mu)))
+        return extend(u, fine, mu)
+
+    monkeypatch.setattr(spectral, "decimation_extension", spy)
+    solve_eigen(assemble_energy(g6), assemble_mass(g6), len(g6) - 1, graph=g6)
+    assert len(seen) > 100 and set(seen) == {(True, 0)}
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_eigenspace_blocks_hold_at_most_3n_nonzeros(m):
+    # the memory estimate counts 3 n nonzeros per eigenspace: each function
+    # lives on the cells one level above its birth around its support
+    levels = _decimation_levels(m)
+    mu = levels[-1][0]
+    blocks = list(spectral._eigenspace_blocks(levels, np.argsort(mu, kind="stable")[1:]))
+    assert all(sp.issparse(b) and b.format == "csc" for b in blocks)
+    assert max(b.nnz for b in blocks) <= 3 * len(build_level(m))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_tolerance_must_be_finite_and_positive(g3, tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_eigen(assemble_energy(g3), assemble_mass(g3), 10, tol=tol, graph=g3)
+
+
 def test_sub_gasket_needs_its_graph():
     g = extract_cell(build_level(4), (1,))
     with pytest.raises(ValueError, match="sub-gasket: pass its graph"):
@@ -231,8 +262,8 @@ def test_full_solve_attaches_its_graph(basis4):
 
 
 def test_memory_check_counts_block_temporaries(memory_bound):
-    # at a small count the n x BLOCK blocks of the extension and the
-    # residual check, not the result, make the peak
+    # at a small count the n x BLOCK blocks of the probe and the residual
+    # check, not the result, make the peak
     g = build_level(7)
     s, mm = assemble_energy(g), assemble_mass(g)
     memory_bound(lambda: solve_eigen(s, mm, 50, graph=g))
