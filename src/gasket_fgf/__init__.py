@@ -46,13 +46,12 @@ from .spectral import (
     weyl_exponent_fit,
 )
 from .kernels import (
-    HeatKernelEvaluator,
     IncrementReport,
     KernelEstimateReport,
-    RieszKernel,
-    apply_Gs,
     apply_fractional_laplacian,
     estimate_bound_fit,
+    heat_matrix,
+    heat_trace,
     increment_l2_check,
     kernel_matrix,
     riesz_value_quadrature,

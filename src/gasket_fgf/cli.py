@@ -233,7 +233,7 @@ def cmd_eigs(args, parser):
 
 def cmd_kernel(args, parser):
     from .io import to_jsonable, write_json, write_kernel_csv
-    from .kernels import RieszKernel, estimate_bound_fit
+    from .kernels import estimate_bound_fit, kernel_matrix
 
     _require(args, parser, "level", "out")
     _resolve_exponent(args, parser)
@@ -241,8 +241,7 @@ def cmd_kernel(args, parser):
     _, basis = _solve(args.level, max(j, 1))  # J = 0 (a budget of 1) still solves one mode
     echo = {"command": "kernel", "level": args.level, "s": args.s, "H": args.hurst,
             "J": j}
-    kernel = RieszKernel(args.s, basis, J=j)
-    write_kernel_csv(kernel.matrix, args.out, header=echo)
+    write_kernel_csv(kernel_matrix(basis, args.s, j), args.out, header=echo)
     if args.report:
         report = estimate_bound_fit(basis, args.s, regime=args.regime or "auto", J=j)
         doc = {"config": echo}

@@ -33,7 +33,7 @@ from .kernels import (
     squared_increments,
 )
 from .operators import MassMatrix, StiffnessMatrix
-from .spectral import SpectralBasis, canonical_blocks, spectral_coeffs
+from .spectral import SpectralBasis, canonical_blocks, check_truncation, spectral_coeffs
 
 #: Replications per block when accumulating Monte Carlo statistics.
 MC_CHUNK = 50
@@ -102,6 +102,17 @@ class InvarianceReport:
 # ---------------------------------------------------------------------------
 
 
+def _draw(level, s, seed, n, lam, blocks):
+    """The field of len(lam) draws from ``default_rng(seed)`` on the (lo, columns, _) ``blocks`` of modes."""
+    coeff = np.random.default_rng(seed).standard_normal(len(lam))
+    weights = lam ** (-float(s)) * coeff
+    values = np.zeros(n)
+    for lo, v, _ in blocks:
+        values += v @ weights[lo : lo + v.shape[1]]
+    return FieldSample(level=level, s=float(s), hurst=hurst_from_s(s), modes=len(lam), seed=seed,
+                       coefficients=coeff, values=values)
+
+
 def sample_field(basis: SpectralBasis, s, seed, J=None) -> FieldSample:
     """Draw one field realization from a fresh PCG64 stream.
 
@@ -115,20 +126,10 @@ def sample_field(basis: SpectralBasis, s, seed, J=None) -> FieldSample:
     """
     check_s(s)
     J = basis.truncation(J)
-    coeff = np.random.default_rng(seed).standard_normal(J)
-    values = basis.phi[:, :J] @ (basis.lam[:J] ** (-float(s)) * coeff)
-    return FieldSample(
-        level=basis.level,
-        s=float(s),
-        hurst=hurst_from_s(s),
-        modes=J,
-        seed=seed,
-        coefficients=coeff,
-        values=values,
-    )
+    return _draw(basis.level, s, seed, basis.dim, basis.lam[:J], [(0, basis.phi[:, :J], None)])
 
 
-def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J,
+def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
                  graph: LevelGraph = None) -> FieldSample:
     """``sample_field(solve_eigen(stiffness, mass, J, graph=graph), s, seed)``, without the n x J basis.
 
@@ -136,29 +137,17 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J,
     modes, but each block of :func:`~gasket_fgf.spectral.canonical_blocks`
     is added into the field as it is formed and then dropped, so the memory
     check counts the stream and the field, not a basis.  The values agree
-    with ``sample_field`` to rounding.  J = 0 gives the identically zero
-    field and solves nothing.
+    with ``sample_field`` to rounding.  J is read as ``sample_field`` reads
+    it (None is every mode); J = 0 gives the identically zero field and
+    solves nothing.
     """
     check_s(s)
     n = stiffness.dim
-    if not 0 <= J <= n - 1:
-        raise ValueError(f"J must lie in [0, {n - 1}]")
-    coeff = np.random.default_rng(seed).standard_normal(J)
-    values = np.zeros(n)
+    J = check_truncation(J, n - 1)
+    lam, blocks = np.empty(0), ()
     if J:
         _, lam, _, blocks = canonical_blocks(stiffness, mass, J, 8 * (n + 2 * J), graph=graph)
-        weights = lam ** (-float(s)) * coeff
-        for lo, v, _ in blocks:
-            values += v @ weights[lo : lo + v.shape[1]]
-    return FieldSample(
-        level=stiffness.level,
-        s=float(s),
-        hurst=hurst_from_s(s),
-        modes=J,
-        seed=seed,
-        coefficients=coeff,
-        values=values,
-    )
+    return _draw(stiffness.level, s, seed, n, lam, blocks)
 
 
 def pinned_field(sample: FieldSample, q=0) -> FieldSample:
@@ -298,9 +287,9 @@ def variogram(
         d2 = squared_increments(basis, s, iu, ju, J)
         replications = 0
     elif mode == "mc":
+        seeds = [] if seeds is None else list(seeds)
         if not seeds:
             raise ValueError("mc mode needs a list of replication seeds")
-        seeds = list(seeds)
         replications = len(seeds)
         keep = (dp >= lo) & (dp <= hi)
         iu, ju, dp = iu[keep], ju[keep], dp[keep]

@@ -1,18 +1,24 @@
 """Heat kernel, fractional Riesz kernel, and the operators they generate.
 
-Everything here is exact linear algebra on a truncated spectral basis: with
-M-orthonormal modes (lambda_j, Phi_j),
+Every kernel is a plain function of the spectrum.  With M-orthonormal modes
+(lambda_j, Phi_j) of a SpectralBasis, truncated at J
+(``SpectralBasis.truncation``),
 
     p_t(x,y)  = Phi_0(x)Phi_0(y) + sum_{j=1}^{J} e^{-lambda_j t} Phi_j(x) Phi_j(y)
     G_s(x,y)  = sum_{j=1}^{J} lambda_j^{-s} Phi_j(x) Phi_j(y)
 
-so identities like the semigroup law, G_{2s} = G_s o G_s, and the inverse
-pair G_s o (-Delta)^s = id hold to rounding error *by construction* on the
-truncated span.  The genuinely quantitative parts are the regression-style
-estimates (Weyl counting, kernel decay, increment slopes), where only a
-finite window of distances and eigenvalues is available: those functions
-report fitted exponents with their residuals and tail variances so the
-truncation error stays attributable.
+:func:`heat_matrix` and :func:`kernel_matrix` form them densely, and
+G_s f = ``apply_fractional_laplacian(basis, -s, f)``.  Identities like the
+semigroup law, G_{2s} = G_s o G_s, and the inverse pair
+G_s o (-Delta)^s = id hold to rounding error *by construction* on the
+truncated span.  The on-diagonal law reads the eigenvalues alone, through
+the heat trace 1 + sum_j e^{-lambda_j t} (:func:`heat_trace`), so its
+fits take a sorted eigenvalue array such as ``spectrum(level)`` and run at
+levels where no basis fits in memory.  The genuinely quantitative parts are
+the regression-style estimates (kernel decay, increment slopes), where only a
+finite window of distances is available: those functions report fitted
+exponents with their residuals and tail variances so the truncation error
+stays attributable.
 
 The time-integral route G_s = (1/Gamma(s)) int_0^inf t^{s-1}(p_t - 1) dt is
 implemented only as a quadrature cross-check of the spectral sum.
@@ -77,66 +83,56 @@ class IncrementReport:
 # ---------------------------------------------------------------------------
 
 
-class HeatKernelEvaluator:
-    """Truncated heat kernel p_t on the vertices of one level graph."""
-
-    def __init__(self, basis: SpectralBasis, J=None):
-        self.basis = basis
-        self.J = basis.truncation(J)
-
-    def matrix(self, t):
-        """Dense p_t(x,y) over all vertex pairs."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        b = self.basis
-        v0 = b.vectors[:, 0]
-        phi = b.phi[:, : self.J]
-        return np.outer(v0, v0) + (phi * np.exp(-b.lam[: self.J] * t)) @ phi.T
-
-    def value(self, t, x, y):
-        if t <= 0:
-            raise ValueError("t must be positive")
-        b = self.basis
-        wts = np.exp(-b.lam[: self.J] * t)
-        return float(b.vectors[x, 0] * b.vectors[y, 0] + (b.phi[x, : self.J] * wts) @ b.phi[y, : self.J])
-
-    def mean_diagonal(self, t):
-        """mu-averaged on-diagonal value, sum_x p_t(x,x) M(x) = sum_j e^{-lambda_j t}."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        return float(1.0 + np.exp(-self.basis.lam[: self.J] * t).sum())
+def heat_matrix(basis: SpectralBasis, t, J=None):
+    """Dense p_t(x,y) over all vertex pairs."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    J = basis.truncation(J)
+    v0 = basis.vectors[:, 0]
+    phi = basis.phi[:, :J]
+    return np.outer(v0, v0) + (phi * np.exp(-basis.lam[:J] * t)) @ phi.T
 
 
-def heat_envelope_constant(h: HeatKernelEvaluator, t0=1.0):
+def heat_trace(lam, t):
+    """mu-averaged on-diagonal value sum_x p_t(x,x) M(x) = 1 + sum_j e^{-lambda_j t} of eigenvalues ``lam``."""
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return float(1.0 + np.exp(-np.asarray(lam, dtype=np.float64) * t).sum())
+
+
+def heat_envelope_constant(basis: SpectralBasis, t0=1.0, J=None):
     """C with |p_t - 1| <= C e^{-lambda_1 t} for all t >= t0 (full gasket).
 
     C = max_{x,y} sum_j e^{-(lambda_j - lambda_1) t0} |Phi_j(x) Phi_j(y)|;
     each summand decays in t at least as fast as at t0, so the bound
     propagates to every larger t.
     """
-    b = h.basis
-    lam = b.lam[: h.J]
-    aphi = np.abs(b.phi[:, : h.J])
+    J = basis.truncation(J)
+    lam = basis.lam[:J]
+    aphi = np.abs(basis.phi[:, :J])
     env = (aphi * np.exp(-(lam - lam[0]) * t0)) @ aphi.T
     return float(env.max())
 
 
-def positivity_threshold(h: HeatKernelEvaluator):
-    """Heuristic t below which the truncated p_t may dip slightly negative.
+def positivity_threshold(lam):
+    """Heuristic t below which p_t truncated to the sorted eigenvalues ``lam`` may dip slightly negative.
 
-    ln(J)/lambda_J balances the J tail terms of size ~1 against the decay of
-    the retained modes; monitored empirically, not proven.
+    ln(J)/lambda_J, with J = len(lam), balances the J tail terms of size ~1
+    against the decay of the retained modes; monitored empirically, not
+    proven.  Raises ValueError for an empty ``lam``.
     """
-    return float(np.log(max(h.J, 2)) / h.basis.lam[h.J - 1])
+    if len(lam) == 0:
+        raise ValueError("the positivity threshold needs at least one eigenvalue")
+    return float(np.log(max(len(lam), 2)) / lam[-1])
 
 
-def heat_min(h: HeatKernelEvaluator, t):
+def heat_min(basis: SpectralBasis, t, J=None):
     """min_{x,y} p_t(x,y) -- negativity monitor for the truncated kernel."""
-    return float(h.matrix(t).min())
+    return float(heat_matrix(basis, t, J).min())
 
 
-def ondiagonal_fit(h: HeatKernelEvaluator, window=(2.0 ** -10, 2.0 ** -2), npts=25):
-    """Log-log slope of t -> mean on-diagonal p_t over a dyadic time window.
+def ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2), npts=25):
+    """Log-log slope of t -> :func:`heat_trace` of the sorted eigenvalues ``lam`` over a dyadic window.
 
     The sub-Gaussian regime predicts slope -d_h/d_w = -0.6826; at desk scale
     the window must stay below ~1/lambda_1 or the fit drifts toward the
@@ -146,16 +142,16 @@ def ondiagonal_fit(h: HeatKernelEvaluator, window=(2.0 ** -10, 2.0 ** -2), npts=
     if not 0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
     ts = np.logspace(np.log10(lo), np.log10(hi), npts)
-    z = np.array([h.mean_diagonal(t) for t in ts])
+    z = np.array([heat_trace(lam, t) for t in ts])
     slope, intercept = np.polyfit(np.log(ts), np.log(z), 1)
     return float(slope), float(intercept)
 
 
-def ondiagonal_constants(h: HeatKernelEvaluator, window=(2.0 ** -10, 1.0), npts=40):
-    """Two-sided constants (c, C) with c t^{-a} <= mean p_t <= C t^{-a}, a = d_h/d_w."""
+def ondiagonal_constants(lam, window=(2.0 ** -10, 1.0), npts=40):
+    """Two-sided constants (c, C) with c t^{-a} <= heat trace <= C t^{-a}, a = d_h/d_w."""
     lo, hi = window
     ts = np.logspace(np.log10(lo), np.log10(hi), npts)
-    z = np.array([h.mean_diagonal(t) for t in ts])
+    z = np.array([heat_trace(lam, t) for t in ts])
     ratio = z * ts ** SPECTRAL_EXPONENT
     return float(ratio.min()), float(ratio.max())
 
@@ -175,27 +171,6 @@ def kernel_matrix(basis: SpectralBasis, exponent, J=None):
     J = basis.truncation(J)
     phi = basis.phi[:, :J]
     return (phi * basis.lam[:J] ** (-float(exponent))) @ phi.T
-
-
-class RieszKernel:
-    """Truncated fractional Riesz kernel G_s for field-admissible s."""
-
-    def __init__(self, s, basis: SpectralBasis, J=None):
-        check_s(s)
-        self.s = float(s)
-        self.basis = basis
-        self.J = basis.truncation(J)
-        self._matrix = None
-
-    @property
-    def matrix(self):
-        if self._matrix is None:
-            self._matrix = kernel_matrix(self.basis, self.s, self.J)
-        return self._matrix
-
-    def value(self, x, y):
-        b = self.basis
-        return float((b.phi[x, : self.J] * b.lam[: self.J] ** (-self.s)) @ b.phi[y, : self.J])
 
 
 def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
@@ -221,19 +196,6 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
     head /= s * gamma_function(s)
     tail = float((lam ** (-s) * gammaincc(s, lam * T)) @ pij)
     return head + tail
-
-
-def apply_Gs(k: RieszKernel, f, zero_mean=False):
-    """(G_s f)(x) = sum_j lambda_j^{-s} <Phi_j, f>_M Phi_j(x).
-
-    f is first M-projected onto the mean-zero subspace, as in
-    :func:`apply_fractional_laplacian`; with ``zero_mean`` the caller also
-    asserts integral(f dmu) = 0, and that is checked.
-    """
-    integral = float(k.basis.mass @ np.asarray(f, dtype=np.float64))
-    if zero_mean and abs(integral) > 1e-8:
-        raise ValueError(f"f was asserted to be mean-zero but M-integrates to {integral:.3e}")
-    return apply_fractional_laplacian(k.basis, -k.s, f, k.J)
 
 
 def apply_fractional_laplacian(basis: SpectralBasis, s, f, J=None):

@@ -126,10 +126,7 @@ class SpectralBasis:
 
     def truncation(self, J=None):
         """The number of modes J to use: ``count`` for None, else J checked against [0, count]."""
-        J = self.count if J is None else int(J)
-        if not 0 <= J <= self.count:
-            raise ValueError(f"J must lie in [0, {self.count}]")
-        return J
+        return check_truncation(J, self.count)
 
     def clusters(self):
         """Runs [lo, hi) of nonzero-mode indices, one per eigenspace (the last cut at ``count``)."""
@@ -140,6 +137,14 @@ class SpectralBasis:
         """Largest J' <= J (and <= ``count``) that does not split an eigenspace."""
         ends = np.concatenate([[0], self.ends])
         return int(ends[np.searchsorted(ends, min(max(int(J), 0), self.count), side="right") - 1])
+
+
+def check_truncation(J, count):
+    """The J rule of :meth:`SpectralBasis.truncation`, for ``count`` modes held or to be solved."""
+    J = count if J is None else int(J)
+    if not 0 <= J <= count:
+        raise ValueError(f"J must lie in [0, {count}]")
+    return J
 
 
 def spectral_coeffs(basis: SpectralBasis, f, J):
@@ -475,11 +480,15 @@ def spectrum(level, word=()):
     return np.repeat(1.5 * 5.0**level * mu[order], mult[order])[1:]
 
 
-def counting_function(basis: SpectralBasis, t):
-    """N(t) = #{j >= 1 : lambda_j <= t} (right-continuous step function)."""
+def counting_function(spec, t):
+    """N(t) = #{j >= 1 : lambda_j <= t} (right-continuous step function).
+
+    ``spec`` is taken as by :func:`tail_variance`: a SpectralBasis counts
+    its whole level spectrum, also the modes a truncated solve did not compute.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    return int(np.searchsorted(basis.lam, t, side="right"))
+    return int(np.searchsorted(_level_spectrum(spec), t, side="right"))
 
 
 def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:

@@ -19,7 +19,7 @@ from gasket_fgf.fields import (
     white_noise_pairing,
 )
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
-from gasket_fgf.kernels import kernel_matrix, pair_sample
+from gasket_fgf.kernels import increment_l2_check, kernel_matrix, pair_sample
 from gasket_fgf.operators import assemble_energy, assemble_mass
 from gasket_fgf.spectral import pick_truncation, solve_eigen, spectrum
 
@@ -388,3 +388,40 @@ def test_field_variance_matches_kernel_diagonal(basis4):
     diag = np.diag(kernel_matrix(basis4, 1.0))
     ratio = var / diag
     assert np.median(ratio) == pytest.approx(1.0, abs=0.15)
+
+def test_variogram_mc_takes_a_seed_array(basis4):
+    # the seeds are counted after list(seeds), so an array works as a list does
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = variogram(basis4, 0.5, seeds=np.arange(100), mode="mc")
+        ref = variogram(basis4, 0.5, seeds=list(range(100)), mode="mc")
+    assert got == ref and got.replications == 100
+    with pytest.raises(ValueError, match="mc mode needs a list of replication seeds"):
+        variogram(basis4, 0.5, seeds=np.arange(0), mode="mc")
+
+
+def test_stream_field_reads_J_as_sample_field_does(basis4):
+    # None is every mode and a float J is turned into an int, as in SpectralBasis.truncation
+    g = basis4.graph
+    S, M = assemble_energy(g), assemble_mass(g)
+    full, ref = stream_field(S, M, 0.5, 9), sample_field(basis4, 0.5, 9)
+    assert full.modes == ref.modes == len(g) - 1
+    np.testing.assert_array_equal(full.coefficients, ref.coefficients)
+    np.testing.assert_allclose(full.values, ref.values, rtol=0, atol=1e-12)
+    a, b = stream_field(S, M, 0.5, 9, 10.0), stream_field(S, M, 0.5, 9, 10)
+    assert a.modes == 10 and type(a.modes) is int
+    np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("level", [5, 6])
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.6])
+def test_exact_variogram_is_the_increment_fit(request, level, s):
+    # both regress the exact squared increments of G_2s on the same pairs and bins
+    basis = request.getfixturevalue(f"basis{level}")
+    for J in (pick_truncation(spectrum(level), s, budget=0.01), None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vg = variogram(basis, s, J=J)
+            inc = increment_l2_check(basis, s, J=J)
+        assert vg.slope == inc.slope
+        assert inc.floor == 2 * hurst_from_s(s) - 0.2

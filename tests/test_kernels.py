@@ -12,15 +12,14 @@ from gasket_fgf.constants import (
     hurst_from_s,
 )
 from gasket_fgf.kernels import (
-    HeatKernelEvaluator,
-    RieszKernel,
-    apply_Gs,
     apply_fractional_laplacian,
     binned_loglog_fit,
     binned_points,
     estimate_bound_fit,
     heat_envelope_constant,
+    heat_matrix,
     heat_min,
+    heat_trace,
     increment_l2_check,
     kernel_matrix,
     ondiagonal_constants,
@@ -38,69 +37,66 @@ from gasket_fgf.operators import assemble_energy
 
 
 def test_semigroup_property(basis4):
-    h = HeatKernelEvaluator(basis4)
     t, u = 0.07, 0.11
-    lhs = h.matrix(t) @ (basis4.mass[:, None] * h.matrix(u))
-    np.testing.assert_allclose(lhs, h.matrix(t + u), atol=1e-10)
+    lhs = heat_matrix(basis4, t) @ (basis4.mass[:, None] * heat_matrix(basis4, u))
+    np.testing.assert_allclose(lhs, heat_matrix(basis4, t + u), atol=1e-10)
 
 
 def test_stochastic_completeness(basis4):
-    h = HeatKernelEvaluator(basis4)
     for t in (0.01, 0.1, 1.0):
-        row = h.matrix(t) @ basis4.mass
+        row = heat_matrix(basis4, t) @ basis4.mass
         np.testing.assert_allclose(row, 1.0, atol=1e-10)
 
 
-def test_symmetry_and_value_accessors(basis4):
-    h = HeatKernelEvaluator(basis4)
-    m = h.matrix(0.05)
+def test_heat_matrix_symmetric(basis4):
+    m = heat_matrix(basis4, 0.05)
     np.testing.assert_allclose(m, m.T, atol=1e-12)
-    assert h.value(0.05, 7, 3) == pytest.approx(m[3, 7], rel=1e-14)
+    with pytest.raises(ValueError, match="t must be positive"):
+        heat_matrix(basis4, 0.0)
 
 
 def test_mean_diagonal_is_trace(basis4):
-    h = HeatKernelEvaluator(basis4)
     t = 0.03
-    quad = basis4.mass @ np.diag(h.matrix(t))
-    assert h.mean_diagonal(t) == pytest.approx(quad, rel=1e-12)
-    assert h.mean_diagonal(t) == pytest.approx(
+    quad = basis4.mass @ np.diag(heat_matrix(basis4, t))
+    assert heat_trace(basis4.lam, t) == pytest.approx(quad, rel=1e-12)
+    assert heat_trace(basis4.lam, t) == pytest.approx(
         1.0 + np.sum(np.exp(-basis4.lam * t)), rel=1e-12)
+    with pytest.raises(ValueError, match="t must be positive"):
+        heat_trace(basis4.lam, -1.0)
 
 
 def test_long_time_limit(basis4):
-    h = HeatKernelEvaluator(basis4)
-    np.testing.assert_allclose(h.matrix(50.0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(heat_matrix(basis4, 50.0), 1.0, atol=1e-12)
 
 
 def test_envelope_constant_level6(basis6):
-    h = HeatKernelEvaluator(basis6)
-    c = heat_envelope_constant(h, t0=1.0)
+    c = heat_envelope_constant(basis6, t0=1.0)
     assert c == pytest.approx(3.431078, abs=1e-5)
     lam1 = basis6.lam[0]
     for t in (1.0, 1.7, 2.5):
-        dev = np.abs(h.matrix(t) - 1.0).max()
+        dev = np.abs(heat_matrix(basis6, t) - 1.0).max()
         assert dev <= c * np.exp(-lam1 * t) * (1 + 1e-9)
 
 
 def test_positivity_threshold(basis6):
     # complete basis: the discrete semigroup is positivity preserving, so the
     # negativity monitor stays at rounding level even at the threshold scale
-    h = HeatKernelEvaluator(basis6)
-    thr = positivity_threshold(h)
+    thr = positivity_threshold(basis6.lam)
     assert 0 < thr < 1e-3
-    assert heat_min(h, thr) >= -1e-9
-    assert heat_min(h, 0.5) > 0
+    assert heat_min(basis6, thr) >= -1e-9
+    assert heat_min(basis6, 0.5) > 0
     # truncated basis: artifacts die off as t moves up through the threshold
-    h300 = HeatKernelEvaluator(basis6, J=300)
-    t300 = positivity_threshold(h300)
-    assert heat_min(h300, t300 / 10) < 10 * heat_min(h300, t300) < 0
-    assert heat_min(h300, 50 * t300) >= -1e-9
+    t300 = positivity_threshold(basis6.lam[:300])
+    assert heat_min(basis6, t300 / 10, J=300) < 10 * heat_min(basis6, t300, J=300) < 0
+    assert heat_min(basis6, 50 * t300, J=300) >= -1e-9
+    # J = 0 keeps no mode, so there is no lambda_J to read
+    with pytest.raises(ValueError, match="at least one eigenvalue"):
+        positivity_threshold(basis6.lam[:0])
 
 
 def test_ondiagonal_slopes_level6(basis6):
-    h = HeatKernelEvaluator(basis6)
-    full, _ = ondiagonal_fit(h, window=(2.0 ** -10, 2.0 ** -2))
-    regime, _ = ondiagonal_fit(h, window=(2.0 ** -10, 2.0 ** -6))
+    full, _ = ondiagonal_fit(basis6.lam, window=(2.0 ** -10, 2.0 ** -2))
+    regime, _ = ondiagonal_fit(basis6.lam, window=(2.0 ** -10, 2.0 ** -6))
     # the mandated window crosses the spectral-gap knee and flattens
     assert full == pytest.approx(-0.525486, abs=1e-4)
     # below the knee the decay shows the spectral exponent
@@ -109,8 +105,7 @@ def test_ondiagonal_slopes_level6(basis6):
 
 
 def test_ondiagonal_two_sided_constants(basis6):
-    h = HeatKernelEvaluator(basis6)
-    c_lo, c_hi = ondiagonal_constants(h, window=(2.0 ** -10, 1.0))
+    c_lo, c_hi = ondiagonal_constants(basis6.lam, window=(2.0 ** -10, 1.0))
     assert 0.13 <= c_lo <= 0.15
     assert c_hi == pytest.approx(1.0, abs=1e-6)
     assert c_lo <= c_hi
@@ -129,55 +124,38 @@ def test_kernel_matrix_symmetric_psd(basis4):
 
 
 def test_riesz_rows_integrate_to_zero(basis4):
-    k = RieszKernel(0.5, basis4)
-    assert np.abs(k.matrix @ basis4.mass).max() <= 1e-10
-
-
-def test_riesz_value_accessors(basis4):
-    k = RieszKernel(0.5, basis4)
-    assert k.value(1, 0) == pytest.approx(k.matrix[0, 1], rel=1e-14)
-
-
-def test_riesz_s_validation(basis4):
-    with pytest.raises(ValueError):
-        RieszKernel(0.2, basis4)
-    with pytest.raises(ValueError):
-        RieszKernel(0.9, basis4)
+    assert np.abs(kernel_matrix(basis4, 0.5) @ basis4.mass).max() <= 1e-10
 
 
 def test_quadrature_cross_check(basis5):
-    k = RieszKernel(0.5, basis5)
+    g = kernel_matrix(basis5, 0.5)
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         q = riesz_value_quadrature(basis5, 0.5, i, j)
-        assert q == pytest.approx(k.matrix[i, j], rel=1e-6)
+        assert q == pytest.approx(g[i, j], rel=1e-6)
 
 
 def test_inverse_pair(basis4, rng):
     s = 0.55
-    k = RieszKernel(s, basis4)
     f = basis4.phi @ rng.standard_normal(basis4.count)
-    back = apply_Gs(k, apply_fractional_laplacian(basis4, s, f))
+    back = apply_fractional_laplacian(basis4, -s, apply_fractional_laplacian(basis4, s, f))
     np.testing.assert_allclose(back, f, atol=1e-10)
     # and in the other order
-    fwd = apply_fractional_laplacian(basis4, s, apply_Gs(k, f))
+    fwd = apply_fractional_laplacian(basis4, s, apply_fractional_laplacian(basis4, -s, f))
     np.testing.assert_allclose(fwd, f - basis4.mass @ f, atol=1e-10)
 
 
 def test_composition_identity(basis4):
     s = 0.5
-    g1 = RieszKernel(s, basis4).matrix
+    g1 = kernel_matrix(basis4, s)
     comp = g1 @ (basis4.mass[:, None] * g1)
     np.testing.assert_allclose(comp, kernel_matrix(basis4, 2 * s), atol=1e-10)
 
 
-def test_apply_gs_zero_mean_contract(basis4, rng):
-    k = RieszKernel(0.5, basis4)
+def test_riesz_action_is_mean_zero(basis4, rng):
+    # G_s f = (-Delta)^{-s} f lies in the mean-zero span, whatever the mean of f
     f = rng.standard_normal(len(basis4.graph))
-    f -= (basis4.mass @ f) / basis4.mass.sum()
-    out = apply_Gs(k, f, zero_mean=True)
-    assert abs(basis4.mass @ out) <= 1e-12
-    with pytest.raises(ValueError):
-        apply_Gs(k, f + 1.0, zero_mean=True)
+    for g in (f, f + 1.0):
+        assert abs(basis4.mass @ apply_fractional_laplacian(basis4, -0.5, g)) <= 1e-12
 
 
 def test_fractional_laplacian_s1_matches_stiffness(basis4):

@@ -11,13 +11,20 @@ from hypothesis import strategies as st
 
 from gasket_fgf import spectral
 from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
-from gasket_fgf.fields import empirical_covariance, sample_field, symmetry_invariance_test, variogram
+from gasket_fgf.fields import (
+    empirical_covariance,
+    sample_field,
+    stream_field,
+    symmetry_invariance_test,
+    variogram,
+)
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
 from gasket_fgf.kernels import (
-    HeatKernelEvaluator,
-    RieszKernel,
     apply_fractional_laplacian,
     estimate_bound_fit,
+    heat_envelope_constant,
+    heat_matrix,
+    heat_min,
     increment_l2_check,
     kernel_matrix,
     riesz_value_quadrature,
@@ -294,14 +301,17 @@ def test_memory_check_bounds_sub_gasket(memory_bound, level, word, count):
 
 
 J_CONSUMERS = {
-    "HeatKernelEvaluator": lambda b, J: HeatKernelEvaluator(b, J),
+    "heat_matrix": lambda b, J: heat_matrix(b, 0.1, J),
+    "heat_envelope_constant": lambda b, J: heat_envelope_constant(b, J=J),
+    "heat_min": lambda b, J: heat_min(b, 0.1, J),
     "kernel_matrix": lambda b, J: kernel_matrix(b, 1.0, J),
-    "RieszKernel": lambda b, J: RieszKernel(0.5, b, J),
     "riesz_value_quadrature": lambda b, J: riesz_value_quadrature(b, 0.5, 0, 1, J=J),
     "apply_fractional_laplacian": lambda b, J: apply_fractional_laplacian(b, 0.5, b.mass, J),
     "estimate_bound_fit": lambda b, J: estimate_bound_fit(b, 0.5, J=J),
     "increment_l2_check": lambda b, J: increment_l2_check(b, 0.5, J=J),
     "sample_field": lambda b, J: sample_field(b, 0.5, 1, J=J),
+    "stream_field":
+        lambda b, J: stream_field(assemble_energy(b.graph), assemble_mass(b.graph), 0.5, 1, J),
     "empirical_covariance": lambda b, J: empirical_covariance(b, 0.5, range(1000), [(0, 1)], J=J),
     "variogram": lambda b, J: variogram(b, 0.5, J=J),
     "symmetry_invariance_test":
@@ -335,6 +345,15 @@ def test_counting_function_right_continuous(basis5):
     assert counting_function(basis5, 0.0) == 0
     with pytest.raises(ValueError):
         counting_function(basis5, -1.0)
+
+
+def test_counting_function_reads_the_level_spectrum(basis5):
+    # a truncated solve still counts every eigenvalue of its level
+    g = basis5.graph
+    b50 = solve_eigen(assemble_energy(g), assemble_mass(g), 50)
+    t = float(basis5.lam[199])
+    assert counting_function(b50, t) == 200
+    assert counting_function(basis5, t) == counting_function(spectrum(5), t) == 200
 
 
 def test_weyl_exponent_level6(basis6):
