@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma as gamma_function, gammaincc
 
 from .constants import HAUSDORFF_DIM, S_MIN, SPECTRAL_EXPONENT, WALK_DIM, check_s
@@ -181,6 +180,8 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
     endpoint singularity), plus the analytic upper-incomplete-gamma tail
     sum_j lambda_j^{-s} Q(s, lambda_j T) Phi_j(x) Phi_j(y) beyond T.
     """
+    from scipy.integrate import quad  # about 0.2 s of import that only this check needs
+
     if s <= 0:
         raise ValueError("s must be positive")
     J = basis.truncation(J)

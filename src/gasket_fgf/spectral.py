@@ -15,7 +15,8 @@ at level m, every level-m eigenfunction is one of three kinds:
   midpoints of the level-(m-1) cells with a side on the edge of its hole.
 
 A newborn function spans the one-dimensional null space of the columns of
-S - lambda M on its support (one batched QR and SVD per support size).  Each
+S - lambda M on its support (one QR and SVD per distinct local problem,
+shared by every self-similar copy of it).  Each
 eigenspace carries a label -- birth level, birth value and root sequence --
 whose eigenvalue follows from the mu recursion alone, so eigenvalues,
 multiplicities and cluster boundaries are known before any vector exists
@@ -31,7 +32,12 @@ The constructed basis inside a degenerate eigenspace is arbitrary, so the
 solver builds the kept eigenspaces one at a time, each as a sparse block,
 and replaces each by a canonical basis, a function of the eigenspace alone:
 the M-Gram-Schmidt of a fixed pseudo-random probe projected onto it (see
-``_canonical_basis``).  A truncated solve builds the eigenspace that holds
+``_canonical_basis``).  Every eigenspace descends from a birth eigenspace
+(the level-0 base or a newborn block) through extensions E(mu), and each
+extension scales the M-Gram of the whole eigenspace by one scalar, so the
+Gram of each birth eigenspace is factored once, as a banded Cholesky in
+reverse Cuthill-McKee order, and every descendant reads its scalar from
+the M-norm of one column.  A truncated solve builds the eigenspace that holds
 its last mode whole, because the canonical basis needs its span, but forms
 only the columns up to the cut (Gram-Schmidt is sequential), so its basis
 is the leading columns of the full solve's, and the eigenvectors, and every
@@ -58,6 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constants import S_MIN
 from .geometry import LevelGraph, build_level, embed_indices
@@ -221,9 +228,23 @@ def _newborn(fine: LevelGraph, mu):
         support = np.column_stack([extra, mids[cells].reshape(len(cells), -1)])
         rows = np.concatenate([corners[cells], mids[cells]], axis=2).reshape(len(cells), -1)
         r, c = np.broadcast_arrays(rows[:, :, None], support[:, None, :])
-        blocks = np.asarray(op[r.ravel(), c.ravel()]).reshape(r.shape)
-        # R of a QR has the null space of the (taller) block: the SVD then runs on a square matrix
-        yield support, np.linalg.svd(np.linalg.qr(blocks, mode="r"))[2][:, -1, :]
+        yield support, _null_vectors(np.asarray(op[r.ravel(), c.ravel()]).reshape(r.shape))
+
+
+def _null_vectors(blocks):
+    """Unit null vectors of a batch of local problems (p x r x c), solving each distinct one once.
+
+    Self-similar cells give equal problems (3 distinct ones among the mu = 6
+    functions, 1 per mu = 5 batch), found by their bytes: ``np.unique`` on
+    a ``np.void`` row view, since ``np.unique(axis=0)`` sorts element-wise
+    and is far slower on long rows.  Each distinct problem gets the values
+    that a QR and SVD of it alone give.
+    """
+    flat = blocks.reshape(len(blocks), -1)
+    _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel(),
+                                  return_index=True, return_inverse=True)
+    # R of a QR has the null space of the (taller) block: the SVD then runs on a square matrix
+    return np.linalg.svd(np.linalg.qr(blocks[first], mode="r"))[2][:, -1, :][inverse]
 
 
 def _newborn_block(fine: LevelGraph, mu):
@@ -241,6 +262,39 @@ def _newborn_block(fine: LevelGraph, mu):
     return sp.csc_array((np.concatenate(vals), (rows, cols)), shape=(len(fine), k))
 
 
+def _layout(levels, keep):
+    """The eigenspaces each level provides: ``keep`` at the top, below it every parent of the level above."""
+    m = len(levels) - 1
+    layout = [None] * m + [keep]
+    for j in range(m, 0, -1):
+        par = levels[j][2][layout[j]]
+        layout[j - 1] = np.unique(par[par >= 0])
+    return layout
+
+
+def _birth_factor(block, mass):
+    """The M-Gram G = B^T M B of a birth eigenspace, factored once as a banded Cholesky.
+
+    Returns ``(perm, ab, g00)``: the reverse Cuthill-McKee order of G, the
+    lower factor of G[perm][:, perm] = L L^T in LAPACK band storage, and
+    G[0, 0].  G has about 5-7 nonzeros per row, and the order keeps its
+    band narrow (bandwidth 65 for k = 1,095 and 126 for k = 364 at level 7).
+    """
+    mblock = block.copy()
+    mblock.data *= mass[block.indices]
+    gram = (block.T @ mblock).tocsr()
+    perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
+    g = gram[perm][:, perm].tocoo()
+    low = g.row >= g.col
+    diag, col = g.row[low] - g.col[low], g.col[low]
+    ab = np.zeros((int(diag.max()) + 1, gram.shape[0]), order="F")
+    ab[diag, col] = g.data[low]
+    ab, info = sla.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info:
+        raise SolverError(f"the M-Gram of a birth eigenspace is not positive definite (info {info})")
+    return perm, ab, gram[0, 0]
+
+
 def _eigenspace_blocks(levels, keep):
     """The top-level eigenspaces ``keep``, built up from level 0, one sparse n x k block each.
 
@@ -249,13 +303,13 @@ def _eigenspace_blocks(levels, keep):
     extended by :func:`~gasket_fgf.operators.decimation_extension` at its
     own mu.  A level below the top builds only the eigenspaces the level
     above extends, and a block is dropped once its last child is built; the
-    top level yields ``keep`` one at a time, in order.
+    top level yields ``keep`` one at a time, in order, each as ``(block,
+    factor)`` with the :func:`_birth_factor` of the eigenspace it descends
+    from (the level-0 base or a newborn block), computed once per birth:
+    E(mu) scales the M-Gram of a whole eigenspace by one scalar.
     """
     m = len(levels) - 1
-    layout = [None] * m + [keep]  # the eigenspaces each level provides
-    for j in range(m, 0, -1):
-        par = levels[j][2][layout[j]]
-        layout[j - 1] = np.unique(par[par >= 0])
+    layout = _layout(levels, keep)
     # level 0: the constant, then a basis of the mean-zero (mu = 6) space; both
     # are always needed, since lambda_1 descends from the mu = 6 space
     base = np.split(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T, [1], axis=1)
@@ -266,13 +320,12 @@ def _eigenspace_blocks(levels, keep):
         last = dict(zip(parent[layout[j]], layout[j]))  # the last child of each parent
         for g in layout[j]:
             p = parent[g]
-            if j == 0:
-                blocks[g] = sp.csc_array(base[g])
-            elif p < 0:
-                blocks[g] = _newborn_block(build_level(j), mu[g])
+            if p < 0:
+                block = sp.csc_array(base[g]) if j == 0 else _newborn_block(build_level(j), mu[g])
+                blocks[g] = block, _birth_factor(block, build_level(j).measure)
             else:
-                u = coarse.pop(p) if last[p] == g else coarse[p]
-                blocks[g] = decimation_extension(u, build_level(j), mu[g])
+                u, factor = coarse.pop(p) if last[p] == g else coarse[p]
+                blocks[g] = decimation_extension(u, build_level(j), mu[g]), factor
             if j == m:
                 yield blocks.pop(g)
 
@@ -287,36 +340,66 @@ def _available_memory():
         return avail
 
 
-def _canonical_basis(block, mass, lo, j):
+def _canonical_basis(block, mass, lo, j, factor):
     """Coefficients of the first j columns of a basis of span(``block``) fixed by that span alone.
 
-    ``block`` (sparse, n x k) spans the cluster [lo, hi) of nonzero modes.
-    Make it M-orthonormal (B L^{-T}, with L L^T = B^T M B), project a fixed
-    probe Q (n x k, from ``default_rng([n, lo])``) onto its span,
-    C = L^{-1} B^T M Q, and return the k x j matrix L^{-T} Q_C, where
-    Q_C R_C = C with diag(R_C) > 0: the basis is B L^{-T} Q_C.  A change of
-    basis B -> B U (U orthogonal) turns C into U^T C and leaves the basis
-    unchanged: it is the M-Gram-Schmidt of the projected probe columns.
-    Gram-Schmidt is sequential, so the first j columns need only the first
-    j probe columns and a k x j QR.  The probe is projected a row chunk of
-    at most n x ``BLOCK`` normals at a time (row chunks of
-    ``standard_normal((n, k))`` are the same stream), so no n x j array is
-    formed.  No pivoting and no threshold enter, so symmetry ties cannot
-    flip it; for k = 1 it fixes the sign of the single mode.
+    ``block`` (sparse, n x k) spans the cluster [lo, hi) of nonzero modes,
+    and ``factor`` is the :func:`_birth_factor` ``(perm, ab, g00)`` of the
+    eigenspace it descends from.  Its M-Gram is c times the birth Gram,
+    G = B^T M B = c P^T L L^T P (P the permutation ``perm``), with c read
+    from the M-norm of column 0, so B P^T L^{-T} / sqrt(c) is M-orthonormal.
+    Project a fixed probe Q (n x k, from ``default_rng([n, lo])``) onto the
+    span, C = L^{-1} P B^T M Q, and return the k x j matrix
+    P^T L^{-T} Q_C / sqrt(c), where Q_C R_C = C with diag(R_C) > 0 (the
+    positive scale of C leaves Q_C unchanged).  A change of basis B -> B U (U
+    orthogonal, or any other square root of G) turns C into U^T C and leaves
+    the basis unchanged: it is the M-Gram-Schmidt of the projected probe
+    columns.  Gram-Schmidt is sequential, so the first j columns need only
+    the first j probe columns, a k x j QR and two banded triangular solves.
+    The probe is projected a row chunk of at most n x ``BLOCK`` normals at a
+    time (row chunks of ``standard_normal((n, k))`` are the same stream), so
+    no n x j array is formed.  No pivoting and no threshold enter, so
+    symmetry ties cannot flip it; for k = 1 it fixes the sign of the single
+    mode.
     """
+    perm, ab, g00 = factor
     n, k = block.shape
-    mblock = block.copy()
-    mblock.data *= mass[block.indices]
-    # L^{-1} explicitly: L is near the identity, and one small call per
-    # cluster beats two triangular solves when BLAS runs threaded
-    linv, _ = sla.lapack.dtrtri(sla.cholesky((block.T @ mblock).toarray(), lower=True), lower=1)
+    first = slice(block.indptr[0], block.indptr[1])
+    scale = np.sqrt(block.data[first] ** 2 @ mass[block.indices[first]] / g00)
+    mblock = block[:, perm]  # M B P^T: C comes out in the order of the factor
+    mblock.data *= mass[mblock.indices]
     rng, step = np.random.default_rng([n, lo]), n * BLOCK // k
-    c = np.zeros((k, j))
+    c = np.zeros((k, j), order="F")
     for i in range(0, n, step):
         c += mblock[i : i + step].T @ rng.standard_normal((min(step, n - i), k))[:, :j]
-    q, r = np.linalg.qr(linv @ c)
+    # every step works in place on the Fortran-ordered k x j array
+    c = sla.lapack.dtbtrs(ab, c, uplo="L", overwrite_b=1)[0]
+    q, r = sla.qr(c, overwrite_a=True, mode="economic", check_finite=False)
     q *= np.copysign(1.0, np.diag(r))
-    return linv.T @ q
+    q = sla.lapack.dtbtrs(ab, q, uplo="L", trans="T", overwrite_b=1)[0]
+    q /= scale
+    return q[np.argsort(perm)]
+
+
+def _canonical_entries(levels, keep, ends, count):
+    """Doubles the canonical step holds besides n-sized arrays, at most, for the eigenspaces ``keep``.
+
+    3 k j for the widest step (k wide, j columns formed): the k x j
+    projection with the product of one row chunk, then the projection with
+    its R and the permuted coefficients (the QR and both triangular solves
+    work in place).  Plus the banded factor of every birth eigenspace a kept
+    one descends from, all of which may be held at once: at most
+    k (2^(i-1) + 2) entries for a mu = 6 space born at level i (its
+    reverse Cuthill-McKee bandwidth is 2^(i-1) + 1, tested at L1-L7), and
+    k^2 for any other (mu = 5 bands are about k / 3 wide).
+    """
+    k = levels[-1][1][keep]
+    entries = 3 * int(np.max(k * (np.minimum(ends, count) - ends + k)))
+    for i, eigenspaces in enumerate(_layout(levels, keep)):
+        mu, mult, parent = (x[eigenspaces] for x in levels[i])
+        kb = mult[parent < 0]
+        entries += int(np.sum(kb * np.minimum(kb, np.where(mu[parent < 0] == 6.0, 2**i // 2 + 2, kb))))
+    return entries
 
 
 #: Bytes of Python objects and small index arrays that no O(n) term covers;
@@ -351,11 +434,12 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     without its graph; and before any allocation when the estimated peak
     -- ``held`` bytes the caller keeps besides the stream, 2 n per kept
     eigenspace for the sparse blocks of the two levels below the top (an
-    eigenspace of level j has at most 3 n_j nonzeros), the canonical step's
-    k x k temporaries for the widest eigenspace k, four n x min(``BLOCK``,
-    k) blocks of the residual check or the probe, 26 n for the block at
-    hand with its copies and the O(n) index arrays and operators of the
-    construction, and ``FIXED_BYTES`` -- exceeds the available memory.  The
+    eigenspace of level j has at most 3 n_j nonzeros), the canonical
+    step's k x j arrays and banded birth factors
+    (:func:`_canonical_entries`), four n x min(``BLOCK``, k) blocks of the
+    residual check or the probe, 26 n for the block at hand with its copies
+    and the O(n) index arrays and operators of the construction, and
+    ``FIXED_BYTES`` -- exceeds the available memory.  The
     iterator raises SolverError at the first block whose residual exceeds
     ``tol``.
     """
@@ -377,8 +461,7 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     ends = np.cumsum(mult[order])  # exclusive ends among the nonzero modes
     keep = order[: np.searchsorted(ends, count) + 1]  # up to the eigenspace that holds mode `count`
     ends = ends[: len(keep)]
-    k = int(mult[keep].max())
-    b = min(BLOCK, k)
+    b = min(BLOCK, int(mult[keep].max()))
     # 2 n per kept eigenspace: the blocks of the two levels below the top, at
     # most 3 n_j nonzeros of 12 bytes each at level j (n_{m-1} ~ n / 3), and
     # at most one per kept eigenspace at each level.  26 n: the block at hand
@@ -386,7 +469,8 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     # table of parent_cells with its corner and midpoint copies, the level
     # operators of the newborn null spaces, the level spectrum and a
     # sub-gasket's row order (10 n)
-    need = held + 8 * (n * (2 * len(keep) + 4 * b + 26) + 4 * k * k) + FIXED_BYTES
+    step = _canonical_entries(levels, keep, ends, count)
+    need = held + 8 * (n * (2 * len(keep) + 4 * b + 26) + step) + FIXED_BYTES
     avail = _available_memory()
     if need > avail:
         raise ValueError(
@@ -400,14 +484,18 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     lambdas = spectrum(stiffness.level, word)[:count]
 
     def blocks():
-        for lo, hi, block in zip(ends - mult[keep], np.minimum(ends, count), _eigenspace_blocks(levels, keep)):
+        for lo, hi, (block, factor) in zip(ends - mult[keep], np.minimum(ends, count),
+                                           _eigenspace_blocks(levels, keep)):
             block = block[rows] if word else block
-            coef = _canonical_basis(block, mass.diagonal, lo, hi - lo)
+            coef = _canonical_basis(block, mass.diagonal, lo, hi - lo, factor)
             for a in range(lo, hi, BLOCK):
                 v = block @ coef[:, a - lo : a - lo + BLOCK]
                 lam = lambdas[a : a + v.shape[1]]
-                resid = stiffness.matrix @ v - (mass.diagonal[:, None] * v) * lam
-                residual = float(np.max(np.linalg.norm(resid, axis=0) / lam))
+                resid = stiffness.matrix @ v
+                t = v * lam
+                t *= mass.diagonal[:, None]
+                resid -= t
+                residual = float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / lam))
                 if residual > tol:
                     raise SolverError(
                         f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",

@@ -406,7 +406,7 @@ def test_missing_required_flag(capsys):
 
 def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the solve's estimated peak is checked against the available memory
-    # before anything is allocated; 3000 modes at level 8 need about 0.4 GiB
+    # before anything is allocated; 3000 modes at level 8 need about 0.3 GiB
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
     with pytest.raises(SystemExit) as exc:
         run_cli(["eigs", "--level", "8", "--count", "3000", "--out", str(tmp_path / "e.json")])
@@ -418,7 +418,7 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the streamed draw has an estimate of its own, with no n x J term, checked
-    # before anything is allocated; the level-8 budget draw needs about 0.5 GiB
+    # before anything is allocated; the level-8 budget draw needs about 0.2 GiB
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",

@@ -1,5 +1,9 @@
 """Heat and Riesz kernels, regression binners, exponent estimators."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +136,16 @@ def test_quadrature_cross_check(basis5):
     for i, j in [(0, 1), (0, 2), (1, 2)]:
         q = riesz_value_quadrature(basis5, 0.5, i, j)
         assert q == pytest.approx(g[i, j], rel=1e-6)
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate loads only for the quadrature cross-check, not on every CLI call
+    src = os.path.dirname(os.path.dirname(riesz_value_quadrature.__code__.co_filename))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, gasket_fgf, gasket_fgf.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_inverse_pair(basis4, rng):

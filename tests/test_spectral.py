@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf import spectral
-from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT
+from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT, s_from_hurst
 from gasket_fgf.fields import (
     empirical_covariance,
     sample_field,
@@ -29,12 +29,16 @@ from gasket_fgf.kernels import (
     kernel_matrix,
     riesz_value_quadrature,
 )
-from gasket_fgf.operators import MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass
+from gasket_fgf.operators import (MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass,
+                                  decimation_extension)
 from gasket_fgf.spectral import (
     SolverError,
+    _birth_factor,
     _canonical_basis,
     _decimation_levels,
+    _eigenspace_blocks,
     _newborn,
+    canonical_blocks,
     counting_function,
     pick_truncation,
     solve_eigen,
@@ -78,6 +82,19 @@ def test_mode_zero_is_constant(basis4):
 def test_orthonormality(basis4):
     gram = basis4.vectors.T @ (basis4.mass[:, None] * basis4.vectors)
     assert np.abs(gram - np.eye(basis4.count + 1)).max() <= 1e-10
+
+
+def test_streamed_columns_are_orthonormal_at_level_7():
+    # the 1% budget at H = 0.3: every canonical column from one banded
+    # birth factor per eigenspace, scaled by the M-norm of a single column
+    g = build_level(7)
+    mm = assemble_mass(g)
+    J = pick_truncation(spectrum(7), s_from_hurst(0.3))
+    _, _, _, blocks = canonical_blocks(assemble_energy(g), mm, J, 0, graph=g)
+    w = np.hstack([v for _, v, _ in blocks])
+    assert w.shape == (len(g), J) == (3282, 2600)
+    w *= np.sqrt(mm.diagonal)[:, None]
+    assert np.abs(w.T @ w - np.eye(J)).max() <= 1e-10
 
 
 def test_modes_are_mean_zero(basis4):
@@ -130,7 +147,8 @@ def test_cluster_basis_depends_on_eigenspace_only(basis5):
     assert np.abs(vectors - basis5.vectors).max() > 0.1
     for lo, hi in basis5.clusters():
         block = sp.csc_array(vectors[:, 1 + lo : 1 + hi])
-        vectors[:, 1 + lo : 1 + hi] = block @ _canonical_basis(block, basis5.mass, lo, hi - lo)
+        factor = _birth_factor(block, basis5.mass)
+        vectors[:, 1 + lo : 1 + hi] = block @ _canonical_basis(block, basis5.mass, lo, hi - lo, factor)
     assert np.abs(vectors - basis5.vectors).max() <= 1e-10
 
 
@@ -171,7 +189,7 @@ def test_deep_truncated_solve_fails_before_dense_allocation():
 
     n = NoDense.shape[0]
     s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    with pytest.raises(ValueError, match=r"dimension 797163: 6918\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 6462\.\d GiB at peak, more than"):
         solve_eigen(s, mm, n - 1)
 
 
@@ -212,8 +230,17 @@ def test_spectrum_is_the_solvers(basis6, sub_basis5):
 
 
 @pytest.mark.parametrize("m", range(2, 7))
-def test_newborn_null_vectors(m):
-    # each newborn function is a unit eigenvector of the whole level-m problem
+def test_newborn_null_vectors(m, monkeypatch):
+    # each newborn function is a unit eigenvector of the whole level-m problem,
+    # and solving each distinct local problem once gives, bit for bit, what
+    # a QR and SVD of every problem alone gives
+    solved, solve = [], spectral._null_vectors
+
+    def spy(blocks):
+        solved.append((blocks, solve(blocks)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(spectral, "_null_vectors", spy)
     fine = build_level(m)
     for mu in (6.0, 5.0):
         op = assemble_energy(fine).matrix - sp.diags_array(1.5 * 5.0**m * mu * fine.measure)
@@ -223,6 +250,28 @@ def test_newborn_null_vectors(m):
             resid = np.linalg.norm((op @ v).toarray(), axis=0)
             assert resid.max() <= 1e-12 * abs(op).max()
             np.testing.assert_allclose(np.linalg.norm(values, axis=1), 1.0, rtol=1e-12)
+    assert len(solved) == m + 1  # two mu = 6 batches, m - 1 mu = 5 ones
+    for blocks, values in solved:
+        for block, value in zip(blocks, values):
+            np.testing.assert_array_equal(value, np.linalg.svd(np.linalg.qr(block, mode="r"))[2][-1])
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_extension_scales_the_gram(m):
+    # E(mu) multiplies the M-Gram of a whole eigenspace by one scalar c, so
+    # one factor of its birth Gram serves every descendant
+    levels = _decimation_levels(m)
+    mu, _, parent = levels[m]
+    below = np.arange(len(levels[m - 1][0]))
+    coarse = dict(zip(below, (u for u, _ in _eigenspace_blocks(levels[:m], below))))
+    fine, mass = build_level(m), build_level(m - 1).measure
+    for g in np.flatnonzero((parent >= 0) & (mu != 0.0)):  # every inherited eigenspace but the constant
+        u = coarse[parent[g]]
+        b = decimation_extension(u, fine, mu[g])
+        gram = (b.T @ (fine.measure[:, None] * b)).toarray()
+        base = (u.T @ (mass[:, None] * u)).toarray()
+        c = gram[0, 0] / base[0, 0]
+        assert np.abs(gram - c * base).max() <= 1e-12 * np.abs(gram).max()
 
 
 def test_solve_extends_sparse_blocks_at_one_mu(g6, monkeypatch):
@@ -244,9 +293,21 @@ def test_eigenspace_blocks_hold_at_most_3n_nonzeros(m):
     # lives on the cells one level above its birth around its support
     levels = _decimation_levels(m)
     mu = levels[-1][0]
-    blocks = list(spectral._eigenspace_blocks(levels, np.argsort(mu, kind="stable")[1:]))
+    blocks = [b for b, _ in spectral._eigenspace_blocks(levels, np.argsort(mu, kind="stable")[1:])]
     assert all(sp.issparse(b) and b.format == "csc" for b in blocks)
     assert max(b.nnz for b in blocks) <= 3 * len(build_level(m))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_birth_factor_bands(m):
+    # the memory estimate counts k (2^(m-1) + 2) entries for the factor of a
+    # mu = 6 space born at level m, and at most k^2 for a mu = 5 one
+    fine = build_level(m)
+    for mu in (6.0, 5.0)[:m]:
+        block = spectral._newborn_block(fine, mu)
+        k = block.shape[1]
+        ab = _birth_factor(block, fine.measure)[1]
+        assert ab.shape[1] == k and ab.shape[0] <= (2 ** (m - 1) + 2 if mu == 6.0 else k)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
