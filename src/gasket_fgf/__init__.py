@@ -4,73 +4,42 @@ Finite-level graph approximations of the gasket, the renormalized Dirichlet
 energy and its Laplacian spectrum, heat and fractional Riesz kernels, and
 Karhunen-Loeve sampling of the field X = (-Delta)^{-s} W, together with
 verification suites for the exponent laws and distributional invariances.
+
+The names below load their module on first use, so importing the package
+(and with it ``gasket_fgf.cli``) loads no numpy: the CLI's ``--threads`` cap
+must reach the BLAS thread variables before numpy does.
 """
 
-from .constants import (
-    HAUSDORFF_DIM,
-    S_MAX,
-    S_MIN,
-    SPECTRAL_EXPONENT,
-    WALK_DIM,
-    hurst_from_s,
-    s_from_hurst,
-)
-from .geometry import (
-    LevelGraph,
-    SymmetryMap,
-    Vertex,
-    apply_cell_map,
-    build_level,
-    euclidean_distance,
-    extract_cell,
-    symmetry_permutation,
-)
-from .operators import (
-    MassMatrix,
-    StiffnessMatrix,
-    assemble_energy,
-    assemble_mass,
-    energy_value,
-    harmonic_extension,
-    self_similar_energy_residual,
-)
-from .spectral import (
-    SolverError,
-    SpectralBasis,
-    WeylFit,
-    counting_function,
-    pick_truncation,
-    solve_eigen,
-    spectrum,
-    tail_variance,
-    weyl_exponent_fit,
-)
-from .kernels import (
-    IncrementReport,
-    KernelEstimateReport,
-    apply_fractional_laplacian,
-    estimate_bound_fit,
-    heat_matrix,
-    heat_trace,
-    increment_l2_check,
-    kernel_matrix,
-    riesz_value_quadrature,
-)
-from .fields import (
-    CovarianceReport,
-    FieldSample,
-    HoelderReport,
-    InvarianceReport,
-    VariogramReport,
-    empirical_covariance,
-    hoelder_statistic,
-    pinned_field,
-    sample_field,
-    scaling_invariance_test,
-    stream_field,
-    symmetry_invariance_test,
-    variogram,
-    white_noise_pairing,
-)
+import importlib
 
+_EXPORTS = {
+    "constants": ("HAUSDORFF_DIM", "S_MAX", "S_MIN", "SPECTRAL_EXPONENT", "WALK_DIM",
+                  "hurst_from_s", "s_from_hurst"),
+    "geometry": ("LevelGraph", "SymmetryMap", "Vertex", "apply_cell_map", "build_level",
+                 "euclidean_distance", "extract_cell", "symmetry_permutation"),
+    "operators": ("MassMatrix", "StiffnessMatrix", "assemble_energy", "assemble_mass",
+                  "energy_value", "harmonic_extension", "self_similar_energy_residual"),
+    "spectral": ("SolverError", "SpectralBasis", "WeylFit", "counting_function", "pick_truncation",
+                 "solve_eigen", "spectrum", "tail_variance", "weyl_exponent_fit"),
+    "kernels": ("IncrementReport", "KernelEstimateReport", "apply_fractional_laplacian",
+                "estimate_bound_fit", "heat_matrix", "heat_trace", "increment_l2_check",
+                "kernel_matrix", "riesz_value_quadrature"),
+    "fields": ("CovarianceReport", "FieldSample", "HoelderReport", "InvarianceReport",
+               "VariogramReport", "empirical_covariance", "hoelder_statistic", "pinned_field",
+               "sample_field", "scaling_invariance_test", "stream_field", "symmetry_invariance_test",
+               "variogram", "white_noise_pairing"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *__all__])

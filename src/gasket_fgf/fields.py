@@ -33,7 +33,7 @@ from .kernels import (
     squared_increments,
 )
 from .operators import MassMatrix, StiffnessMatrix
-from .spectral import SpectralBasis, canonical_blocks, check_truncation, spectral_coeffs
+from .spectral import SpectralBasis, canonical_eigenspaces, check_truncation, spectral_coeffs
 
 #: Replications per block when accumulating Monte Carlo statistics.
 MC_CHUNK = 50
@@ -102,13 +102,10 @@ class InvarianceReport:
 # ---------------------------------------------------------------------------
 
 
-def _draw(level, s, seed, n, lam, blocks):
-    """The field of len(lam) draws from ``default_rng(seed)`` on the (lo, columns, _) ``blocks`` of modes."""
+def _draw(level, s, seed, lam, field):
+    """The field ``field(weights)`` of len(lam) draws from ``default_rng(seed)``, weights lam^{-s} N."""
     coeff = np.random.default_rng(seed).standard_normal(len(lam))
-    weights = lam ** (-float(s)) * coeff
-    values = np.zeros(n)
-    for lo, v, _ in blocks:
-        values += v @ weights[lo : lo + v.shape[1]]
+    values = field(lam ** (-float(s)) * coeff)
     return FieldSample(level=level, s=float(s), hurst=hurst_from_s(s), modes=len(lam), seed=seed,
                        coefficients=coeff, values=values)
 
@@ -120,13 +117,15 @@ def sample_field(basis: SpectralBasis, s, seed, J=None) -> FieldSample:
     ``default_rng(seed)``, so truncating or extending J preserves the
     leading draws.  J = 0 gives the identically zero field.  Each draw
     multiplies one eigenvector, so the values follow the basis inside each
-    degenerate cluster; ``solve_eigen`` fixes that basis canonically, which
-    makes a realization a function of (level, s, seed, J) on any machine and
-    BLAS thread count, for truncated solves too (see :mod:`gasket_fgf.spectral`).
+    degenerate eigenspace; ``solve_eigen`` builds that basis deterministically
+    (the M-Gram-Schmidt of the constructed eigenspace in its birth factor's
+    order, see :mod:`gasket_fgf.spectral`), which makes a realization a
+    function of (level, s, seed, J) on any machine and BLAS thread count,
+    for truncated solves too.
     """
     check_s(s)
     J = basis.truncation(J)
-    return _draw(basis.level, s, seed, basis.dim, basis.lam[:J], [(0, basis.phi[:, :J], None)])
+    return _draw(basis.level, s, seed, basis.lam[:J], lambda w: basis.phi[:, :J] @ w)
 
 
 def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
@@ -134,20 +133,30 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
     """``sample_field(solve_eigen(stiffness, mass, J, graph=graph), s, seed)``, without the n x J basis.
 
     The same draws from ``default_rng(seed)`` weight the same canonical
-    modes, but each block of :func:`~gasket_fgf.spectral.canonical_blocks`
-    is added into the field as it is formed and then dropped, so the memory
-    check counts the stream and the field, not a basis.  The values agree
-    with ``sample_field`` to rounding.  J is read as ``sample_field`` reads
-    it (None is every mode); J = 0 gives the identically zero field and
-    solves nothing.
+    modes, but each eigenspace of
+    :func:`~gasket_fgf.spectral.canonical_eigenspaces` adds its whole term
+    x_c = sum_j lambda_c^{-s} N_j Phi_j into the field at once, from one
+    banded solve on its k coefficients, and is then dropped; x_c is
+    residual-checked relative to lambda_c ||x_c||_M.  So the memory check
+    counts the stream and the field, not a basis.  The values agree with
+    ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
+    (None is every mode); J = 0 gives the identically zero field and solves
+    nothing.
     """
     check_s(s)
     n = stiffness.dim
     J = check_truncation(J, n - 1)
-    lam, blocks = np.empty(0), ()
+    lam, eigenspaces = np.empty(0), ()
     if J:
-        _, lam, _, blocks = canonical_blocks(stiffness, mass, J, 8 * (n + 2 * J), graph=graph)
-    return _draw(stiffness.level, s, seed, n, lam, blocks)
+        _, lam, _, eigenspaces = canonical_eigenspaces(stiffness, mass, J, 8 * (n + 2 * J), graph=graph)
+
+    def field(weights):
+        values = np.zeros(n)
+        for lo, k, modes in eigenspaces:
+            values += modes(weights[lo : lo + k, None])[0][:, 0]
+        return values
+
+    return _draw(stiffness.level, s, seed, lam, field)
 
 
 def pinned_field(sample: FieldSample, q=0) -> FieldSample:

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import HAUSDORFF_DIM, MAX_LEVEL
+from .constants import MAX_LEVEL
 
 SQRT3 = math.sqrt(3.0)
 
@@ -323,18 +323,3 @@ def embed_indices(ref: LevelGraph, sub: LevelGraph):
     for v in ref.vertices:
         idx[v.id] = sub.vertex_at(apply_cell_map_exact(sub.word, v.coord))
     return idx
-
-
-def ahlfors_bounds(g: LevelGraph, radii):
-    """Ratios mu(B(x,r)) / r^{d_h} over all vertices, for each radius.
-
-    Returns a list of (r, min_ratio, max_ratio).  Used to monitor the
-    Ahlfors regularity c*r^{d_h} <= mu(B(x,r)) <= C*r^{d_h} at finite level.
-    """
-    dm = distance_matrix(g)
-    out = []
-    for r in radii:
-        mass = ((dm <= r) * g.measure[None, :]).sum(axis=1)
-        ratio = mass / r ** HAUSDORFF_DIM
-        out.append((float(r), float(ratio.min()), float(ratio.max())))
-    return out

@@ -113,23 +113,6 @@ def heat_envelope_constant(basis: SpectralBasis, t0=1.0, J=None):
     return float(env.max())
 
 
-def positivity_threshold(lam):
-    """Heuristic t below which p_t truncated to the sorted eigenvalues ``lam`` may dip slightly negative.
-
-    ln(J)/lambda_J, with J = len(lam), balances the J tail terms of size ~1
-    against the decay of the retained modes; monitored empirically, not
-    proven.  Raises ValueError for an empty ``lam``.
-    """
-    if len(lam) == 0:
-        raise ValueError("the positivity threshold needs at least one eigenvalue")
-    return float(np.log(max(len(lam), 2)) / lam[-1])
-
-
-def heat_min(basis: SpectralBasis, t, J=None):
-    """min_{x,y} p_t(x,y) -- negativity monitor for the truncated kernel."""
-    return float(heat_matrix(basis, t, J).min())
-
-
 def ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2), npts=25):
     """Log-log slope of t -> :func:`heat_trace` of the sorted eigenvalues ``lam`` over a dyadic window.
 

@@ -16,7 +16,8 @@ at level m, every level-m eigenfunction is one of three kinds:
 
 A newborn function spans the one-dimensional null space of the columns of
 S - lambda M on its support (one QR and SVD per distinct local problem,
-shared by every self-similar copy of it).  Each
+shared by every self-similar copy of it), signed so that its first support
+entry is positive.  Each
 eigenspace carries a label -- birth level, birth value and root sequence --
 whose eigenvalue follows from the mu recursion alone, so eigenvalues,
 multiplicities and cluster boundaries are known before any vector exists
@@ -28,38 +29,39 @@ through :func:`~gasket_fgf.geometry.embed_indices`.
 Eigenvectors are returned M-orthonormal, in continuum normalization (the
 stiffness and mass already carry (5/3)^m and 3^{-m}).
 
-The constructed basis inside a degenerate eigenspace is arbitrary, so the
-solver builds the kept eigenspaces one at a time, each as a sparse block,
-and replaces each by a canonical basis, a function of the eigenspace alone:
-the M-Gram-Schmidt of a fixed pseudo-random probe projected onto it (see
-``_canonical_basis``).  Every eigenspace descends from a birth eigenspace
-(the level-0 base or a newborn block) through extensions E(mu), and each
-extension scales the M-Gram of the whole eigenspace by one scalar, so the
-Gram of each birth eigenspace is factored once, as a banded Cholesky in
-reverse Cuthill-McKee order, and every descendant reads its scalar from
-the M-norm of one column.  A truncated solve builds the eigenspace that holds
-its last mode whole, because the canonical basis needs its span, but forms
-only the columns up to the cut (Gram-Schmidt is sequential), so its basis
-is the leading columns of the full solve's, and the eigenvectors, and every
-field built from them, are reproducible across machines and thread counts.
-Identities across different bases are still formulated on
-kernels/projectors, trimmed to the nearest cluster boundary
+The construction is deterministic, so it fixes the basis inside each
+degenerate eigenspace: the M-Gram-Schmidt of the constructed block in the
+order of its birth factor (see :func:`_modes`).  Every eigenspace descends
+from a birth eigenspace (the level-0 base or a newborn block) through
+extensions E(mu), and each extension scales the M-Gram of the whole
+eigenspace by one scalar, so the Gram of each birth eigenspace is factored
+once, as a banded Cholesky G = P^T L L^T P in reverse Cuthill-McKee order,
+and every descendant B reads its scalar c from the M-norm of one column:
+B P^T L^{-T} / sqrt(c) is its basis.  Any combination of that basis is one
+banded triangular solve on its k coefficients followed by one sparse
+product.  Mode i needs only the leading i + 1 coefficients, so a truncated
+solve's basis is the leading columns of the full solve's, and the
+eigenvectors, and every field built from them, are reproducible across
+machines and thread counts.  Identities across different bases are still
+formulated on kernels/projectors, trimmed to the nearest cluster boundary
 (``SpectralBasis.cluster_complete``).
 
 Every eigenspace of every level is held as a sparse block, and an inherited
 one is its parent's block times the one extension matrix E(mu) of
 :func:`~gasket_fgf.operators.decimation_extension`; no dense n x k array is
-formed.  The canonical modes come as one stream, :func:`canonical_blocks`:
-at most ``BLOCK`` columns of one eigenspace at a time, each residual-checked
-as it is formed.  :func:`solve_eigen` writes the blocks into an n x (count + 1)
-basis; :func:`~gasket_fgf.fields.stream_field` adds each into a field and
-drops it, so a field never needs the n x J basis.  The one limit is memory:
-an estimate of the stream's peak plus what its consumer holds must fit in
-the memory available to the process, checked before anything is allocated.
+formed.  The kept eigenspaces come as one stream,
+:func:`canonical_eigenspaces`, each with the residual-checked combinations
+of its basis: :func:`solve_eigen` forms the modes, ``BLOCK`` at a time,
+into an n x (count + 1) basis, and :func:`~gasket_fgf.fields.stream_field`
+forms one vector per eigenspace, its whole term of the field, so a field
+never needs the n x J basis.  The one limit is memory: an estimate of the
+stream's peak plus what its consumer holds must fit in the memory
+available to the process, checked before anything is allocated.
 """
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -71,7 +73,7 @@ from .geometry import LevelGraph, build_level, embed_indices
 from .operators import (MassMatrix, StiffnessMatrix, _level_from_size, assemble_energy,
                         decimation_extension, parent_cells)
 
-#: Columns per block when forming canonical modes and checking residuals.
+#: Modes per block when :func:`solve_eigen` forms and checks them.
 BLOCK = 256
 
 
@@ -205,7 +207,8 @@ def _newborn(fine: LevelGraph, mu):
 
     Yields ``(support, values)``, one row per eigenfunction: the
     one-dimensional null space of the columns ``support`` of S - lambda M,
-    as a unit vector of either sign (the canonical step fixes the basis).
+    as the unit vector whose first entry (at ``support[:, 0]``) is positive
+    (:func:`_null_vectors`).
     The rows are the corners and midpoints of the cells involved, repeated
     where cells share a corner, which leaves the null space unchanged.
     """
@@ -238,13 +241,21 @@ def _null_vectors(blocks):
     functions, 1 per mu = 5 batch), found by their bytes: ``np.unique`` on
     a ``np.void`` row view, since ``np.unique(axis=0)`` sorts element-wise
     and is far slower on long rows.  Each distinct problem gets the values
-    that a QR and SVD of it alone give.
+    that a QR and SVD of it alone give, with the sign that makes its first
+    support entry positive: the vertex x for mu = 6, a hole midpoint for
+    mu = 5.  That entry is the largest of its unit vector, so at least
+    1 / sqrt(r) for r support entries (tested at L2-L8), and no threshold
+    enters.  The SVD leaves the sign arbitrary and the rule fixes it, so the
+    constructed block, and with it the basis of every eigenspace, is
+    reproducible.
     """
     flat = blocks.reshape(len(blocks), -1)
     _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel(),
                                   return_index=True, return_inverse=True)
     # R of a QR has the null space of the (taller) block: the SVD then runs on a square matrix
-    return np.linalg.svd(np.linalg.qr(blocks[first], mode="r"))[2][:, -1, :][inverse]
+    values = np.linalg.svd(np.linalg.qr(blocks[first], mode="r"))[2][:, -1, :]
+    values *= np.copysign(1.0, values[:, :1])
+    return values[inverse]
 
 
 def _newborn_block(fine: LevelGraph, mu):
@@ -340,61 +351,40 @@ def _available_memory():
         return avail
 
 
-def _canonical_basis(block, mass, lo, j, factor):
-    """Coefficients of the first j columns of a basis of span(``block``) fixed by that span alone.
+def _modes(block, factor, mass, rhs):
+    """B P^T L^{-T} ``rhs`` / sqrt(c): combinations of the M-orthonormal basis of one eigenspace.
 
-    ``block`` (sparse, n x k) spans the cluster [lo, hi) of nonzero modes,
-    and ``factor`` is the :func:`_birth_factor` ``(perm, ab, g00)`` of the
-    eigenspace it descends from.  Its M-Gram is c times the birth Gram,
+    ``block`` (sparse, n x k) is a constructed eigenspace and ``factor``
+    the :func:`_birth_factor` ``(perm, ab, g00)`` of the eigenspace it
+    descends from.  Its M-Gram is c times the birth Gram,
     G = B^T M B = c P^T L L^T P (P the permutation ``perm``), with c read
-    from the M-norm of column 0, so B P^T L^{-T} / sqrt(c) is M-orthonormal.
-    Project a fixed probe Q (n x k, from ``default_rng([n, lo])``) onto the
-    span, C = L^{-1} P B^T M Q, and return the k x j matrix
-    P^T L^{-T} Q_C / sqrt(c), where Q_C R_C = C with diag(R_C) > 0 (the
-    positive scale of C leaves Q_C unchanged).  A change of basis B -> B U (U
-    orthogonal, or any other square root of G) turns C into U^T C and leaves
-    the basis unchanged: it is the M-Gram-Schmidt of the projected probe
-    columns.  Gram-Schmidt is sequential, so the first j columns need only
-    the first j probe columns, a k x j QR and two banded triangular solves.
-    The probe is projected a row chunk of at most n x ``BLOCK`` normals at a
-    time (row chunks of ``standard_normal((n, k))`` are the same stream), so
-    no n x j array is formed.  No pivoting and no threshold enter, so
-    symmetry ties cannot flip it; for k = 1 it fixes the sign of the single
-    mode.
+    from the M-norm of column 0, so the columns of B P^T L^{-T} / sqrt(c) are
+    M-orthonormal: the M-Gram-Schmidt of the columns of B in factor order,
+    with positive diagonal.  This is the basis of the eigenspace; mode i of
+    it needs only the leading i + 1 columns, so a truncated basis is the
+    leading columns of the full one.  ``rhs`` (p x r, p <= k) holds the
+    leading p coefficients of r combinations, the rest zero; since L^T is
+    upper triangular, one banded solve with the leading p x p part of the
+    factor gives them.  Returns the n x r combinations.
     """
     perm, ab, g00 = factor
-    n, k = block.shape
     first = slice(block.indptr[0], block.indptr[1])
     scale = np.sqrt(block.data[first] ** 2 @ mass[block.indices[first]] / g00)
-    mblock = block[:, perm]  # M B P^T: C comes out in the order of the factor
-    mblock.data *= mass[mblock.indices]
-    rng, step = np.random.default_rng([n, lo]), n * BLOCK // k
-    c = np.zeros((k, j), order="F")
-    for i in range(0, n, step):
-        c += mblock[i : i + step].T @ rng.standard_normal((min(step, n - i), k))[:, :j]
-    # every step works in place on the Fortran-ordered k x j array
-    c = sla.lapack.dtbtrs(ab, c, uplo="L", overwrite_b=1)[0]
-    q, r = sla.qr(c, overwrite_a=True, mode="economic", check_finite=False)
-    q *= np.copysign(1.0, np.diag(r))
-    q = sla.lapack.dtbtrs(ab, q, uplo="L", trans="T", overwrite_b=1)[0]
-    q /= scale
-    return q[np.argsort(perm)]
+    p = rhs.shape[0]
+    y = np.zeros((block.shape[1], rhs.shape[1]))
+    y[perm[:p]] = sla.lapack.dtbtrs(ab[:, :p], rhs, uplo="L", trans="T")[0] / scale
+    return block @ y
 
 
-def _canonical_entries(levels, keep, ends, count):
-    """Doubles the canonical step holds besides n-sized arrays, at most, for the eigenspaces ``keep``.
+def _factor_entries(levels, keep):
+    """Doubles of the banded birth factors the eigenspaces ``keep`` descend from, at most.
 
-    3 k j for the widest step (k wide, j columns formed): the k x j
-    projection with the product of one row chunk, then the projection with
-    its R and the permuted coefficients (the QR and both triangular solves
-    work in place).  Plus the banded factor of every birth eigenspace a kept
-    one descends from, all of which may be held at once: at most
-    k (2^(i-1) + 2) entries for a mu = 6 space born at level i (its
-    reverse Cuthill-McKee bandwidth is 2^(i-1) + 1, tested at L1-L7), and
-    k^2 for any other (mu = 5 bands are about k / 3 wide).
+    All of them may be held at once: at most k (2^(i-1) + 2) entries for a
+    mu = 6 space born at level i (its reverse Cuthill-McKee bandwidth is
+    2^(i-1) + 1, tested at L1-L7), and k^2 for any other (mu = 5 bands are
+    about k / 3 wide).
     """
-    k = levels[-1][1][keep]
-    entries = 3 * int(np.max(k * (np.minimum(ends, count) - ends + k)))
+    entries = 0
     for i, eigenspaces in enumerate(_layout(levels, keep)):
         mu, mult, parent = (x[eigenspaces] for x in levels[i])
         kb = mult[parent < 0]
@@ -407,41 +397,62 @@ def _canonical_entries(levels, keep, ends, count):
 FIXED_BYTES = 2**16
 
 
-def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, tol=1e-8,
-                     graph: LevelGraph = None):
-    """The ``count`` smallest nonzero eigenpairs as a stream of canonical column blocks.
+def _checked_modes(stiffness, mass, block, factor, lam, tol, rhs):
+    """``(v, residual)``: v = :func:`_modes` of one eigenspace at eigenvalue ``lam``, its residual checked.
+
+    ``residual`` is max_j ||S v_j - lam M v_j||_2 / (lam ||v_j||_M) over the
+    columns of v, and SolverError is raised when it exceeds ``tol``.
+    """
+    v = _modes(block, factor, mass, rhs)
+    norm = lam * np.sqrt(np.einsum("ij,ij,i->j", v, v, mass))
+    resid = stiffness.matrix @ v
+    t = v * lam
+    t *= mass[:, None]
+    resid -= t
+    residual = float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / norm))
+    if residual > tol:
+        raise SolverError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
+                          residual=residual)
+    return v, residual
+
+
+def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, tol=1e-8,
+                          graph: LevelGraph = None):
+    """The eigenspaces of the ``count`` smallest nonzero eigenpairs, as a stream.
 
     The labels of :func:`_decimation_levels` give every eigenspace, and
     :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
     holds mode ``count`` are built from level 0 upward (newborn null spaces,
-    then decimation extension) and made canonical one at a time, in sorted
-    order.  The last one is built whole, but only its canonical columns up
-    to mode ``count`` are formed, so the stream is the leading ``count``
-    modes of the full solve.  No dense eigensolver runs at any level.
+    then decimation extension), one at a time, in sorted order.  No dense
+    eigensolver runs at any level.
 
     ``count`` and the memory are checked at once, and the stream is returned
-    as ``(graph, lambdas, ends, blocks)``: the graph (``build_level`` of a
-    full gasket's level when none is given), the ``count`` eigenvalues, the
+    as ``(graph, lambdas, ends, eigenspaces)``: the graph (``build_level`` of
+    a full gasket's level when none is given), the ``count`` eigenvalues, the
     exclusive end of each eigenspace built among the nonzero modes, and an
-    iterator of ``(lo, v, residual)``.  ``v`` holds the canonical modes
-    lo, lo + 1, ... (0-based among the nonzero modes), at most ``BLOCK``
-    columns of one eigenspace, and ``residual`` is its
-    max_j ||S phi_j - lambda_j M phi_j||_2 / lambda_j, checked against
-    ``tol`` as the block is formed.
+    iterator of ``(lo, k, modes)``.  The eigenspace holds modes lo, ...,
+    lo + k - 1 (0-based among the nonzero modes; the last may run past
+    ``count``), and ``modes(rhs)`` returns ``(v, residual)``: the n x r
+    combinations of its canonical basis with the leading coefficients
+    ``rhs`` (p x r, p <= k, :func:`_modes`), and their residual, checked
+    against ``tol`` (:func:`_checked_modes`).  Leading columns of the
+    identity give the modes themselves, and a coefficient vector one field
+    term; an eigenspace cut at ``count`` is built whole, but its
+    coefficients past the cut are never read.
 
     Raises ValueError for out-of-range ``count``, a ``tol`` that is not
     finite and positive, a dimension that is no gasket's, or a sub-gasket
     without its graph; and before any allocation when the estimated peak
     -- ``held`` bytes the caller keeps besides the stream, 2 n per kept
     eigenspace for the sparse blocks of the two levels below the top (an
-    eigenspace of level j has at most 3 n_j nonzeros), the canonical
-    step's k x j arrays and banded birth factors
-    (:func:`_canonical_entries`), four n x min(``BLOCK``, k) blocks of the
-    residual check or the probe, 26 n for the block at hand with its copies
-    and the O(n) index arrays and operators of the construction, and
-    ``FIXED_BYTES`` -- exceeds the available memory.  The
-    iterator raises SolverError at the first block whose residual exceeds
-    ``tol``.
+    eigenspace of level j has at most 3 n_j nonzeros), the banded birth
+    factors (:func:`_factor_entries`), four n x min(``BLOCK``, k) blocks for
+    ``BLOCK`` modes of one eigenspace at a time (three of the residual
+    check, and the k-row coefficients with their solve and reordering,
+    k <= n / 2), 26 n for the block at hand with its copies and the O(n)
+    index arrays and operators of the construction, and ``FIXED_BYTES`` --
+    exceeds the available memory.  ``modes`` raises SolverError when the
+    residual exceeds ``tol``.
     """
     n = stiffness.dim
     count = int(count)
@@ -469,8 +480,7 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     # table of parent_cells with its corner and midpoint copies, the level
     # operators of the newborn null spaces, the level spectrum and a
     # sub-gasket's row order (10 n)
-    step = _canonical_entries(levels, keep, ends, count)
-    need = held + 8 * (n * (2 * len(keep) + 4 * b + 26) + step) + FIXED_BYTES
+    need = held + 8 * (n * (2 * len(keep) + 4 * b + 26) + _factor_entries(levels, keep)) + FIXED_BYTES
     avail = _available_memory()
     if need > avail:
         raise ValueError(
@@ -483,27 +493,13 @@ def canonical_blocks(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, 
     rows = np.argsort(embed_indices(build_level(depth), graph)) if word else None
     lambdas = spectrum(stiffness.level, word)[:count]
 
-    def blocks():
-        for lo, hi, (block, factor) in zip(ends - mult[keep], np.minimum(ends, count),
-                                           _eigenspace_blocks(levels, keep)):
+    def eigenspaces():
+        for lo, k, (block, factor) in zip(ends - mult[keep], mult[keep], _eigenspace_blocks(levels, keep)):
             block = block[rows] if word else block
-            coef = _canonical_basis(block, mass.diagonal, lo, hi - lo, factor)
-            for a in range(lo, hi, BLOCK):
-                v = block @ coef[:, a - lo : a - lo + BLOCK]
-                lam = lambdas[a : a + v.shape[1]]
-                resid = stiffness.matrix @ v
-                t = v * lam
-                t *= mass.diagonal[:, None]
-                resid -= t
-                residual = float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / lam))
-                if residual > tol:
-                    raise SolverError(
-                        f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
-                        residual=residual,
-                    )
-                yield a, v, residual
+            yield int(lo), int(k), partial(_checked_modes, stiffness, mass.diagonal, block, factor,
+                                           lambdas[lo], tol)
 
-    return graph, lambdas, ends, blocks()
+    return graph, lambdas, ends, eigenspaces()
 
 
 def solve_eigen(
@@ -515,8 +511,9 @@ def solve_eigen(
 ) -> SpectralBasis:
     """Compute the ``count`` smallest nonzero generalized eigenpairs.
 
-    Writes the blocks of :func:`canonical_blocks` into one n x (count + 1)
-    array, whose column 0 is the constant mode.
+    Forms the modes of each eigenspace of :func:`canonical_eigenspaces`,
+    ``BLOCK`` at a time from leading columns of the identity, into one
+    n x (count + 1) array, whose column 0 is the constant mode.
 
     Parameters
     ----------
@@ -531,19 +528,22 @@ def solve_eigen(
 
     Raises
     ------
-    ValueError as :func:`canonical_blocks` does, whose memory estimate
+    ValueError as :func:`canonical_eigenspaces` does, whose memory estimate
     counts the n x (count + 1) result here; SolverError if the achieved
     residual exceeds ``tol``.
     """
     n = stiffness.dim
-    graph, lambdas, ends, blocks = canonical_blocks(stiffness, mass, count, 8 * n * (int(count) + 1),
-                                                    tol, graph)
+    graph, lambdas, ends, eigenspaces = canonical_eigenspaces(stiffness, mass, count,
+                                                              8 * n * (int(count) + 1), tol, graph)
     vectors = np.empty((n, len(lambdas) + 1))
     vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
     residual_norm = 0.0
-    for lo, v, residual in blocks:
-        vectors[:, 1 + lo : 1 + lo + v.shape[1]] = v
-        residual_norm = max(residual_norm, residual)
+    for lo, k, modes in eigenspaces:
+        for i in range(0, min(k, len(lambdas) - lo), BLOCK):
+            b = min(BLOCK, k - i, len(lambdas) - lo - i)
+            v, residual = modes(np.eye(i + b, b, -i))
+            vectors[:, 1 + lo + i : 1 + lo + i + b] = v
+            residual_norm = max(residual_norm, residual)
     return SpectralBasis(
         level=stiffness.level,
         lambdas=np.concatenate([[0.0], lambdas]),

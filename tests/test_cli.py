@@ -293,8 +293,8 @@ def _run_child(args, threads):
 
 
 def test_realization_independent_of_blas_threads(tmp_path):
-    # LAPACK picks a different basis inside degenerate eigenspaces at
-    # different thread counts; the canonical cluster basis must hide that
+    # eigenvectors and fields, also inside degenerate eigenspaces and past a
+    # cut inside one, must not depend on the BLAS thread count
     out = {}
     for threads in (1, 2):
         d = tmp_path / f"t{threads}"
@@ -318,6 +318,35 @@ def test_realization_independent_of_blas_threads(tmp_path):
     assert one["modes"].shape == (366, 366)
     for key in ("field", "field300", "lambdas", "modes"):
         assert np.abs(one[key] - two[key]).max() <= 1e-10, key
+
+
+def test_threads_flag_keeps_the_realization(tmp_path):
+    # the README promise: (level, s, seed, J) fixes a realisation at any BLAS
+    # thread count, here set by the flag alone (no inherited thread variable)
+    env = {k: v for k, v in os.environ.items() if k not in (*cli._THREAD_VARS, "GASKET_FGF_THREADS")}
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    values = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "gasket_fgf.cli", "sample", "--level", "6",
+                               "--s", "0.5", "--seed", "7", "--threads", str(threads),
+                               "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        values.append(np.loadtxt(out, delimiter=",", skiprows=2)[:, 3])
+    assert len(values[0]) == 1095
+    assert np.abs(values[0] - values[1]).max() <= 1e-12
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # BLAS reads its thread variables when numpy loads, so --threads acts only
+    # if importing the package and its CLI loads no numpy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, gasket_fgf, gasket_fgf.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +447,7 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the streamed draw has an estimate of its own, with no n x J term, checked
-    # before anything is allocated; the level-8 budget draw needs about 0.2 GiB
+    # before anything is allocated; the level-8 budget draw needs about 0.15 GiB
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",

@@ -42,19 +42,19 @@ GOLDEN_L6 = [0, 1, 2, 3, 10, 57, 100, 250, 400, 611, 800, 1094]
 GOLDEN_SUB5 = [0, 1, 2, 3, 7, 15, 30, 44, 61, 80, 100, 122]
 GOLDEN_FIELDS = {
     "full-J878": [
-        -0.4312143774935996, 0.19416878553224703, -0.15203068328043945, 0.18804302968089823,
-        -0.024906433176802394, -0.32646258039007714, -0.46538470153079636, 0.24967422680881513,
-        -0.1855725717023168, 0.3635719629542272, 0.1804650783643723, 0.14410323752367332,
+        -0.5067379155643241, -0.9226266001335164, -0.40241510101452743, -0.16689956397225178,
+        0.1343547392044869, -0.0045047364589299935, 0.23806708437945748, -0.18630933974897998,
+        0.22205862874822097, 0.0010487627840833208, 0.14976323608715067, -0.454500341967423,
     ],
     "count300": [
-        -0.40230056941913395, 0.18573408585380935, 0.028138917497753907, 0.2066463438662559,
-        -0.11209151760127159, -0.3345071750542045, -0.48605595202939167, 0.07657156940839271,
-        -0.17401854262821684, 0.3457262545977832, 0.23459728258313173, 0.10477046418720354,
+        -0.33630509845486484, -0.7079169139422081, -0.31213126790200196, -0.08386731877795732,
+        0.13998511351037754, 0.09675907786653974, 0.14914222321292323, -0.17466379577922342,
+        0.17500325230223834, -0.0834834311361032, 0.13453518802864864, -0.30107988553135234,
     ],
     "sub5": [
-        0.17471780390040492, -0.0005514176313000177, -0.33560265909897, 0.23556257109175666,
-        -0.21302694198355113, -0.21288290663684115, -0.17273257252320115, 0.08787966784868831,
-        -0.29100548367486645, -0.054503140318355014, -0.20560574223127043, 0.12614314560619452,
+        -0.22229352094995, -0.5872837040910025, -0.18540193502816762, -0.08883252891359596,
+        0.1818324941890755, 0.016690726489900783, 0.03235111471877076, -0.316347889962387,
+        0.0561797602542493, -0.2559305782652174, 0.17267243778395497, -0.32420106025489787,
     ],
 }
 
@@ -91,8 +91,20 @@ def test_stream_field_is_the_basis_field(level, word, J):
     ref = sample_field(solve_eigen(S, M, J, graph=g), s, 12345)
     got = stream_field(S, M, s, 12345, J, graph=g)
     np.testing.assert_array_equal(got.coefficients, ref.coefficients)
-    np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.values, ref.values, rtol=0, atol=1e-14)
     assert (got.level, got.s, got.hurst, got.modes, got.seed) == (ref.level, ref.s, ref.hurst, J, 12345)
+
+
+@pytest.mark.parametrize("level", [7, 8])
+def test_field_energy_is_the_weighted_noise(level):
+    # x^T M x = sum_j lambda_j^{-2s} N_j^2 in any M-orthonormal basis, also
+    # with J cutting an eigenspace: the one number a change of basis inside
+    # the eigenspaces cannot move
+    s, g = s_from_hurst(0.3), build_level(level)
+    J = budget_modes(level, s, None)
+    x = stream_field(assemble_energy(g), assemble_mass(g), s, 7, J, graph=g)
+    energy = x.values @ (g.measure * x.values)
+    assert energy == pytest.approx(np.sum(spectrum(level)[:J] ** (-2 * s) * x.coefficients**2), rel=1e-12)
 
 
 def test_stream_field_without_modes_solves_nothing(monkeypatch):
@@ -186,7 +198,7 @@ def test_empirical_covariance_small(basis4):
     rep = empirical_covariance(basis4, 0.5, seeds, pairs)
     assert rep.replications == 1500
     assert rep.npairs == 10
-    assert rep.max_abs_z == pytest.approx(1.9591, abs=1e-3)
+    assert rep.max_abs_z == pytest.approx(1.1201, abs=1e-3)
     assert rep.passed
 
 
@@ -214,7 +226,7 @@ def test_variogram_mc_converges(basis5):
         rep = variogram(basis5, 0.5, seeds=seeds, mode="mc")
     assert rep.mode == "mc"
     assert rep.replications == 60
-    assert rep.slope == pytest.approx(0.7603, abs=1e-3)
+    assert rep.slope == pytest.approx(0.7630, abs=1e-3)
     assert rep.half_width < 0.05
     assert abs(rep.slope - 2 * hurst_from_s(0.5)) <= 2 * max(rep.half_width, 0.05)
 
@@ -287,7 +299,7 @@ def test_hoelder_bounded_for_true_exponent(basis6):
     smp = sample_field(basis6, 0.5, seed=5000, J=basis6.cluster_complete(878))
     rep = hoelder_statistic(smp, basis6.graph, smp.hurst)
     assert rep.verdict == "bounded"
-    assert rep.ratio == pytest.approx(0.7768, abs=1e-3)
+    assert rep.ratio == pytest.approx(0.6865, abs=1e-3)
     assert rep.hurst_claim == smp.hurst
     assert len(rep.values) == len(rep.deltas) == 3
 

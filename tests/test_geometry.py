@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf.geometry import (
-    ahlfors_bounds,
     apply_cell_map,
     apply_cell_map_exact,
     build_level,
@@ -180,8 +179,3 @@ def test_parent_ids_consistent(g4, cell_graph):
     pids = cell_graph.parent_ids
     for k, v in enumerate(cell_graph.vertices):
         assert g4.vertices[pids[k]].coord == v.coord
-
-
-def test_ahlfors_regularity(g6):
-    for r, lo, hi in ahlfors_bounds(g6, [2.0 ** -2, 2.0 ** -3, 2.0 ** -4]):
-        assert 0.5 <= lo <= hi <= 3.5

@@ -22,14 +22,12 @@ from gasket_fgf.kernels import (
     estimate_bound_fit,
     heat_envelope_constant,
     heat_matrix,
-    heat_min,
     heat_trace,
     increment_l2_check,
     kernel_matrix,
     ondiagonal_constants,
     ondiagonal_fit,
     pair_sample,
-    positivity_threshold,
     riesz_value_quadrature,
 )
 from gasket_fgf.operators import assemble_energy
@@ -80,22 +78,6 @@ def test_envelope_constant_level6(basis6):
     for t in (1.0, 1.7, 2.5):
         dev = np.abs(heat_matrix(basis6, t) - 1.0).max()
         assert dev <= c * np.exp(-lam1 * t) * (1 + 1e-9)
-
-
-def test_positivity_threshold(basis6):
-    # complete basis: the discrete semigroup is positivity preserving, so the
-    # negativity monitor stays at rounding level even at the threshold scale
-    thr = positivity_threshold(basis6.lam)
-    assert 0 < thr < 1e-3
-    assert heat_min(basis6, thr) >= -1e-9
-    assert heat_min(basis6, 0.5) > 0
-    # truncated basis: artifacts die off as t moves up through the threshold
-    t300 = positivity_threshold(basis6.lam[:300])
-    assert heat_min(basis6, t300 / 10, J=300) < 10 * heat_min(basis6, t300, J=300) < 0
-    assert heat_min(basis6, 50 * t300, J=300) >= -1e-9
-    # J = 0 keeps no mode, so there is no lambda_J to read
-    with pytest.raises(ValueError, match="at least one eigenvalue"):
-        positivity_threshold(basis6.lam[:0])
 
 
 def test_ondiagonal_slopes_level6(basis6):

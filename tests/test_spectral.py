@@ -24,7 +24,6 @@ from gasket_fgf.kernels import (
     estimate_bound_fit,
     heat_envelope_constant,
     heat_matrix,
-    heat_min,
     increment_l2_check,
     kernel_matrix,
     riesz_value_quadrature,
@@ -34,11 +33,10 @@ from gasket_fgf.operators import (MassMatrix, StiffnessMatrix, assemble_energy, 
 from gasket_fgf.spectral import (
     SolverError,
     _birth_factor,
-    _canonical_basis,
     _decimation_levels,
     _eigenspace_blocks,
     _newborn,
-    canonical_blocks,
+    canonical_eigenspaces,
     counting_function,
     pick_truncation,
     solve_eigen,
@@ -90,11 +88,23 @@ def test_streamed_columns_are_orthonormal_at_level_7():
     g = build_level(7)
     mm = assemble_mass(g)
     J = pick_truncation(spectrum(7), s_from_hurst(0.3))
-    _, _, _, blocks = canonical_blocks(assemble_energy(g), mm, J, 0, graph=g)
-    w = np.hstack([v for _, v, _ in blocks])
+    _, _, _, eigenspaces = canonical_eigenspaces(assemble_energy(g), mm, J, 0, graph=g)
+    w = np.hstack([modes(np.eye(min(k, J - lo)))[0] for lo, k, modes in eigenspaces])
     assert w.shape == (len(g), J) == (3282, 2600)
     w *= np.sqrt(mm.diagonal)[:, None]
     assert np.abs(w.T @ w - np.eye(J)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_each_eigenspace_is_orthonormal(m):
+    # B P^T L^{-T} / sqrt(c) with no QR after it: a wrong Gram scale c or a
+    # factor of the wrong eigenspace would show on the diagonal
+    g = build_level(m)
+    basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
+    for lo, hi in basis.clusters():
+        phi = basis.phi[:, lo:hi]
+        gram = phi.T @ (basis.mass[:, None] * phi)
+        assert np.abs(gram - np.eye(hi - lo)).max() <= 1e-12, (lo, hi)
 
 
 def test_modes_are_mean_zero(basis4):
@@ -136,20 +146,29 @@ def test_clusters_partition_spectrum(basis5):
     assert max(hi - lo for lo, hi in runs) > 1
 
 
-def test_cluster_basis_depends_on_eigenspace_only(basis5):
-    # any orthogonal change of basis inside each cluster (a sign flip for a
-    # simple eigenvalue) is undone by the canonical construction
-    vectors = basis5.vectors.copy()
-    rng = np.random.default_rng(1)
-    for lo, hi in basis5.clusters():
-        u, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
-        vectors[:, 1 + lo : 1 + hi] = vectors[:, 1 + lo : 1 + hi] @ u
-    assert np.abs(vectors - basis5.vectors).max() > 0.1
-    for lo, hi in basis5.clusters():
-        block = sp.csc_array(vectors[:, 1 + lo : 1 + hi])
-        factor = _birth_factor(block, basis5.mass)
-        vectors[:, 1 + lo : 1 + hi] = block @ _canonical_basis(block, basis5.mass, lo, hi - lo, factor)
-    assert np.abs(vectors - basis5.vectors).max() <= 1e-10
+@pytest.mark.parametrize("flip", ["all", "some"])
+@pytest.mark.parametrize("level,word",
+                         [(m, ()) for m in range(2, 7)] + [(5, (0,)), (5, (1,)), (5, (2, 1))],
+                         ids=[f"L{m}" for m in range(2, 7)] + ["L5-cell0", "L5-cell1", "L5-cell21"])
+def test_basis_ignores_null_vector_signs(level, word, flip, monkeypatch):
+    # the SVD leaves the sign of each newborn null vector arbitrary; negating
+    # any of them before the sign rule (so before the birth factor) leaves
+    # every eigenvector as it was
+    rng, svd, flipped = np.random.default_rng(level), np.linalg.svd, []
+
+    def negating_svd(a):
+        u, sv, vh = svd(a)
+        sign = -np.ones(len(vh)) if flip == "all" else rng.choice([-1.0, 1.0], len(vh))
+        vh[:, -1, :] *= sign[:, None]
+        flipped.append(int((sign < 0).sum()))
+        return u, sv, vh
+
+    ref = get_basis(level, word=word)
+    monkeypatch.setattr(np.linalg, "svd", negating_svd)
+    g = ref.graph
+    basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
+    assert sum(flipped) > 0
+    assert np.abs(basis.vectors - ref.vectors).max() <= 1e-12
 
 
 @pytest.mark.parametrize("j,trimmed", [(0, 0), (100, 80), (300, 242), (878, 728), (1094, 1094)])
@@ -161,7 +180,7 @@ def test_cluster_complete_trims(basis6, j, trimmed):
 def test_truncated_solve_matches_full(g6, basis6, count, base):
     # modes 1..3^k - 1 of every deeper level descend from level k; counts 300
     # and 800 cut the 243..365 and the 728..1094 (mu = 6) clusters, which are
-    # built whole and canonicalized only up to the cut
+    # built whole, and only their modes up to the cut are formed
     levels = _decimation_levels(6)
     mu, mult, _ = levels[-1]
     order = np.argsort(mu)
@@ -189,7 +208,7 @@ def test_deep_truncated_solve_fails_before_dense_allocation():
 
     n = NoDense.shape[0]
     s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    with pytest.raises(ValueError, match=r"dimension 797163: 6462\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 4884\.\d GiB at peak, more than"):
         solve_eigen(s, mm, n - 1)
 
 
@@ -233,7 +252,7 @@ def test_spectrum_is_the_solvers(basis6, sub_basis5):
 def test_newborn_null_vectors(m, monkeypatch):
     # each newborn function is a unit eigenvector of the whole level-m problem,
     # and solving each distinct local problem once gives, bit for bit, what
-    # a QR and SVD of every problem alone gives
+    # a QR and SVD of every problem alone gives, signed to a positive first entry
     solved, solve = [], spectral._null_vectors
 
     def spy(blocks):
@@ -253,7 +272,24 @@ def test_newborn_null_vectors(m, monkeypatch):
     assert len(solved) == m + 1  # two mu = 6 batches, m - 1 mu = 5 ones
     for blocks, values in solved:
         for block, value in zip(blocks, values):
-            np.testing.assert_array_equal(value, np.linalg.svd(np.linalg.qr(block, mode="r"))[2][-1])
+            ref = np.linalg.svd(np.linalg.qr(block, mode="r"))[2][-1]
+            np.testing.assert_array_equal(value, ref * np.copysign(1.0, ref[0]))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_newborn_first_entry_is_bounded_away_from_zero(m):
+    # the sign rule reads the first support entry (the vertex x for mu = 6, a
+    # hole midpoint for mu = 5): it is the largest entry of its unit vector,
+    # so at least their root mean square 1 / sqrt(r), and no threshold enters.
+    # The level-0 hole function doubles its support r each level, so the entry
+    # itself falls (0.051 at level 8); entry * sqrt(r) stays 1.22 (mu = 5)
+    # and 1.51 or 1.67 (mu = 6)
+    fine = build_level(m)
+    for mu in (6.0, 5.0):
+        for support, values in _newborn(fine, mu):
+            first = values[:, 0]
+            assert np.all(first >= np.abs(values).max(axis=1) * (1 - 1e-12)), (mu, support.shape)
+            assert first.min() * np.sqrt(support.shape[1]) >= 1.2, (mu, support.shape)
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -330,8 +366,8 @@ def test_full_solve_attaches_its_graph(basis4):
 
 
 def test_memory_check_counts_block_temporaries(memory_bound):
-    # at a small count the n x BLOCK blocks of the probe and the residual
-    # check, not the result, make the peak
+    # at a small count the n x BLOCK blocks of the coefficients and the
+    # residual check, not the result, make the peak
     g = build_level(7)
     s, mm = assemble_energy(g), assemble_mass(g)
     memory_bound(lambda: solve_eigen(s, mm, 50, graph=g))
@@ -364,7 +400,6 @@ def test_memory_check_bounds_sub_gasket(memory_bound, level, word, count):
 J_CONSUMERS = {
     "heat_matrix": lambda b, J: heat_matrix(b, 0.1, J),
     "heat_envelope_constant": lambda b, J: heat_envelope_constant(b, J=J),
-    "heat_min": lambda b, J: heat_min(b, 0.1, J),
     "kernel_matrix": lambda b, J: kernel_matrix(b, 1.0, J),
     "riesz_value_quadrature": lambda b, J: riesz_value_quadrature(b, 0.5, 0, 1, J=J),
     "apply_fractional_laplacian": lambda b, J: apply_fractional_laplacian(b, 0.5, b.mass, J),
