@@ -15,8 +15,7 @@ import importlib
 _EXPORTS = {
     "constants": ("HAUSDORFF_DIM", "S_MAX", "S_MIN", "SPECTRAL_EXPONENT", "WALK_DIM",
                   "hurst_from_s", "s_from_hurst"),
-    "geometry": ("LevelGraph", "SymmetryMap", "Vertex", "apply_cell_map", "build_level",
-                 "euclidean_distance", "extract_cell", "symmetry_permutation"),
+    "geometry": ("LevelGraph", "SymmetryMap", "build_level", "extract_cell", "symmetry_permutation"),
     "operators": ("MassMatrix", "StiffnessMatrix", "assemble_energy", "assemble_mass",
                   "energy_value", "harmonic_extension", "self_similar_energy_residual"),
     "spectral": ("SolverError", "SpectralBasis", "WeylFit", "counting_function", "pick_truncation",

@@ -89,18 +89,15 @@ def graph_document(g, config=None):
     doc["level"] = g.level
     if g.word:
         doc["word"] = list(g.word)
+    boundary = np.zeros(len(g), dtype=bool)
+    boundary[g.boundary_ids()] = True
+    rows = zip(g.points.tolist(), boundary.tolist(), g.measure.tolist())
     doc["vertices"] = [
-        {
-            "id": v.id,
-            "x": v.point[0],
-            "y": v.point[1],
-            "boundary": v.is_boundary,
-            "measure": float(g.measure[v.id]),
-        }
-        for v in g.vertices
+        {"id": i, "x": x, "y": y, "boundary": b, "measure": w} for i, ((x, y), b, w) in enumerate(rows)
     ]
-    doc["edges"] = [[int(a), int(b)] for a, b in g.edges]
-    doc["cells"] = [{"word": list(w), "ids": list(map(int, tri))} for w, tri in g.cells]
+    doc["edges"] = g.edges.tolist()
+    cells = zip(g.cell_words().tolist(), g.cells.tolist())
+    doc["cells"] = [{"word": w, "ids": tri} for w, tri in cells]
     return doc
 
 
@@ -177,9 +174,8 @@ def write_field_csv(sample, graph, path, extra=None):
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header, separators=(", ", ": ")) + "\n")
         fh.write("vertex_id,x,y,value\n")
-        for v in graph.vertices:
-            x, y = v.point
-            fh.write(f"{v.id},{fmt(x)},{fmt(y)},{fmt(sample.values[v.id])}\n")
+        for i, ((x, y), v) in enumerate(zip(graph.points.tolist(), sample.values.tolist())):
+            fh.write("%d,%.17g,%.17g,%.17g\n" % (i, x, y, v))
 
 
 def pixel_vertices(graph, size=512):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .constants import ENERGY_SCALE
-from .geometry import LevelGraph, apply_cell_map_exact, build_level
+from .geometry import LevelGraph, build_level, embed_indices, extract_cell
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,8 @@ def _level_from_size(n):
 
 def restriction_indices(fine: LevelGraph, i):
     """Vertex ids in ``fine`` of F_i(V_{m}) where m = fine.level - 1."""
-    coarse = build_level(fine.level - 1)
-    return np.array(
-        [fine.vertex_at(apply_cell_map_exact((i,), v.coord)) for v in coarse.vertices],
-        dtype=np.int64,
-    )
+    sub = extract_cell(fine, (i,))
+    return sub.parent_ids[embed_indices(build_level(fine.level - 1), sub)]
 
 
 def self_similar_energy_residual(f, fine: LevelGraph = None):
@@ -132,11 +129,12 @@ def self_similar_energy_residual(f, fine: LevelGraph = None):
 def parent_cells(fine: LevelGraph):
     """Corners (a, b, c) and side midpoints (m_ab, m_bc, m_ca) of the cells one level up.
 
-    ``fine`` lists its cells in sibling triples, so row k of each (3^(m-1), 3)
-    array describes cell k of the level below, in its order.  The children of
-    a cell (a, b, c) are (a, m_ab, m_ca), (m_ab, b, m_bc) and (m_ca, m_bc, c).
+    ``fine.cells`` is in word order, so rows 3k, 3k + 1 and 3k + 2 are the
+    children of cell k of the level below, and row k of each (3^(m-1), 3)
+    array describes that cell.  The children of a cell (a, b, c) are
+    (a, m_ab, m_ca), (m_ab, b, m_bc) and (m_ca, m_bc, c).
     """
-    tri = np.array([t for _, t in fine.cells], dtype=np.int64).reshape(-1, 3, 3)
+    tri = fine.cells.reshape(-1, 3, 3)
     return tri[:, [0, 1, 2], [0, 1, 2]], tri[:, [0, 1, 0], [1, 2, 2]]
 
 

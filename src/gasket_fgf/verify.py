@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import SPECTRAL_EXPONENT, hurst_from_s
-from .geometry import build_level, distance_matrix, extract_cell, symmetry_permutation
+from .geometry import build_level, extract_cell, symmetry_permutation
 from .kernels import (
     apply_fractional_laplacian,
     heat_envelope_constant,
@@ -37,6 +37,7 @@ from .kernels import (
     kernel_matrix,
     ondiagonal_constants,
     ondiagonal_fit,
+    pair_sample,
     riesz_value_quadrature,
     unrank_pairs,
 )
@@ -231,9 +232,10 @@ def check_riesz(level=6, s=0.5, **_):
         g = kernel_matrix(basis, s)
         rows.append(float(np.abs(g @ basis.mass).max()))
 
-        cand = np.argwhere(distance_matrix(basis.graph) >= 2.0 ** -4)
-        sel = cand[rng.choice(len(cand), 6, replace=False)]
-        pairs = [(0, 1), (0, 2), (1, 2)] + [tuple(p) for p in sel]
+        iu, ju, d = pair_sample(basis.graph)
+        far = np.flatnonzero(d >= 2.0 ** -4)
+        sel = far[rng.choice(len(far), 6, replace=False)]
+        pairs = [(0, 1), (0, 2), (1, 2)] + list(zip(iu[sel], ju[sel]))
         worst = 0.0
         for i, j in pairs:
             q = riesz_value_quadrature(basis, s, int(i), int(j))

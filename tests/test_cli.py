@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, config merging, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -43,6 +44,26 @@ def test_build_graph_json(tmp_path):
     rows = mat.read_text().strip().splitlines()
     i, j, v = rows[1].split()
     assert float(v) != 0
+
+
+#: SHA-256 of the graph JSON and stiffness COO that ``build --level L`` writes.
+BUILD_SHA256 = {
+    3: ("0ce5bfde4037ccda545ef4c2939ab0aa104d398b3543885d1e5ecb6df943fdd8",
+        "e6c6702e528a9c6b9905831e32440178f3ea843a123478e7b25c0e2f9f277e36"),
+    5: ("35f718dff11e577b7d53420eb4a6914ea52c1804b5dea4038748abdf1e090f1a",
+        "06421d785e23fb8689e7a0457ce80861996902337327da316630ec4a3addd32f"),
+    7: ("2d7ee5e8b451e572031a6b3e97a2f1c9663f07a3b2dc7344d18d07382dc7ac66",
+        "41c14f9eb2abdd08daba7617e1674e8935bf3ee6d7bce97545132b06e607b99c"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(BUILD_SHA256))
+def test_build_artifacts_keep_their_bytes(tmp_path, level):
+    out, mat = tmp_path / "g.json", tmp_path / "s.coo"
+    assert run_cli(["build", "--level", str(level), "--out", str(out),
+                    "--matrix-out", str(mat)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, mat))
+    assert digests == BUILD_SHA256[level]
 
 
 def test_eigs_artifacts(tmp_path):

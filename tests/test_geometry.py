@@ -1,32 +1,43 @@
 """Exact combinatorics and symmetries of the level graphs."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf.geometry import (
-    apply_cell_map,
-    apply_cell_map_exact,
+    CORNERS,
+    _cell_map,
     build_level,
-    distance_matrix,
     embed_indices,
-    euclidean_distance,
     extract_cell,
     symmetry_permutation,
 )
 
 words = st.lists(st.integers(0, 2), min_size=0, max_size=3).map(tuple)
 
+#: Float corners q_0, q_1, q_2 of the gasket.
+Q = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
 
-@pytest.mark.parametrize("m", range(7))
+
+def float_cell_map(word, points):
+    """F_w = F_{i_1} o ... o F_{i_n} on plane points, F_i(z) = (z + q_i)/2, in floats."""
+    for i in reversed(word):
+        points = (points + Q[i]) / 2.0
+    return points
+
+
+@pytest.mark.parametrize("m", range(11))
 def test_counts(m):
     g = build_level(m)
     assert len(g) == (3 ** (m + 1) + 3) // 2
     assert len(g.edges) == 3 ** (m + 1)
     assert len(g.cells) == 3 ** m
+    # no two vertices share a coordinate pair
+    assert len(np.unique(g.coords, axis=0)) == len(g)
+    # every edge has length 2^-m: over 2^(m+1), dX^2 + 3 dY^2 = 2^2 exactly
+    d = g.coords[g.edges[:, 0]] - g.coords[g.edges[:, 1]]
+    np.testing.assert_array_equal(d[:, 0] ** 2 + 3 * d[:, 1] ** 2, 4)
 
 
 def test_edges_and_measure_follow_the_cells(g4, cell_graph):
@@ -34,7 +45,7 @@ def test_edges_and_measure_follow_the_cells(g4, cell_graph):
     for g in (g4, cell_graph):
         counts = np.zeros(len(g), dtype=np.int64)
         sides = set()
-        for _, tri in g.cells:
+        for tri in g.cells.tolist():
             for k in range(3):
                 counts[tri[k]] += 1
                 sides.add(tuple(sorted((tri[k], tri[(k + 1) % 3]))))
@@ -45,12 +56,9 @@ def test_edges_and_measure_follow_the_cells(g4, cell_graph):
 def test_boundary_is_v0(g4):
     ids = g4.boundary_ids()
     assert len(ids) == 3
-    coords = {g4.vertices[i].coord for i in ids}
-    assert coords == {
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(1, 2), Fraction(1, 2)),
-    }
+    # (0, 0), (1, 0) and (1/2, 1/2) over 2^5
+    assert {tuple(g4.coords[i].tolist()) for i in ids} == {(0, 0), (32, 0), (16, 16)}
+    np.testing.assert_array_equal(g4.points[ids], Q)
 
 
 def test_edge_lengths_are_mesh_size(g4):
@@ -59,55 +67,21 @@ def test_edge_lengths_are_mesh_size(g4):
     np.testing.assert_allclose(d, 2.0 ** -4, rtol=1e-12)
 
 
-def test_exact_distance_matches_float(g3):
-    a, b = g3.vertices[5], g3.vertices[11]
-    d = euclidean_distance(a, b)
-    pa, pb = np.array(a.point), np.array(b.point)
-    assert d == pytest.approx(float(np.linalg.norm(pa - pb)), rel=1e-14)
-    # squared distance is rational: dx^2 + 3*dy3^2
-    exact = (a.x - b.x) ** 2 + 3 * (a.y3 - b.y3) ** 2
-    assert d == pytest.approx(float(exact) ** 0.5, rel=1e-14)
-
-
-def test_distance_matrix_basic(g3):
-    dm = distance_matrix(g3)
-    assert dm.shape == (len(g3), len(g3))
-    np.testing.assert_allclose(dm, dm.T)
-    assert np.all(np.diag(dm) == 0)
-    off = dm[~np.eye(len(g3), dtype=bool)]
-    assert off.min() == pytest.approx(2.0 ** -3)
-    assert off.max() == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_cell_map_fixes_its_corner(i):
-    q = {0: (Fraction(0), Fraction(0)),
-         1: (Fraction(1), Fraction(0)),
-         2: (Fraction(1, 2), Fraction(1, 2))}[i]
-    assert apply_cell_map_exact((i,), q) == q
-    # and contracts everything else halfway toward q_i
-    c = (Fraction(1, 3), Fraction(1, 7))
-    img = apply_cell_map_exact((i,), c)
-    assert img[0] - q[0] == (c[0] - q[0]) / 2
-    assert img[1] - q[1] == (c[1] - q[1]) / 2
+    q = CORNERS[i]
+    # q_i over 2^1 goes to q_i over 2^2
+    np.testing.assert_array_equal(_cell_map((i,), q[None, :], 0), 2 * q[None, :])
+    # and everything else moves halfway toward q_i: F_i(c) - q_i = (c - q_i)/2
+    c = np.array([[5, -3], [1, 7]])
+    np.testing.assert_array_equal(_cell_map((i,), c, 0) - 2 * q, c - q)
 
 
 @given(words, words)
 @settings(max_examples=25, deadline=None)
 def test_cell_maps_compose(u, v):
-    c = (Fraction(2, 5), Fraction(1, 9))
-    assert apply_cell_map_exact(u + v, c) == apply_cell_map_exact(
-        u, apply_cell_map_exact(v, c))
-
-
-@given(words)
-@settings(max_examples=20, deadline=None)
-def test_float_and_exact_maps_agree(word):
-    c = (Fraction(1, 4), Fraction(1, 4))
-    ex = apply_cell_map_exact(word, c)
-    fl = apply_cell_map(word, (float(c[0]), float(c[1]) * np.sqrt(3.0)))
-    assert fl[0] == pytest.approx(float(ex[0]), abs=1e-14)
-    assert fl[1] == pytest.approx(float(ex[1]) * np.sqrt(3.0), abs=1e-14)
+    c = np.array([[3, 7], [-2, 5]])
+    np.testing.assert_array_equal(_cell_map(u + v, c, 0), _cell_map(u, _cell_map(v, c, 0), len(v)))
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])
@@ -118,7 +92,7 @@ def test_reflections(g4, i):
     np.testing.assert_array_equal(perm[perm], np.arange(len(g4)))
     # fixed corner is q_{i-1}
     assert perm[sym.fixed_vertex] == sym.fixed_vertex
-    assert g4.vertices[sym.fixed_vertex].is_boundary
+    assert sym.fixed_vertex in g4.boundary_ids()
     # edges map to edges
     edge_set = {frozenset(e) for e in g4.edges.tolist()}
     mapped = {frozenset((int(perm[a]), int(perm[b]))) for a, b in g4.edges}
@@ -144,13 +118,10 @@ def test_extract_cell_structure(g4, cell_graph):
     assert len(sub) == (3 ** 4 + 3) // 2
     # parent normalization: total measure is 3^{-n}, not 1
     assert sub.measure.sum() == pytest.approx(1.0 / 3.0, rel=1e-14)
-    # boundary of the sub-gasket = images of the corners under F_0
-    bids = sub.boundary_ids()
-    coords = {sub.vertices[i].coord for i in bids}
-    expect = {apply_cell_map_exact((0,), c) for c in
-              [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-               (Fraction(1, 2), Fraction(1, 2))]}
-    assert coords == expect
+    # boundary of the sub-gasket = images of the corners under F_0:
+    # q_0, (q_0 + q_1)/2 and (q_0 + q_2)/2, over 2^5
+    coords = {tuple(sub.coords[i].tolist()) for i in sub.boundary_ids()}
+    assert coords == {(0, 0), (16, 0), (8, 8)}
 
 
 def test_extract_empty_word_is_identity(g4):
@@ -164,9 +135,7 @@ def test_embed_indices_places_cell(word):
     sub = extract_cell(build_level(2 + len(word)), word)
     idx = embed_indices(ref, sub)
     assert len(idx) == len(ref)
-    for k, v in enumerate(ref.vertices):
-        image = apply_cell_map_exact(word, v.coord)
-        assert sub.vertices[idx[k]].coord == image
+    np.testing.assert_allclose(sub.points[idx], float_cell_map(word, ref.points), rtol=0, atol=1e-14)
 
 
 def test_embed_indices_level_mismatch(g4):
@@ -177,5 +146,5 @@ def test_embed_indices_level_mismatch(g4):
 
 def test_parent_ids_consistent(g4, cell_graph):
     pids = cell_graph.parent_ids
-    for k, v in enumerate(cell_graph.vertices):
-        assert g4.vertices[pids[k]].coord == v.coord
+    np.testing.assert_array_equal(g4.coords[pids], cell_graph.coords)
+    np.testing.assert_array_equal(g4.points[pids], cell_graph.points)

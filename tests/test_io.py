@@ -1,11 +1,13 @@
-"""PGM rasters: the mirror lookup against a full nearest-vertex query."""
+"""Artifact writers: PGM rasters against a full nearest-vertex query, and sub-gasket graph bytes."""
+
+import hashlib
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from gasket_fgf.geometry import build_level, extract_cell
-from gasket_fgf.io import pixel_vertices, write_pgm
+from gasket_fgf.io import pixel_vertices, write_graph_json, write_pgm
 
 
 def pixel_centres(size):
@@ -53,3 +55,10 @@ def test_pgm_ties_take_the_mirror_of_an_equally_near_vertex(tmp_path):
     write_pgm(np.abs(g.points[:, 0] - 0.5), g, tmp_path / "f.pgm", size)
     pix = np.frombuffer((tmp_path / "f.pgm").read_bytes()[-size * size:], np.uint8).reshape(size, size)
     np.testing.assert_array_equal(pix, pix[:, ::-1])
+
+
+def test_sub_gasket_graph_json_keeps_its_bytes(tmp_path):
+    # pins the cell words and boundary flags of an extracted cell
+    write_graph_json(extract_cell(build_level(5), (1, 2)), tmp_path / "g.json")
+    digest = hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest()
+    assert digest == "7596823ab181dd03ed832ea2e0253ba28a19874fde9715e08ab2e2a6322f835d"
