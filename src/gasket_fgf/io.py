@@ -82,38 +82,51 @@ def write_json(obj, path):
 # module-specific formats
 # ---------------------------------------------------------------------------
 
-def graph_document(g, config=None):
-    doc = {}
-    if config is not None:
-        doc["config"] = config
-    doc["level"] = g.level
-    if g.word:
-        doc["word"] = list(g.word)
-    boundary = np.zeros(len(g), dtype=bool)
-    boundary[g.boundary_ids()] = True
-    rows = zip(g.points.tolist(), boundary.tolist(), g.measure.tolist())
-    doc["vertices"] = [
-        {"id": i, "x": x, "y": y, "boundary": b, "measure": w} for i, ((x, y), b, w) in enumerate(rows)
-    ]
-    doc["edges"] = g.edges.tolist()
-    cells = zip(g.cell_words().tolist(), g.cells.tolist())
-    doc["cells"] = [{"word": w, "ids": tri} for w, tri in cells]
-    return doc
-
-
 def write_graph_json(g, path, config=None):
-    write_json(graph_document(g, config), path)
+    """Graph document: config, level, word, then one row per vertex, edge and cell.
+
+    The text is what :func:`write_json` writes for the same document, with
+    one ``%``-template per row; ``%.17g`` writes the same text as :func:`fmt`.
+    """
+    head = {} if config is None else {"config": config}
+    head["level"] = g.level
+    if g.word:
+        head["word"] = list(g.word)
+    boundary = np.full(len(g), "false")
+    boundary[g.boundary_ids()] = "true"
+    x, y = g.points.T.tolist()
+    vertex = ('    {\n      "id": %d,\n      "x": %.17g,\n      "y": %.17g,\n'
+              '      "boundary": %s,\n      "measure": %.17g\n    }')
+    words = g.cell_words()
+    cell = ('    {\n      "word": [' + ", ".join(["%d"] * words.shape[1])
+            + '],\n      "ids": [%d, %d, %d]\n    }')
+    with open(path, "w") as fh:
+        fh.write(dumps(head)[:-2] + ',\n  "vertices": [\n')
+        rows = zip(range(len(g)), x, y, boundary.tolist(), g.measure.tolist())
+        fh.write(",\n".join(vertex % r for r in rows))
+        fh.write('\n  ],\n  "edges": [\n')
+        fh.write(",\n".join("    [%d, %d]" % tuple(e) for e in g.edges.tolist()))
+        fh.write('\n  ],\n  "cells": [\n')
+        fh.write(",\n".join(cell % tuple(r) for r in np.hstack([words, g.cells]).tolist()))
+        fh.write("\n  ]\n}\n")
 
 
 def write_matrix_coo(stiffness, path):
-    """Coordinate-list text: one JSON header line, then 'row col value' lines."""
+    """Coordinate-list text: one JSON header line, then 'row col value' lines.
+
+    One ``%``-template per block of rows; ``%.17g`` writes the same text as :func:`fmt`.
+    """
     m = stiffness.matrix.tocoo()
     order = np.lexsort((m.col, m.row))
     header = {"level": stiffness.level, "dim": int(m.shape[0]), "prefactor": stiffness.prefactor}
+    cells = [None] * (3 * len(order))
+    cells[::3], cells[1::3], cells[2::3] = m.row[order].tolist(), m.col[order].tolist(), m.data[order].tolist()
+    block = 3 * 4096
     with open(path, "w") as fh:
         fh.write(json.dumps(header, separators=(", ", ": ")) + "\n")
-        for k in order:
-            fh.write(f"{m.row[k]} {m.col[k]} {fmt(m.data[k])}\n")
+        for k in range(0, len(cells), block):
+            part = tuple(cells[k:k + block])
+            fh.write("%d %d %.17g\n" * (len(part) // 3) % part)
 
 
 def eigen_document(basis, config=None):
@@ -178,32 +191,92 @@ def write_field_csv(sample, graph, path, extra=None):
             fh.write("%d,%.17g,%.17g,%.17g\n" % (i, x, y, v))
 
 
+#: Pixels per block of :func:`pixel_vertices`: the working set of one block is about 1 MB.
+_PIXEL_BLOCK = 8192
+
+
 def pixel_vertices(graph, size=512):
     """Nearest vertex of every pixel centre, a size x size index array.
 
     The raster spans the gasket bounding box [0,1] x [0, sqrt(3)/2] with
-    row 0 at the top.  A full gasket is symmetric under x -> 1 - x, so when
-    the pixel columns are as well (exactly, as at size 512) only the left
-    ceil(size/2) columns are looked up and the right ones take the mirror
-    images of their vertices.  Where two vertices are equally near a pixel,
-    the right half thus takes the mirror of the left half's choice.
+    row 0 at the top.  Distances are compared exactly, in integers, and a
+    pixel with several nearest vertices takes the one with the smallest id.
+    A full gasket and its pixel grid are both exactly symmetric under
+    x -> 1 - x at every size, so only the left ceil(size/2) columns are
+    computed and the right ones take the mirror images of their vertices: a
+    right-half tie thus takes the mirror of the left half's choice, which is
+    just as near.  A sub-gasket computes every column.
     """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(graph.points)
-    height = float(np.sqrt(3.0) / 2.0)
-    xs = (np.arange(size) + 0.5) / size
-    ys = height * (1.0 - (np.arange(size) + 0.5) / size)
-    mirror = not graph.word and np.array_equal(xs[::-1], 1.0 - xs)
-    cols = xs[: (size + 1) // 2] if mirror else xs
-    gx, gy = np.meshgrid(cols, ys)
-    _, nearest = tree.query(np.column_stack([gx.ravel(), gy.ravel()]))
-    nearest = nearest.reshape(size, len(cols))
+    side = 2 ** (graph.level - len(graph.word))  # side of the (sub-)gasket in cells
+    x, y = graph.coords.T
+    a, b = (x - y) // 2, y  # skewed lattice coordinates, one unit per cell side
+    a0, b0 = a.min(), b.min()  # the lower left corner
+    a, b = a - a0, b - b0
+    ids = np.full((side + 1) * (side + 2) // 2, -1, dtype=np.int32)
+    ids[_packed(a, b, side)] = np.arange(len(a), dtype=np.int32)
+    mirror = not graph.word
     if mirror:
-        pts = graph.points
-        _, image = tree.query(np.column_stack([1.0 - pts[:, 0], pts[:, 1]]))
-        nearest = np.column_stack([nearest, image[nearest[:, : size // 2][:, ::-1]]])
+        image = ids[_packed(side - a - b, b, side)]
+    del a, b  # free the (n,) temporaries before the pixel blocks run
+    cols = (size + 1) // 2 if mirror else size
+    # the centre of pixel (i, j) sits at a = unit (4i + 2j + 3 - 2 size) / q and
+    # b = 2 unit (2 size - 2j - 1) / q, with unit = 2^level cells across the full gasket
+    q, unit = 4 * size, 2 ** graph.level
+    i = np.arange(cols, dtype=np.int64)
+    rows = max(1, _PIXEL_BLOCK // cols)
+    nearest = np.empty((size, size), dtype=np.intp)
+    for j0 in range(0, size, rows):
+        j = np.arange(j0, min(size, j0 + rows), dtype=np.int64)[:, None]
+        u = unit * (4 * i + 2 * j + 3 - 2 * size) - q * a0
+        v = 2 * unit * (2 * size - 2 * j - 1) - q * b0
+        nearest[j0:j0 + len(j), :cols] = _nearest_ids(u, v, q, side, ids)
+    if mirror:
+        nearest[:, size - size // 2:] = image[nearest[:, : size // 2][:, ::-1]]
     return nearest
+
+
+def _packed(a, b, side):
+    """Index of lattice point (a, b), a + b <= side, in a row-by-row triangular table."""
+    return b * (side + 1) - b * (b - 1) // 2 + a
+
+
+def _nearest_ids(u, v, q, side, ids):
+    """Nearest vertex of the points (u, v)/q in skewed lattice units; ties to the smallest id.
+
+    A point in a cell is nearest to one of its 3 corners.  A point in a hole,
+    or outside the (sub-)gasket's triangle, is nearest to a vertex on that
+    triangle's boundary, whose lattice points are all vertices: for any
+    vertex beyond an edge, the lattice point of that edge half a step towards
+    the point's foot is nearer.  The hole is the down-triangle of the
+    coarsest dyadic block 2^k in which (a mod 2^k) + (b mod 2^k) >= 2^k, the
+    highest carry of the cell indices' sum; a carry out of the top bit means
+    outside.  Each triangle edge offers the two lattice points either side of
+    the point's foot, clamped to the edge, and the squared distance in units
+    of (cell side / q)^2 is da^2 + da db + db^2, an exact int64.
+    """
+    fa, ra = np.divmod(u, q)
+    fb, rb = np.divmod(v, q)
+    total = fa + fb + (ra + rb >= q)  # the cell indices' sum, plus one in a down half-cell
+    outside = (u < 0) | (v < 0) | (total >= side)
+    top = np.frexp(np.where(outside, 0, fa ^ fb ^ total))[1]  # bit length of the carries: 0 in a cell
+    h = np.where(outside, side, 1 << np.maximum(top - 1, 0))  # side of the triangle
+    lo_a = np.where(outside, 0, fa - fa % h)
+    lo_b = np.where(outside, 0, fb - fb % h)
+    down = h * (top > 0)  # a hole is a down-triangle, shifted h up or right
+    beta, alpha, sigma = lo_b + down, lo_a + down, lo_a + lo_b + h  # edges b = beta, a = alpha, a + b = sigma
+    feet = ((2 * u + v - q * beta) // (2 * q),   # along b = beta, in a
+            (u + 2 * v - q * alpha) // (2 * q),  # along a = alpha, in b
+            (q * sigma - u + v) // (2 * q))      # along a + b = sigma, in b
+    best, best_id = np.full(u.shape, np.iinfo(np.int64).max), np.full(u.shape, len(ids))
+    for step in (0, 1):
+        ta, tb, tc = (np.clip(f + step, lo, lo + h) for f, lo in zip(feet, (lo_a, lo_b, lo_b)))
+        for ca, cb in ((ta, beta), (alpha, tb), (sigma - tc, tc)):
+            da, db = u - q * ca, v - q * cb
+            dist = da * da + da * db + db * db
+            cand = ids[_packed(ca, cb, side)]
+            better = (dist < best) | ((dist == best) & (cand < best_id))
+            best, best_id = np.where(better, dist, best), np.where(better, cand, best_id)
+    return best_id
 
 
 def write_pgm(values, graph, path, size=512):

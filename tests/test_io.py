@@ -1,12 +1,13 @@
-"""Artifact writers: PGM rasters against a full nearest-vertex query, and sub-gasket graph bytes."""
+"""Artifact writers: PGM rasters against exact and k-d nearest-vertex queries, and sub-gasket graph bytes."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gasket_fgf.geometry import build_level, extract_cell
+from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
 from gasket_fgf.io import pixel_vertices, write_graph_json, write_pgm
 
 
@@ -38,23 +39,89 @@ def test_pgm_matches_full_query(tmp_path, level):
     assert_same_pgm(tmp_path, build_level(level), 512)
 
 
-def test_pgm_odd_size_and_sub_gasket_match_full_query(tmp_path):
-    # neither an odd pixel grid nor a sub-gasket is mirror symmetric: both query every pixel
-    assert_same_pgm(tmp_path, build_level(6), 511)
-    assert_same_pgm(tmp_path, extract_cell(build_level(6), (1,)), 512)
+def squared_distances(graph, size, rows, ids, cols):
+    """Exact integer squared distances from the pixels (rows, :cols) to the vertices ``ids``.
+
+    Pixel centres and vertices are compared as integers over 4 size 2^(level+1).
+    """
+    unit = 2 ** graph.level
+    px = 4 * unit * (2 * np.arange(cols) + 1)
+    py = 2 * unit * (2 * size - 2 * rows - 1)
+    vx, vy = (4 * size * graph.coords).T
+    return (px[:, None] - vx[ids]) ** 2 + 3 * (py - vy[ids]) ** 2
+
+
+def exact_nearest(graph, size, candidates=None, mirror=True):
+    """Every pixel's nearest vertex by exact integer squared distance, ties to the smallest id.
+
+    ``candidates`` (a row of vertex ids per pixel) narrows the search; by
+    default every vertex is a candidate.  With ``mirror`` the right half of a
+    full gasket takes the mirror images of the left half's vertices.
+    """
+    mirror = mirror and not graph.word
+    cols = (size + 1) // 2 if mirror else size
+    nearest = np.empty((size, size), dtype=np.intp)
+    for j in range(size):
+        ids = np.arange(len(graph))[None, :] if candidates is None else candidates[j, :cols]
+        dist = squared_distances(graph, size, j, ids, cols)
+        nearest[j, :cols] = np.where(dist == dist.min(axis=1, keepdims=True), ids, len(graph)).min(axis=1)
+    if mirror:
+        image = symmetry_permutation(graph, 3).permutation  # x -> 1 - x
+        nearest[:, size - size // 2:] = image[nearest[:, : size // 2][:, ::-1]]
+    return nearest
+
+
+def test_pgm_odd_size_and_sub_gasket_match_full_query():
+    # the exact query of every vertex, on a pixel grid with a middle column and on a sub-gasket
+    for level in range(7):
+        g = build_level(level)
+        np.testing.assert_array_equal(pixel_vertices(g, 511), exact_nearest(g, 511))
+        if level:
+            sub = extract_cell(g, (1,))
+            np.testing.assert_array_equal(pixel_vertices(sub, 512), exact_nearest(sub, 512))
 
 
 def test_pgm_ties_take_the_mirror_of_an_equally_near_vertex(tmp_path):
-    # at size 64 pixels of the right half have two nearest vertices from level 6 on
-    g, size = build_level(6), 64
-    nearest = pixel_vertices(g, size).ravel()
-    dist, full = cKDTree(g.points).query(pixel_centres(size))
-    assert (nearest != full).any()
-    chosen = np.linalg.norm(g.points[nearest] - pixel_centres(size), axis=1)
-    assert np.all(chosen <= dist + 1e-12)
+    for level in range(7):
+        for size in (512, 64, 16):  # at size 16 from level 6 on, centres lie on cell diagonals
+            g = build_level(level)
+            np.testing.assert_array_equal(pixel_vertices(g, size), exact_nearest(g, size))
+    # at size 32 pixels of the right half have two nearest vertices at level 6, and the
+    # mirror of the left half's choice is not the smallest id
+    g, size = build_level(6), 32
+    nearest, smallest = pixel_vertices(g, size), exact_nearest(g, size, mirror=False)
+    assert (nearest != smallest).any()
+    centres = pixel_centres(size).reshape(size, size, 2)
+    np.testing.assert_allclose(np.linalg.norm(g.points[nearest] - centres, axis=2),
+                               np.linalg.norm(g.points[smallest] - centres, axis=2), rtol=0, atol=1e-15)
     write_pgm(np.abs(g.points[:, 0] - 0.5), g, tmp_path / "f.pgm", size)
     pix = np.frombuffer((tmp_path / "f.pgm").read_bytes()[-size * size:], np.uint8).reshape(size, size)
     np.testing.assert_array_equal(pix, pix[:, ::-1])
+
+
+@pytest.mark.parametrize("level", [9, 10])
+def test_pgm_ties_at_deep_levels_take_the_smallest_id(level):
+    # size 512 has tie pixels at levels 9 and 10; a vertex as near as the nearest is among the 4 nearest
+    g, size = build_level(level), 512
+    _, near4 = cKDTree(g.points).query(pixel_centres(size), k=4)
+    near4 = near4.reshape(size, size, 4)
+    np.testing.assert_array_equal(pixel_vertices(g, size), exact_nearest(g, size, near4))
+    dist = squared_distances(g, size, np.arange(size)[:, None, None], near4, size)
+    assert (dist[..., 0] == dist[..., 1]).any() and not (dist[..., 0] == dist[..., 3]).any()
+
+
+@pytest.mark.parametrize("level, mib", [(7, 6.1), (10, 8.0)])
+def test_pixel_vertices_peak_memory_stays_below_the_kd_tree(level, mib):
+    # traced peaks of the k-d tree lookup this replaced, which the raster must not exceed
+    g = build_level(level)
+    pixel_vertices(g, 512)
+    tracemalloc.start()
+    try:
+        pixel_vertices(g, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 def test_sub_gasket_graph_json_keeps_its_bytes(tmp_path):
