@@ -30,8 +30,8 @@ S_MAX = 1.0 - S_MIN
 H_MIN = 0.0
 H_MAX = WALK_DIM - HAUSDORFF_DIM
 
-#: Deepest supported approximation level (|V_10| = 88575).
-MAX_LEVEL = 10
+#: Deepest supported approximation level (|V_12| = 797163).
+MAX_LEVEL = 12
 
 #: First nonzero Laplacian eigenvalue, Richardson-extrapolated from the
 #: level 4-6 generalized eigenproblems (project reference value, not a

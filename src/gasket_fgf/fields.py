@@ -135,10 +135,12 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
     The same draws from ``default_rng(seed)`` weight the same canonical
     modes, but each eigenspace of
     :func:`~gasket_fgf.spectral.canonical_eigenspaces` adds its whole term
-    x_c = sum_j lambda_c^{-s} N_j Phi_j into the field at once, from one
-    banded solve on its k coefficients, and is then dropped; x_c is
-    residual-checked relative to lambda_c ||x_c||_M.  So the memory check
-    counts the stream and the field, not a basis.  The values agree with
+    x_c = sum_j lambda_c^{-s} N_j Phi_j into the field at once and is then
+    dropped: the weights of all kept eigenspaces born together go through
+    one banded solve at their birth level, and each term is pushed up from
+    there as one column, depth-first, and residual-checked relative to
+    lambda_c ||x_c||_M at the top.  So the memory check counts the columns
+    along one path and the field, not a basis.  The values agree with
     ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
     (None is every mode); J = 0 gives the identically zero field and solves
     nothing.
@@ -146,14 +148,15 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
     check_s(s)
     n = stiffness.dim
     J = check_truncation(J, n - 1)
-    lam, eigenspaces = np.empty(0), ()
-    if J:
-        _, lam, _, eigenspaces = canonical_eigenspaces(stiffness, mass, J, 8 * (n + 2 * J), graph=graph)
+    lam, columns, weights = np.empty(0), (), np.empty(J)
+    if J:  # the stream reads the weights as it runs, after the draw has filled them
+        _, lam, _, columns = canonical_eigenspaces(stiffness, mass, J, 8 * (n + 3 * J), weights, graph=graph)
 
-    def field(weights):
+    def field(w):
+        weights[:] = w
         values = np.zeros(n)
-        for lo, k, modes in eigenspaces:
-            values += modes(weights[lo : lo + k, None])[0][:, 0]
+        for _, v, _ in columns:
+            values += v[:, 0]
         return values
 
     return _draw(stiffness.level, s, seed, lam, field)

@@ -174,6 +174,7 @@ def write_kernel_csv(matrix, path, header=None):
 
 
 def write_field_csv(sample, graph, path, extra=None):
+    """One JSON header line, then 'vertex_id,x,y,value' rows, one ``%``-template per block of rows."""
     header = {
         "level": sample.level,
         "s": float(sample.s),
@@ -184,11 +185,17 @@ def write_field_csv(sample, graph, path, extra=None):
     }
     if extra:
         header.update(extra)
+    points = graph.points
+    cells = [None] * (4 * len(points))
+    cells[::4], cells[1::4], cells[2::4], cells[3::4] = (
+        range(len(points)), points[:, 0].tolist(), points[:, 1].tolist(), sample.values.tolist())
+    block = 4 * 4096
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header, separators=(", ", ": ")) + "\n")
         fh.write("vertex_id,x,y,value\n")
-        for i, ((x, y), v) in enumerate(zip(graph.points.tolist(), sample.values.tolist())):
-            fh.write("%d,%.17g,%.17g,%.17g\n" % (i, x, y, v))
+        for k in range(0, len(cells), block):
+            part = tuple(cells[k:k + block])
+            fh.write("%d,%.17g,%.17g,%.17g\n" * (len(part) // 4) % part)
 
 
 #: Pixels per block of :func:`pixel_vertices`: the working set of one block is about 1 MB.

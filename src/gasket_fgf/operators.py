@@ -17,7 +17,7 @@ approximates the gasket Laplacian in continuum normalization.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -140,18 +140,22 @@ def parent_cells(fine: LevelGraph):
 
 @lru_cache(maxsize=None)
 def _extension_pattern(level):
-    """The pattern of E(mu) onto ``level``: entries 1, 2, 3 for the weights 1, alpha(mu), beta(mu).
+    """The fixed part F of E(mu) onto ``level``, with E(mu) u = F [u; alpha(mu) u; beta(mu) u].
 
-    Cached by level, not by graph, so a rebuilt graph adds no second copy.
+    Every entry of F is 1: a coarse vertex reads its own value from the
+    first block, and a midpoint reads its side's two ends from the second
+    and the opposite corner from the third.  Cached by level, not by graph,
+    so a rebuilt graph adds no second copy.
     """
     fine = build_level(level)
     (a, b, c), (mab, mbc, mca) = (x.T for x in parent_cells(fine))
-    coarse = np.arange((3**level + 3) // 2)
-    idx = sp.get_index_dtype(maxval=len(fine))  # int32 indices keep every block at 12 bytes per entry
-    rows = np.concatenate([coarse, *np.repeat([mab, mbc, mca], 3, axis=0)]).astype(idx)
-    cols = np.concatenate([coarse, a, b, c, b, c, a, c, a, b]).astype(idx)
-    kind = np.repeat([1, 2, 2, 3, 2, 2, 3, 2, 2, 3], [len(coarse)] + [len(a)] * 9)
-    return sp.csc_array((kind, (rows, cols)), shape=(len(fine), len(coarse)))
+    nc = (3**level + 3) // 2
+    coarse = np.arange(nc)
+    idx = sp.get_index_dtype(maxval=3 * nc)
+    rows = np.concatenate([coarse, mab, mab, mbc, mbc, mca, mca, mab, mbc, mca]).astype(idx)
+    cols = np.concatenate([coarse, nc + a, nc + b, nc + b, nc + c, nc + c, nc + a,
+                           2 * nc + c, 2 * nc + a, 2 * nc + b]).astype(idx)
+    return sp.csc_array((np.ones(len(rows)), (rows, cols)), shape=(len(fine), 3 * nc))
 
 
 def decimation_extension(u, fine: LevelGraph, mu):
@@ -163,14 +167,14 @@ def decimation_extension(u, fine: LevelGraph, mu):
     ((4 - mu)(u(x) + u(y)) + 2 u(w)) / ((2 - mu)(5 - mu)) (Dalrymple,
     Strichartz & Vinson 1999); ``mu = 0`` is harmonic extension.  Vertex ids
     are stable under refinement and each midpoint lies on one cell side, so
-    this is one sparse matrix E(mu) = [I; alpha(mu) side + beta(mu) opposite]
-    of a fixed pattern, applied to ``u``: a dense array, or a sparse block
-    that comes back column-compressed.
+    this is the linear map E(mu) = [I; alpha(mu) side + beta(mu) opposite],
+    applied as one product of a cached 0/1 matrix (:func:`_extension_pattern`)
+    with [u; alpha u; beta u], so no matrix is built per call.  ``u`` is a
+    dense array, or a sparse block that comes back column-compressed.
     """
-    e = _extension_pattern(fine.level)
     denom = (2.0 - mu) * (5.0 - mu)
-    weights = np.array([0.0, 1.0, (4.0 - mu) / denom, 2.0 / denom])
-    return sp.csc_array((weights[e.data], e.indices, e.indptr), shape=e.shape) @ u
+    stack = partial(sp.vstack, format="csc") if sp.issparse(u) else np.concatenate
+    return _extension_pattern(fine.level) @ stack([u, (4.0 - mu) / denom * u, 2.0 / denom * u])
 
 
 def harmonic_extension(f_coarse, fine: LevelGraph, coarse: LevelGraph = None):

@@ -31,37 +31,44 @@ stiffness and mass already carry (5/3)^m and 3^{-m}).
 
 The construction is deterministic, so it fixes the basis inside each
 degenerate eigenspace: the M-Gram-Schmidt of the constructed block in the
-order of its birth factor (see :func:`_modes`).  Every eigenspace descends
+order of its birth factor (see :func:`_birth_columns`).  Every eigenspace descends
 from a birth eigenspace (the level-0 base or a newborn block) through
 extensions E(mu), and each extension scales the M-Gram of the whole
 eigenspace by one scalar, so the Gram of each birth eigenspace is factored
 once, as a banded Cholesky G = P^T L L^T P in reverse Cuthill-McKee order,
 and every descendant B reads its scalar c from the M-norm of one column:
 B P^T L^{-T} / sqrt(c) is its basis.  Any combination of that basis is one
-banded triangular solve on its k coefficients followed by one sparse
-product.  Mode i needs only the leading i + 1 coefficients, so a truncated
+banded triangular solve on its k coefficients and one sparse product at the
+birth level, extended from there.  Mode i needs only the leading i + 1 coefficients, so a truncated
 solve's basis is the leading columns of the full solve's, and the
 eigenvectors, and every field built from them, are reproducible across
 machines and thread counts.  Identities across different bases are still
 formulated on kernels/projectors, trimmed to the nearest cluster boundary
 (``SpectralBasis.cluster_complete``).
 
-Every eigenspace of every level is held as a sparse block, and an inherited
-one is its parent's block times the one extension matrix E(mu) of
-:func:`~gasket_fgf.operators.decimation_extension`; no dense n x k array is
-formed.  The kept eigenspaces come as one stream,
-:func:`canonical_eigenspaces`, each with the residual-checked combinations
-of its basis: :func:`solve_eigen` forms the modes, ``BLOCK`` at a time,
-into an n x (count + 1) basis, and :func:`~gasket_fgf.fields.stream_field`
-forms one vector per eigenspace, its whole term of the field, so a field
-never needs the n x J basis.  The one limit is memory: an estimate of the
-stream's peak plus what its consumer holds must fit in the memory
-available to the process, checked before anything is allocated.
+A field or a block of modes is built by one depth-first traversal of the
+eigenspace labels (:func:`_eigenspace_columns`).  Each birth eigenspace is
+formed and factored once, as a sparse block at its birth level, and there
+the dense columns B P^T L^{-T} c its kept descendants need are formed at
+once, with B's column 0 for the scale c; they go up one level at a time
+through the extension E(mu) of
+:func:`~gasket_fgf.operators.decimation_extension`, each child taking only
+the columns of its own descendants, and are scaled and residual-checked at
+the top.  No sparse block exists above its birth level, and between
+eigenspaces nothing is held but the columns along the current path.  The
+kept eigenspaces come as one stream, :func:`canonical_eigenspaces`:
+:func:`solve_eigen` passes leading identity columns, ``BLOCK`` at a time,
+and writes the modes into an n x (count + 1) basis, and
+:func:`~gasket_fgf.fields.stream_field` passes its weights and adds one
+column per eigenspace, its whole term of the field, so a field never needs
+the n x J basis.  The one limit is memory: an estimate of the stream's peak
+plus what its consumer holds must fit in the memory available to the
+process, checked before anything is allocated.
 """
 
 import os
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg as sla
@@ -273,14 +280,20 @@ def _newborn_block(fine: LevelGraph, mu):
     return sp.csc_array((np.concatenate(vals), (rows, cols)), shape=(len(fine), k))
 
 
-def _layout(levels, keep):
-    """The eigenspaces each level provides: ``keep`` at the top, below it every parent of the level above."""
+def _ancestors(levels, keep):
+    """The eigenspace each of ``keep`` descends from at every level: row j holds the level-j labels.
+
+    Entries below an eigenspace's birth level are -1, so the birth level is
+    the first row that is not, and sorting the columns by their rows
+    (:func:`numpy.lexsort`, row 0 first) lists the kept eigenspaces
+    depth-first: every eigenspace's kept descendants are contiguous.
+    """
     m = len(levels) - 1
-    layout = [None] * m + [keep]
+    anc = np.full((m + 1, len(keep)), -1)
+    anc[m] = keep
     for j in range(m, 0, -1):
-        par = levels[j][2][layout[j]]
-        layout[j - 1] = np.unique(par[par >= 0])
-    return layout
+        anc[j - 1] = np.where(anc[j] >= 0, levels[j][2][anc[j]], -1)
+    return anc
 
 
 def _birth_factor(block, mass):
@@ -306,39 +319,101 @@ def _birth_factor(block, mass):
     return perm, ab, gram[0, 0]
 
 
-def _eigenspace_blocks(levels, keep):
-    """The top-level eigenspaces ``keep``, built up from level 0, one sparse n x k block each.
+def _birth_block(j, mu, g):
+    """Eigenspace ``g`` of level ``j``, born there, as a sparse block: the level-0 base or a newborn block."""
+    if j:
+        return _newborn_block(build_level(j), mu)
+    # the constant, or a basis of the mean-zero (mu = 6) space
+    return sp.csc_array(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T[:, [[0], [1, 2]][g]])
 
-    Every eigenspace of every level is a sparse block: a newborn one comes
-    from its null spaces, and an inherited one is its parent's block
-    extended by :func:`~gasket_fgf.operators.decimation_extension` at its
-    own mu.  A level below the top builds only the eigenspaces the level
-    above extends, and a block is dropped once its last child is built; the
-    top level yields ``keep`` one at a time, in order, each as ``(block,
-    factor)`` with the :func:`_birth_factor` of the eigenspace it descends
-    from (the level-0 base or a newborn block), computed once per birth:
-    E(mu) scales the M-Gram of a whole eigenspace by one scalar.
+
+def _eigenspace_columns(levels, keep, coefficients):
+    """Combinations of the basis of each top-level eigenspace ``keep[i]``, built depth-first.
+
+    ``coefficients(i)`` gives ``(first, c)`` pairs for eigenspace i, each c
+    (p x r, r <= ``BLOCK``) the leading p coefficients of r combinations.
+    Every eigenspace descends from one birth eigenspace B (the level-0 base
+    or a newborn block), whose M-Gram is factored once (:func:`_birth_factor`,
+    ``(perm, ab, g00)``, G = P^T L L^T P).  At its birth level the columns
+    B P^T L^{-T} c of its kept descendants are formed at once, dense, after
+    B's column 0, at most ``BLOCK`` of them at a time, and go up one level
+    at a time through :func:`~gasket_fgf.operators.decimation_extension`;
+    each child extends column 0 and the columns of its own descendants at
+    its own mu.  No sparse block is formed above its birth level, and
+    between eigenspaces nothing is held but the columns along the current
+    path.  Yields ``(i, y, g00, entries)`` at the top: y holds the extended
+    column 0 and then the combinations of ``entries``, the ``(first, r)`` of
+    each block c in order.  E(mu) scales the M-Gram of a whole eigenspace
+    by one scalar, so the combinations of its M-orthonormal basis are
+    y[:, 1:] / sqrt(c), with c = ||y[:, 0]||_M^2 / g00.
     """
     m = len(levels) - 1
-    layout = _layout(levels, keep)
-    # level 0: the constant, then a basis of the mean-zero (mu = 6) space; both
-    # are always needed, since lambda_1 descends from the mu = 6 space
-    base = np.split(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T, [1], axis=1)
-    blocks = {}
-    for j in range(m + 1):
-        mu, _, parent = levels[j]
-        coarse, blocks = blocks, {}
-        last = dict(zip(parent[layout[j]], layout[j]))  # the last child of each parent
-        for g in layout[j]:
-            p = parent[g]
-            if p < 0:
-                block = sp.csc_array(base[g]) if j == 0 else _newborn_block(build_level(j), mu[g])
-                blocks[g] = block, _birth_factor(block, build_level(j).measure)
-            else:
-                u, factor = coarse.pop(p) if last[p] == g else coarse[p]
-                blocks[g] = decimation_extension(u, build_level(j), mu[g]), factor
-            if j == m:
-                yield blocks.pop(g)
+    anc = _ancestors(levels, keep)
+    birth = np.argmax(anc >= 0, axis=0)
+    born = anc[birth, np.arange(len(keep))]
+    # births level by level, each level's in eigenvalue order (mu = 5 before
+    # mu = 6: a banded factor right before the mu = 5 newborn's QR and SVD
+    # doubles their time at 2 BLAS threads, measured at level 7), and the
+    # kept descendants of each depth-first
+    mu0 = np.array([levels[j][0][g] for j, g in zip(birth, born)])
+    order = np.lexsort((*np.where(anc < 0, len(levels[m][0]), anc)[::-1], mu0, birth))
+
+    def push(j, y, entries):
+        if j == m:
+            yield entries[0][0], y, entries
+            return
+        start = 1
+        for child, group in groupby(entries, key=lambda e: anc[j + 1, e[0]]):
+            group = list(group)
+            width = sum(r for _, _, r in group)
+            cols = slice(None) if width == y.shape[1] - 1 else [0, *range(start, start + width)]
+            yield from push(j + 1, decimation_extension(y[:, cols], build_level(j + 1), levels[j + 1][0][child]),
+                            group)
+            start += width
+
+    def grow(j, g, leaves):
+        block = _birth_block(j, levels[j][0][g], g)
+        factor = _birth_factor(block, build_level(j).measure)
+
+        def flush(batch):
+            y = _birth_columns(block, factor, [c for _, _, c in batch])
+            entries = [(i, first, c.shape[1]) for i, first, c in batch]
+            batch.clear()  # the coefficients are spent
+            for i, top, group in push(j, y, entries):
+                yield i, top, factor[2], [(first, r) for _, first, r in group]
+
+        batch, width = [], 0
+        for i in leaves:
+            for first, c in coefficients(i):
+                if width + c.shape[1] > BLOCK:
+                    yield from flush(batch)
+                    width = 0
+                batch.append((i, first, c))
+                width += c.shape[1]
+        yield from flush(batch)
+
+    for (j, g), leaves in groupby(order.tolist(), key=lambda i: (int(birth[i]), int(born[i]))):
+        yield from grow(j, g, list(leaves))
+
+
+def _birth_columns(block, factor, coefs):
+    """[B e_0, B P^T L^{-T} c_1, B P^T L^{-T} c_2, ...]: column 0 and the combinations ``coefs`` of a birth block.
+
+    Each c (p x r) holds the leading p coefficients of r combinations, the
+    rest zero; since L^T is upper triangular, one banded solve with the
+    leading rows of the factor ``(perm, ab, g00)`` gives them all.
+    """
+    perm, ab, _ = factor
+    p = max(c.shape[0] for c in coefs)
+    rhs = np.zeros((p, sum(c.shape[1] for c in coefs)))
+    start = 0
+    for c in coefs:
+        rhs[: c.shape[0], start : start + c.shape[1]] = c
+        start += c.shape[1]
+    y = np.zeros((block.shape[1], 1 + rhs.shape[1]))
+    y[0, 0] = 1.0
+    y[perm[:p], 1:] = sla.lapack.dtbtrs(ab[:, :p], rhs, uplo="L", trans="T")[0]
+    return block @ y
 
 
 def _available_memory():
@@ -351,45 +426,40 @@ def _available_memory():
         return avail
 
 
-def _modes(block, factor, mass, rhs):
-    """B P^T L^{-T} ``rhs`` / sqrt(c): combinations of the M-orthonormal basis of one eigenspace.
+def _birth_entries(levels, keep):
+    """Doubles held while forming the largest birth eigenspace the eigenspaces ``keep`` descend from, at most.
 
-    ``block`` (sparse, n x k) is a constructed eigenspace and ``factor``
-    the :func:`_birth_factor` ``(perm, ab, g00)`` of the eigenspace it
-    descends from.  Its M-Gram is c times the birth Gram,
-    G = B^T M B = c P^T L L^T P (P the permutation ``perm``), with c read
-    from the M-norm of column 0, so the columns of B P^T L^{-T} / sqrt(c) are
-    M-orthonormal: the M-Gram-Schmidt of the columns of B in factor order,
-    with positive diagonal.  This is the basis of the eigenspace; mode i of
-    it needs only the leading i + 1 columns, so a truncated basis is the
-    leading columns of the full one.  ``rhs`` (p x r, p <= k) holds the
-    leading p coefficients of r combinations, the rest zero; since L^T is
-    upper triangular, one banded solve with the leading p x p part of the
-    factor gives them.  Returns the n x r combinations.
+    One birth is held at a time.  Its newborn null spaces (:func:`_newborn`)
+    are counted at 120 n_j doubles for mu = 6 born at level j, and at 6
+    times the 162 4^(j-2) entries of the largest local problem for mu = 5
+    (tracemalloc peaks of 109-115 n_j and 4.7-5.2 times at L4-L9).  Then
+    its sparse block (at most 3 n_j nonzeros of 12 bytes), its Gram with
+    the reordered copies (25 n_j together) and its banded factor are held:
+    at most k (2^(j-1) + 2) entries for a
+    mu = 6 space (its reverse Cuthill-McKee bandwidth is 2^(j-1) + 1,
+    tested at L1-L7), and k^2 for any other (mu = 5 bands are about k / 3
+    wide).
     """
-    perm, ab, g00 = factor
-    first = slice(block.indptr[0], block.indptr[1])
-    scale = np.sqrt(block.data[first] ** 2 @ mass[block.indices[first]] / g00)
-    p = rhs.shape[0]
-    y = np.zeros((block.shape[1], rhs.shape[1]))
-    y[perm[:p]] = sla.lapack.dtbtrs(ab[:, :p], rhs, uplo="L", trans="T")[0] / scale
-    return block @ y
-
-
-def _factor_entries(levels, keep):
-    """Doubles of the banded birth factors the eigenspaces ``keep`` descend from, at most.
-
-    All of them may be held at once: at most k (2^(i-1) + 2) entries for a
-    mu = 6 space born at level i (its reverse Cuthill-McKee bandwidth is
-    2^(i-1) + 1, tested at L1-L7), and k^2 for any other (mu = 5 bands are
-    about k / 3 wide).
-    """
+    anc = _ancestors(levels, keep)
+    birth = np.argmax(anc >= 0, axis=0)
     entries = 0
-    for i, eigenspaces in enumerate(_layout(levels, keep)):
-        mu, mult, parent = (x[eigenspaces] for x in levels[i])
-        kb = mult[parent < 0]
-        entries += int(np.sum(kb * np.minimum(kb, np.where(mu[parent < 0] == 6.0, 2**i // 2 + 2, kb))))
+    for j, g in set(zip(birth.tolist(), anc[birth, np.arange(len(keep))].tolist())):
+        mu, k, n = levels[j][0][g], int(levels[j][1][g]), (3 ** (j + 1) + 3) // 2
+        newborn = 120 * n if mu == 6.0 else 6 * 162 * 4 ** max(j - 2, 0)
+        factor = k * min(k, 2**j // 2 + 2 if mu == 6.0 else k) + 25 * n
+        entries = max(entries, newborn, factor)
     return entries
+
+
+def _path_columns(levels, keep, widths):
+    """Most columns one level-j eigenspace holds along the path, for each level j.
+
+    Column 0, and its kept descendants' ``widths`` (the combinations of
+    each), at most ``BLOCK`` at a time.
+    """
+    anc = _ancestors(levels, keep)
+    return [1 + min(BLOCK, int(np.bincount(a[a >= 0], widths[a >= 0]).max())) if (a >= 0).any() else 0
+            for a in anc]
 
 
 #: Bytes of Python objects and small index arrays that no O(n) term covers;
@@ -397,62 +467,56 @@ def _factor_entries(levels, keep):
 FIXED_BYTES = 2**16
 
 
-def _checked_modes(stiffness, mass, block, factor, lam, tol, rhs):
-    """``(v, residual)``: v = :func:`_modes` of one eigenspace at eigenvalue ``lam``, its residual checked.
-
-    ``residual`` is max_j ||S v_j - lam M v_j||_2 / (lam ||v_j||_M) over the
-    columns of v, and SolverError is raised when it exceeds ``tol``.
-    """
-    v = _modes(block, factor, mass, rhs)
+def _residual(stiffness, mass, v, lam):
+    """max_j ||S v_j - lam M v_j||_2 / (lam ||v_j||_M) over the columns of v."""
     norm = lam * np.sqrt(np.einsum("ij,ij,i->j", v, v, mass))
     resid = stiffness.matrix @ v
     t = v * lam
     t *= mass[:, None]
     resid -= t
-    residual = float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / norm))
-    if residual > tol:
-        raise SolverError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
-                          residual=residual)
-    return v, residual
+    return float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / norm))
 
 
-def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, tol=1e-8,
+def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, weights=None, tol=1e-8,
                           graph: LevelGraph = None):
-    """The eigenspaces of the ``count`` smallest nonzero eigenpairs, as a stream.
+    """Combinations of the canonical basis of the ``count`` smallest nonzero eigenpairs, as a stream.
 
     The labels of :func:`_decimation_levels` give every eigenspace, and
     :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
-    holds mode ``count`` are built from level 0 upward (newborn null spaces,
-    then decimation extension), one at a time, in sorted order.  No dense
-    eigensolver runs at any level.
+    holds mode ``count`` are built (newborn null spaces, then decimation
+    extension) by one depth-first traversal, :func:`_eigenspace_columns`.
+    No dense eigensolver runs at any level.
+
+    Without ``weights`` the stream holds the modes themselves, up to
+    ``BLOCK`` of one eigenspace at a time; with ``weights`` (the ``count``
+    coefficients of one combination of all modes) it holds one column per
+    eigenspace, its term of that combination.  Mode i of an eigenspace
+    needs only the leading i + 1 of its coefficients, so an eigenspace cut
+    at ``count`` is never solved past the cut.
 
     ``count`` and the memory are checked at once, and the stream is returned
-    as ``(graph, lambdas, ends, eigenspaces)``: the graph (``build_level`` of
-    a full gasket's level when none is given), the ``count`` eigenvalues, the
+    as ``(graph, lambdas, ends, columns)``: the graph (``build_level`` of a
+    full gasket's level when none is given), the ``count`` eigenvalues, the
     exclusive end of each eigenspace built among the nonzero modes, and an
-    iterator of ``(lo, k, modes)``.  The eigenspace holds modes lo, ...,
-    lo + k - 1 (0-based among the nonzero modes; the last may run past
-    ``count``), and ``modes(rhs)`` returns ``(v, residual)``: the n x r
-    combinations of its canonical basis with the leading coefficients
-    ``rhs`` (p x r, p <= k, :func:`_modes`), and their residual, checked
-    against ``tol`` (:func:`_checked_modes`).  Leading columns of the
-    identity give the modes themselves, and a coefficient vector one field
-    term; an eigenspace cut at ``count`` is built whole, but its
-    coefficients past the cut are never read.
+    iterator of ``(first, v, residual)``.  The n x r columns v are modes
+    first, ..., first + r - 1 (0-based among the nonzero modes), or the term
+    of the eigenspace whose first mode is ``first``; their order is that of
+    the traversal.  ``residual`` is max_j ||S v_j - lambda M v_j||_2 /
+    (lambda ||v_j||_M), and SolverError is raised when it exceeds ``tol``.
 
     Raises ValueError for out-of-range ``count``, a ``tol`` that is not
     finite and positive, a dimension that is no gasket's, or a sub-gasket
     without its graph; and before any allocation when the estimated peak
-    -- ``held`` bytes the caller keeps besides the stream, 2 n per kept
-    eigenspace for the sparse blocks of the two levels below the top (an
-    eigenspace of level j has at most 3 n_j nonzeros), the banded birth
-    factors (:func:`_factor_entries`), four n x min(``BLOCK``, k) blocks for
-    ``BLOCK`` modes of one eigenspace at a time (three of the residual
-    check, and the k-row coefficients with their solve and reordering,
-    k <= n / 2), 26 n for the block at hand with its copies and the O(n)
-    index arrays and operators of the construction, and ``FIXED_BYTES`` --
-    exceeds the available memory.  ``modes`` raises SolverError when the
-    residual exceeds ``tol``.
+    -- ``held`` bytes the caller keeps besides the stream, the dense
+    columns held along the path (:func:`_path_columns`: n_j doubles per
+    column at each level j), six more n x r blocks at the top (the last
+    eigenspace's columns, which the consumer still holds, the stacked input
+    of E(mu), and the scaled, renumbered and residual-check copies; r the
+    widest top-level column count), the largest birth with its newborn null
+    spaces and banded factor (:func:`_birth_entries`), 26 n for the cached
+    extension pattern, the level spectrum and the O(n) index arrays and
+    operators of the construction, and ``FIXED_BYTES`` -- exceeds the
+    available memory.
     """
     n = stiffness.dim
     count = int(count)
@@ -472,15 +536,12 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     ends = np.cumsum(mult[order])  # exclusive ends among the nonzero modes
     keep = order[: np.searchsorted(ends, count) + 1]  # up to the eigenspace that holds mode `count`
     ends = ends[: len(keep)]
-    b = min(BLOCK, int(mult[keep].max()))
-    # 2 n per kept eigenspace: the blocks of the two levels below the top, at
-    # most 3 n_j nonzeros of 12 bytes each at level j (n_{m-1} ~ n / 3), and
-    # at most one per kept eigenspace at each level.  26 n: the block at hand
-    # with its M-weighted and renumbered copies and E(mu) (16 n), and the cell
-    # table of parent_cells with its corner and midpoint copies, the level
-    # operators of the newborn null spaces, the level spectrum and a
-    # sub-gasket's row order (10 n)
-    need = held + 8 * (n * (2 * len(keep) + 4 * b + 26) + _factor_entries(levels, keep)) + FIXED_BYTES
+    starts = ends - mult[keep]
+    widths = np.ones(len(keep), dtype=np.int64) if weights is not None else np.minimum(mult[keep], count - starts)
+    path = _path_columns(levels, keep, widths)
+    sizes = [(3 ** (j + 1) + 3) // 2 for j in range(depth + 1)]
+    need = (held + 8 * (int(np.dot(sizes, path)) + n * (6 * path[-1] + 26) + _birth_entries(levels, keep))
+            + FIXED_BYTES)
     avail = _available_memory()
     if need > avail:
         raise ValueError(
@@ -493,13 +554,27 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     rows = np.argsort(embed_indices(build_level(depth), graph)) if word else None
     lambdas = spectrum(stiffness.level, word)[:count]
 
-    def eigenspaces():
-        for lo, k, (block, factor) in zip(ends - mult[keep], mult[keep], _eigenspace_blocks(levels, keep)):
-            block = block[rows] if word else block
-            yield int(lo), int(k), partial(_checked_modes, stiffness, mass.diagonal, block, factor,
-                                           lambdas[lo], tol)
+    def coefficients(i):
+        lo, k = int(starts[i]), int(widths[i])
+        if weights is not None:
+            return [(lo, weights[lo : lo + int(mult[keep[i]]), None])]
+        return ((lo + a, np.eye(a + b, b, -a)) for a in range(0, k, BLOCK) for b in [min(BLOCK, k - a)])
 
-    return graph, lambdas, ends, eigenspaces()
+    def columns():
+        for i, y, g00, entries in _eigenspace_columns(levels, keep, coefficients):
+            if word:
+                y = y[rows]
+            v = y[:, 1:] / np.sqrt(y[:, 0] ** 2 @ mass.diagonal / g00)
+            residual = _residual(stiffness, mass.diagonal, v, lambdas[starts[i]])
+            if residual > tol:
+                raise SolverError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
+                                  residual=residual)
+            start = 0
+            for first, r in entries:
+                yield first, v[:, start : start + r], residual
+                start += r
+
+    return graph, lambdas, ends, columns()
 
 
 def solve_eigen(
@@ -512,8 +587,9 @@ def solve_eigen(
     """Compute the ``count`` smallest nonzero generalized eigenpairs.
 
     Forms the modes of each eigenspace of :func:`canonical_eigenspaces`,
-    ``BLOCK`` at a time from leading columns of the identity, into one
-    n x (count + 1) array, whose column 0 is the constant mode.
+    ``BLOCK`` at a time from leading columns of the identity solved at its
+    birth level and pushed up from there, into one n x (count + 1) array,
+    whose column 0 is the constant mode.
 
     Parameters
     ----------
@@ -533,17 +609,14 @@ def solve_eigen(
     residual exceeds ``tol``.
     """
     n = stiffness.dim
-    graph, lambdas, ends, eigenspaces = canonical_eigenspaces(stiffness, mass, count,
-                                                              8 * n * (int(count) + 1), tol, graph)
+    graph, lambdas, ends, columns = canonical_eigenspaces(stiffness, mass, count, 8 * n * (int(count) + 1),
+                                                          tol=tol, graph=graph)
     vectors = np.empty((n, len(lambdas) + 1))
     vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
     residual_norm = 0.0
-    for lo, k, modes in eigenspaces:
-        for i in range(0, min(k, len(lambdas) - lo), BLOCK):
-            b = min(BLOCK, k - i, len(lambdas) - lo - i)
-            v, residual = modes(np.eye(i + b, b, -i))
-            vectors[:, 1 + lo + i : 1 + lo + i + b] = v
-            residual_norm = max(residual_norm, residual)
+    for first, v, residual in columns:
+        vectors[:, 1 + first : 1 + first + v.shape[1]] = v
+        residual_norm = max(residual_norm, residual)
     return SpectralBasis(
         level=stiffness.level,
         lambdas=np.concatenate([[0.0], lambdas]),

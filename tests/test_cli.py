@@ -239,13 +239,13 @@ def test_sample_budget_solves_only_its_modes(tmp_path, monkeypatch):
     # J comes from the exact spectrum before any vector exists, the stream
     # builds the eigenspaces up to mode J only, and the artifacts equal those of --modes J
     built = []
-    blocks = spectral._eigenspace_blocks
+    columns = spectral._eigenspace_columns
 
-    def spy(levels, keep):
+    def spy(levels, keep, coefficients):
         built.append(keep)
-        return blocks(levels, keep)
+        return columns(levels, keep, coefficients)
 
-    monkeypatch.setattr(spectral, "_eigenspace_blocks", spy)
+    monkeypatch.setattr(spectral, "_eigenspace_columns", spy)
 
     def sample(name, *flag):
         out, pgm = tmp_path / f"{name}.csv", tmp_path / f"{name}.pgm"
@@ -468,8 +468,8 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the streamed draw has an estimate of its own, with no n x J term, checked
-    # before anything is allocated; the level-8 budget draw needs about 0.15 GiB
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
+    # before anything is allocated; the level-8 budget draw needs about 36 MB
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**24)
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",
                  "--out", str(tmp_path / "f.csv")])

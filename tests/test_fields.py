@@ -70,9 +70,9 @@ def test_golden_fields(g6, basis6, sub_basis5):
         np.testing.assert_allclose(values, GOLDEN_FIELDS[name], rtol=0, atol=1e-10, err_msg=name)
 
 
-def budget_modes(level, s, J):
-    """J itself, or the J of a 1% tail budget at ``level`` for J = None."""
-    return pick_truncation(spectrum(level), s, budget=0.01) if J is None else J
+def budget_modes(level, s, J, word=()):
+    """J itself, or the J of a 1% tail budget at ``level`` (of cell ``word``) for J = None."""
+    return pick_truncation(spectrum(level, word), s, budget=0.01) if J is None else J
 
 
 @pytest.mark.parametrize("level,word,J", [
@@ -81,13 +81,21 @@ def budget_modes(level, s, J):
     pytest.param(7, (), None, id="l7-budget"),
     pytest.param(6, (), 300, id="l6-cut300"),
     pytest.param(6, (1,), 200, id="sub6-cut200"),
+    pytest.param(3, (), None, id="l3-budget"),
+    pytest.param(4, (), None, id="l4-budget"),
+    pytest.param(8, (), None, id="l8-budget"),
+    pytest.param(6, (), 1, id="l6-J1"),
+    pytest.param(6, (), 2, id="l6-J2"),
+    pytest.param(5, (1,), None, id="sub5-1-budget"),
+    pytest.param(5, (2, 1), None, id="sub5-21-budget"),
 ])
 def test_stream_field_is_the_basis_field(level, word, J):
-    # the same draws on the same canonical modes, one eigenspace block at a
-    # time; mode 300 of level 6 cuts the 243..365 eigenspace, and a
-    # sub-gasket renumbers the rows of each block
+    # the same draws on the same canonical modes, pushed up from their births
+    # one eigenspace at a time; mode 300 of level 6 cuts the 243..365
+    # eigenspace, J = 1 and 2 cut the lowest, and a sub-gasket renumbers the
+    # rows of each eigenspace's columns
     s, g = s_from_hurst(0.3), extract_cell(build_level(level), word)
-    S, M, J = assemble_energy(g), assemble_mass(g), budget_modes(level, s, J)
+    S, M, J = assemble_energy(g), assemble_mass(g), budget_modes(level, s, J, word)
     ref = sample_field(solve_eigen(S, M, J, graph=g), s, 12345)
     got = stream_field(S, M, s, 12345, J, graph=g)
     np.testing.assert_array_equal(got.coefficients, ref.coefficients)
@@ -111,18 +119,19 @@ def test_stream_field_without_modes_solves_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("no eigenspace may be built for J = 0")
 
-    monkeypatch.setattr(spectral, "_eigenspace_blocks", refuse)
+    monkeypatch.setattr(spectral, "_eigenspace_columns", refuse)
     g = build_level(5)
     got = stream_field(assemble_energy(g), assemble_mass(g), 0.5, 3, 0, graph=g)
     assert got.modes == 0 and len(got.coefficients) == 0
     assert got.values.shape == (len(g),) and not got.values.any()
 
 
-@pytest.mark.parametrize("level", [6, 7])
+@pytest.mark.parametrize("level", [6, 7, 8])
 @pytest.mark.parametrize("J", [1, 2, 10, None], ids=["J1", "J2", "J10", "budget"])
 def test_stream_field_memory_check_bounds_peak(memory_bound, level, J):
-    # no n x J array: the estimate holds the stream and the field, and the
-    # level-7 budget draw peaks below the 68 MB of the basis it no longer forms
+    # no n x J array: the estimate holds the path, the largest birth and the
+    # field, and the level-7 budget draw peaks below the 68 MB of the basis
+    # it no longer forms
     s, g, budget = s_from_hurst(0.3), build_level(level), J is None
     S, M, J = assemble_energy(g), assemble_mass(g), budget_modes(level, s, J)
     peak = memory_bound(lambda: stream_field(S, M, s, 1, J, graph=g))

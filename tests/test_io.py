@@ -1,14 +1,16 @@
-"""Artifact writers: PGM rasters against exact and k-d nearest-vertex queries, and sub-gasket graph bytes."""
+"""Artifact writers: PGM rasters against exact and k-d nearest-vertex queries, field CSV rows and graph bytes."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from gasket_fgf.fields import FieldSample
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
-from gasket_fgf.io import pixel_vertices, write_graph_json, write_pgm
+from gasket_fgf.io import pixel_vertices, write_field_csv, write_graph_json, write_pgm
 
 
 def pixel_centres(size):
@@ -129,3 +131,20 @@ def test_sub_gasket_graph_json_keeps_its_bytes(tmp_path):
     write_graph_json(extract_cell(build_level(5), (1, 2)), tmp_path / "g.json")
     digest = hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest()
     assert digest == "7596823ab181dd03ed832ea2e0253ba28a19874fde9715e08ab2e2a6322f835d"
+
+
+def test_field_csv_blocks_write_the_rows_of_the_per_row_writer(tmp_path):
+    # 9,843 rows cross two 4,096-row blocks; signed zeros and subnormals keep their text
+    graph = build_level(8)
+    values = np.random.default_rng(3).standard_normal(len(graph))
+    values[[0, 4095, 4096, 9842]] = [-0.0, 5e-324, -2.5e-310, 0.0]
+    sample = FieldSample(level=8, s=0.6, hurst=0.3, modes=17, seed=9,
+                         coefficients=np.zeros(17), values=values)
+    write_field_csv(sample, graph, tmp_path / "f.csv", extra={"budget": 0.01})
+    header = {"level": 8, "s": 0.6, "H": 0.3, "J": 17, "seed": 9, "generator": "PCG64", "budget": 0.01}
+    rows = ["# " + json.dumps(header, separators=(", ", ": ")), "vertex_id,x,y,value"]
+    rows += ["%d,%.17g,%.17g,%.17g" % (i, x, y, v)
+             for i, ((x, y), v) in enumerate(zip(graph.points.tolist(), values.tolist()))]
+    text = (tmp_path / "f.csv").read_text()
+    assert text == "\n".join(rows) + "\n"
+    assert rows[2] == "0,0,0,-0" and rows[2 + 4095].endswith(",4.9406564584124654e-324")

@@ -1,6 +1,8 @@
 """Eigensolver hygiene, Weyl counting, and truncation bookkeeping."""
 
 import warnings
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from gasket_fgf.spectral import (
     SolverError,
     _birth_factor,
     _decimation_levels,
-    _eigenspace_blocks,
     _newborn,
     canonical_eigenspaces,
     counting_function,
@@ -88,9 +89,11 @@ def test_streamed_columns_are_orthonormal_at_level_7():
     g = build_level(7)
     mm = assemble_mass(g)
     J = pick_truncation(spectrum(7), s_from_hurst(0.3))
-    _, _, _, eigenspaces = canonical_eigenspaces(assemble_energy(g), mm, J, 0, graph=g)
-    w = np.hstack([modes(np.eye(min(k, J - lo)))[0] for lo, k, modes in eigenspaces])
-    assert w.shape == (len(g), J) == (3282, 2600)
+    _, _, _, columns = canonical_eigenspaces(assemble_energy(g), mm, J, 0, graph=g)
+    w = np.full((len(g), J), np.nan)
+    for first, v, _ in columns:
+        w[:, first : first + v.shape[1]] = v
+    assert w.shape == (len(g), J) == (3282, 2600) and not np.isnan(w).any()
     w *= np.sqrt(mm.diagonal)[:, None]
     assert np.abs(w.T @ w - np.eye(J)).max() <= 1e-10
 
@@ -208,8 +211,30 @@ def test_deep_truncated_solve_fails_before_dense_allocation():
 
     n = NoDense.shape[0]
     s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    with pytest.raises(ValueError, match=r"dimension 797163: 4884\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 4804\.\d GiB at peak, more than"):
         solve_eigen(s, mm, n - 1)
+
+
+def test_deep_budget_draw_fits_in_two_gib(monkeypatch):
+    # the level-12 draw at the 1% budget (J = 69,805) passes its memory check
+    # at 2 GiB, from the labels alone, and refuses 0.5 GiB; the stream builds
+    # nothing until it is read
+    class Untouched:
+        shape = (797163, 797163)
+
+        def __matmul__(self, other):
+            raise AssertionError("stiffness used")
+
+    n = Untouched.shape[0]
+    J = pick_truncation(spectrum(12), s_from_hurst(0.3))
+    s, mm = StiffnessMatrix(12, Untouched(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
+    draw = (s, mm, J, 8 * (n + 3 * J), np.zeros(J))
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**31)
+    _, lam, ends, _ = canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
+    assert J == len(lam) == 69805 and ends[-1] >= J
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**29)
+    with pytest.raises(ValueError, match=r"dimension 797163: 1\.\d GiB at peak, more than"):
+        canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -298,20 +323,23 @@ def test_extension_scales_the_gram(m):
     # one factor of its birth Gram serves every descendant
     levels = _decimation_levels(m)
     mu, _, parent = levels[m]
-    below = np.arange(len(levels[m - 1][0]))
-    coarse = dict(zip(below, (u for u, _ in _eigenspace_blocks(levels[:m], below))))
-    fine, mass = build_level(m), build_level(m - 1).measure
+    coarse = get_basis(m - 1)
+    labels = np.argsort(levels[m - 1][0], kind="stable")[1:]  # coarse eigenspaces in solve order
+    runs = dict(zip(labels, coarse.clusters()))
+    fine, mass = build_level(m), coarse.mass
     for g in np.flatnonzero((parent >= 0) & (mu != 0.0)):  # every inherited eigenspace but the constant
-        u = coarse[parent[g]]
+        lo, hi = runs[parent[g]]
+        u = coarse.phi[:, lo:hi]
         b = decimation_extension(u, fine, mu[g])
-        gram = (b.T @ (fine.measure[:, None] * b)).toarray()
-        base = (u.T @ (mass[:, None] * u)).toarray()
+        gram = b.T @ (fine.measure[:, None] * b)
+        base = u.T @ (mass[:, None] * u)
         c = gram[0, 0] / base[0, 0]
         assert np.abs(gram - c * base).max() <= 1e-12 * np.abs(gram).max()
 
 
-def test_solve_extends_sparse_blocks_at_one_mu(g6, monkeypatch):
-    # every eigenspace of every level is a sparse block, extended at its own scalar mu
+def test_solve_extends_at_one_mu(g6, monkeypatch):
+    # every extension is of dense columns at one scalar mu: no sparse block
+    # goes above its birth level
     seen, extend = [], spectral.decimation_extension
 
     def spy(u, fine, mu):
@@ -320,18 +348,39 @@ def test_solve_extends_sparse_blocks_at_one_mu(g6, monkeypatch):
 
     monkeypatch.setattr(spectral, "decimation_extension", spy)
     solve_eigen(assemble_energy(g6), assemble_mass(g6), len(g6) - 1, graph=g6)
-    assert len(seen) > 100 and set(seen) == {(True, 0)}
+    assert len(seen) > 100 and set(seen) == {(False, 0)}
 
 
 @pytest.mark.parametrize("m", range(1, 7))
-def test_eigenspace_blocks_hold_at_most_3n_nonzeros(m):
-    # the memory estimate counts 3 n nonzeros per eigenspace: each function
-    # lives on the cells one level above its birth around its support
+def test_eigenspace_blocks_hold_at_most_3n_nonzeros(m, monkeypatch):
+    # the only sparse blocks are the birth eigenspaces, each with at most
+    # 3 n_j nonzeros at its birth level j; above it, the dense columns held
+    # at once along the path of a full solve stay within the estimate's
+    # count (_path_columns: n_j doubles per column at each level j), plus
+    # the top-level columns of the last eigenspace, which its consumer holds
     levels = _decimation_levels(m)
-    mu = levels[-1][0]
-    blocks = [b for b, _ in spectral._eigenspace_blocks(levels, np.argsort(mu, kind="stable")[1:])]
-    assert all(sp.issparse(b) and b.format == "csc" for b in blocks)
-    assert max(b.nnz for b in blocks) <= 3 * len(build_level(m))
+    for j, (mu, _, parent) in enumerate(levels):
+        for g in np.flatnonzero(parent < 0):
+            block = spectral._birth_block(j, mu[g], g)
+            assert sp.issparse(block) and block.nnz <= 3 * len(build_level(j))
+    held, peak = [], [0]
+
+    def track(f):
+        def spy(*args):
+            y = f(*args)
+            held.append(weakref.ref(y))
+            peak[0] = max(peak[0], sum(a.size for a in (r() for r in held) if a is not None))
+            return y
+        return spy
+
+    monkeypatch.setattr(spectral, "decimation_extension", track(spectral.decimation_extension))
+    monkeypatch.setattr(spectral, "_birth_columns", track(spectral._birth_columns))
+    g = build_level(m)
+    solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
+    mu, mult, _ = levels[-1]
+    keep = np.argsort(mu, kind="stable")[1:]
+    path = spectral._path_columns(levels, keep, mult[keep])
+    assert peak[0] <= sum(len(build_level(j)) * c for j, c in enumerate(path)) + len(g) * path[-1]
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -371,6 +420,14 @@ def test_memory_check_counts_block_temporaries(memory_bound):
     g = build_level(7)
     s, mm = assemble_energy(g), assemble_mass(g)
     memory_bound(lambda: solve_eigen(s, mm, 50, graph=g))
+
+
+def test_memory_check_bounds_a_truncated_level_8_solve(memory_bound):
+    # 300 modes: wide column blocks pushed up from low births, and the
+    # mu = 5 newborn of level 8 as the largest birth
+    g = build_level(8)
+    s, mm = assemble_energy(g), assemble_mass(g)
+    memory_bound(lambda: solve_eigen(s, mm, 300, graph=g))
 
 
 @pytest.mark.parametrize("level", [6, 7])
