@@ -17,7 +17,7 @@ approximates the gasket Laplacian in continuum normalization.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -170,11 +170,10 @@ def decimation_extension(u, fine: LevelGraph, mu):
     this is the linear map E(mu) = [I; alpha(mu) side + beta(mu) opposite],
     applied as one product of a cached 0/1 matrix (:func:`_extension_pattern`)
     with [u; alpha u; beta u], so no matrix is built per call.  ``u`` is a
-    dense array, or a sparse block that comes back column-compressed.
+    dense vector or array.
     """
     denom = (2.0 - mu) * (5.0 - mu)
-    stack = partial(sp.vstack, format="csc") if sp.issparse(u) else np.concatenate
-    return _extension_pattern(fine.level) @ stack([u, (4.0 - mu) / denom * u, 2.0 / denom * u])
+    return _extension_pattern(fine.level) @ np.concatenate([u, (4.0 - mu) / denom * u, 2.0 / denom * u])
 
 
 def harmonic_extension(f_coarse, fine: LevelGraph, coarse: LevelGraph = None):

@@ -14,11 +14,9 @@ at level m, every level-m eigenfunction is one of three kinds:
 * newborn at mu = 5: one per level-j cell, j <= m - 2, supported on the
   midpoints of the level-(m-1) cells with a side on the edge of its hole.
 
-A newborn function spans the one-dimensional null space of the columns of
-S - lambda M on its support (one QR and SVD per distinct local problem,
-shared by every self-similar copy of it), signed so that its first support
-entry is positive.  Each
-eigenspace carries a label -- birth level, birth value and root sequence --
+A newborn function has explicit values on its support (:func:`_newborn`),
+a unit vector whose first support entry is positive.  Each eigenspace
+carries a label -- birth level, birth value and root sequence --
 whose eigenvalue follows from the mu recursion alone, so eigenvalues,
 multiplicities and cluster boundaries are known before any vector exists
 (:func:`spectrum`; a truncation J can be picked from them), and a truncated
@@ -77,8 +75,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .constants import S_MIN
 from .geometry import LevelGraph, build_level, embed_indices
-from .operators import (MassMatrix, StiffnessMatrix, _level_from_size, assemble_energy,
-                        decimation_extension, parent_cells)
+from .operators import MassMatrix, StiffnessMatrix, _level_from_size, decimation_extension, parent_cells
 
 #: Modes per block when :func:`solve_eigen` forms and checks them.
 BLOCK = 256
@@ -212,57 +209,39 @@ def _hole_cells(i, depth):
 def _newborn(fine: LevelGraph, mu):
     """Local eigenfunctions born on ``fine`` at mu = 6 or 5, in batches of equal support size.
 
-    Yields ``(support, values)``, one row per eigenfunction: the
-    one-dimensional null space of the columns ``support`` of S - lambda M,
-    as the unit vector whose first entry (at ``support[:, 0]``) is positive
-    (:func:`_null_vectors`).
-    The rows are the corners and midpoints of the cells involved, repeated
-    where cells share a corner, which leaves the null space unchanged.
+    Yields ``(support, values)``, one row per eigenfunction, from the
+    closed-form templates (Fukushima & Shima 1992; Strichartz 2006, ch. 3)
+    as unit vectors whose first entry (at ``support[:, 0]``) is positive.
+    With (m_ab, m_bc, m_ca) the side midpoints of a level-(m-1) cell:
+
+    * mu = 6, one per vertex x of V_{m-1}: x gets 2, and in each of its
+      k in {1, 2} cells the midpoints of the two sides through x get -1 and
+      the midpoint of the side opposite x gets +1; divided by sqrt(4 + 3k).
+    * mu = 5, one per level-i cell w, i <= m - 2: its hole is lined by
+      r = 3 2^(m-i-2) level-(m-1) cells, and one inside sub-cell w s takes
+      (1, 0, -1), (-1, 1, 0) or (0, -1, 1) for s = 0, 1, 2 -- 0 on its side
+      on the hole; divided by sqrt(2r).
     """
     corners, mids = parent_cells(fine)
-    if mu == 6.0:  # one per vertex x of V_{m-1}: x and the midpoints of its one or two cells
+    if mu == 6.0:
         flat = corners.ravel()
         order = np.argsort(flat, kind="stable")
         first = np.searchsorted(flat[order], np.arange(flat.max() + 1))
         ncell = np.bincount(flat)
-        problems = [(x[:, None], order[first[x, None] + np.arange(k)] // 3)
-                    for k in (1, 2) for x in [np.flatnonzero(ncell == k)]]
-    else:  # one per level-i cell, i <= m - 2: the midpoints of the cells along its hole
-        problems = [(np.empty((3**i, 0), dtype=np.int64), _hole_cells(i, fine.level - i - 2))
-                    for i in range(fine.level - 1)]
-    lam = 1.5 * 5.0**fine.level * mu
-    op = (assemble_energy(fine).matrix - sp.diags_array(lam * fine.measure)).tocsr()
-    for extra, cells in problems:
-        if not len(cells):
-            continue
-        support = np.column_stack([extra, mids[cells].reshape(len(cells), -1)])
-        rows = np.concatenate([corners[cells], mids[cells]], axis=2).reshape(len(cells), -1)
-        r, c = np.broadcast_arrays(rows[:, :, None], support[:, None, :])
-        yield support, _null_vectors(np.asarray(op[r.ravel(), c.ravel()]).reshape(r.shape))
-
-
-def _null_vectors(blocks):
-    """Unit null vectors of a batch of local problems (p x r x c), solving each distinct one once.
-
-    Self-similar cells give equal problems (3 distinct ones among the mu = 6
-    functions, 1 per mu = 5 batch), found by their bytes: ``np.unique`` on
-    a ``np.void`` row view, since ``np.unique(axis=0)`` sorts element-wise
-    and is far slower on long rows.  Each distinct problem gets the values
-    that a QR and SVD of it alone give, with the sign that makes its first
-    support entry positive: the vertex x for mu = 6, a hole midpoint for
-    mu = 5.  That entry is the largest of its unit vector, so at least
-    1 / sqrt(r) for r support entries (tested at L2-L8), and no threshold
-    enters.  The SVD leaves the sign arbitrary and the rule fixes it, so the
-    constructed block, and with it the basis of every eigenspace, is
-    reproducible.
-    """
-    flat = blocks.reshape(len(blocks), -1)
-    _, first, inverse = np.unique(flat.view(np.dtype((np.void, flat.shape[1] * flat.itemsize))).ravel(),
-                                  return_index=True, return_inverse=True)
-    # R of a QR has the null space of the (taller) block: the SVD then runs on a square matrix
-    values = np.linalg.svd(np.linalg.qr(blocks[first], mode="r"))[2][:, -1, :]
-    values *= np.copysign(1.0, values[:, :1])
-    return values[inverse]
+        for k in (1, 2):
+            x = np.flatnonzero(ncell == k)
+            cells, corner = np.divmod(order[first[x, None] + np.arange(k)], 3)
+            # the side opposite corner a, b or c is m_bc, m_ca or m_ab
+            sides = np.where(np.arange(3) == (corner[..., None] + 1) % 3, 1.0, -1.0).reshape(len(x), 3 * k)
+            yield (np.column_stack([x, mids[cells].reshape(len(x), 3 * k)]),
+                   np.column_stack([np.full(len(x), 2.0), sides]) / np.sqrt(4 + 3 * k))
+    else:
+        for i in range(fine.level - 1):
+            cells = _hole_cells(i, fine.level - i - 2)
+            r = cells.shape[1]
+            template = np.repeat([[1.0, 0.0, -1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]], r // 3, axis=0)
+            yield mids[cells].reshape(len(cells), -1), np.broadcast_to(template.ravel() / np.sqrt(2 * r),
+                                                                       (len(cells), 3 * r))
 
 
 def _newborn_block(fine: LevelGraph, mu):
@@ -281,19 +260,22 @@ def _newborn_block(fine: LevelGraph, mu):
 
 
 def _ancestors(levels, keep):
-    """The eigenspace each of ``keep`` descends from at every level: row j holds the level-j labels.
+    """The eigenspace each of ``keep`` descends from at every level, and the birth of each.
 
-    Entries below an eigenspace's birth level are -1, so the birth level is
-    the first row that is not, and sorting the columns by their rows
-    (:func:`numpy.lexsort`, row 0 first) lists the kept eigenspaces
-    depth-first: every eigenspace's kept descendants are contiguous.
+    Returns ``(anc, birth, born)``.  Row j of ``anc`` holds the level-j
+    labels, -1 below an eigenspace's birth level, so sorting the columns
+    by their rows (:func:`numpy.lexsort`, row 0 first) lists the kept
+    eigenspaces depth-first: every eigenspace's kept descendants are
+    contiguous.  ``birth`` is the first row that is not -1, and ``born``
+    the label there, of the birth eigenspace.
     """
     m = len(levels) - 1
     anc = np.full((m + 1, len(keep)), -1)
     anc[m] = keep
     for j in range(m, 0, -1):
         anc[j - 1] = np.where(anc[j] >= 0, levels[j][2][anc[j]], -1)
-    return anc
+    birth = np.argmax(anc >= 0, axis=0)
+    return anc, birth, anc[birth, np.arange(len(keep))]
 
 
 def _birth_factor(block, mass):
@@ -327,11 +309,13 @@ def _birth_block(j, mu, g):
     return sp.csc_array(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]).T[:, [[0], [1, 2]][g]])
 
 
-def _eigenspace_columns(levels, keep, coefficients):
-    """Combinations of the basis of each top-level eigenspace ``keep[i]``, built depth-first.
+def _eigenspace_columns(levels, anc, birth, born, coefficients):
+    """Combinations of the basis of each top-level eigenspace ``anc[-1, i]``, built depth-first.
 
-    ``coefficients(i)`` gives ``(first, c)`` pairs for eigenspace i, each c
-    (p x r, r <= ``BLOCK``) the leading p coefficients of r combinations.
+    ``anc``, ``birth`` and ``born`` are the :func:`_ancestors` of the kept
+    eigenspaces, and ``coefficients(i)`` gives ``(first, c)`` pairs for
+    eigenspace i, each c (p x r, r <= ``BLOCK``) the leading p coefficients
+    of r combinations.
     Every eigenspace descends from one birth eigenspace B (the level-0 base
     or a newborn block), whose M-Gram is factored once (:func:`_birth_factor`,
     ``(perm, ab, g00)``, G = P^T L L^T P).  At its birth level the columns
@@ -348,15 +332,8 @@ def _eigenspace_columns(levels, keep, coefficients):
     y[:, 1:] / sqrt(c), with c = ||y[:, 0]||_M^2 / g00.
     """
     m = len(levels) - 1
-    anc = _ancestors(levels, keep)
-    birth = np.argmax(anc >= 0, axis=0)
-    born = anc[birth, np.arange(len(keep))]
-    # births level by level, each level's in eigenvalue order (mu = 5 before
-    # mu = 6: a banded factor right before the mu = 5 newborn's QR and SVD
-    # doubles their time at 2 BLAS threads, measured at level 7), and the
-    # kept descendants of each depth-first
-    mu0 = np.array([levels[j][0][g] for j, g in zip(birth, born)])
-    order = np.lexsort((*np.where(anc < 0, len(levels[m][0]), anc)[::-1], mu0, birth))
+    # births level by level, and the kept descendants of each depth-first
+    order = np.lexsort((*np.where(anc < 0, len(levels[m][0]), anc)[::-1], birth))
 
     def push(j, y, entries):
         if j == m:
@@ -426,38 +403,31 @@ def _available_memory():
         return avail
 
 
-def _birth_entries(levels, keep):
-    """Doubles held while forming the largest birth eigenspace the eigenspaces ``keep`` descend from, at most.
+def _birth_entries(levels, birth, born):
+    """Doubles held while forming the largest of the birth eigenspaces ``born`` (at levels ``birth``), at most.
 
-    One birth is held at a time.  Its newborn null spaces (:func:`_newborn`)
-    are counted at 120 n_j doubles for mu = 6 born at level j, and at 6
-    times the 162 4^(j-2) entries of the largest local problem for mu = 5
-    (tracemalloc peaks of 109-115 n_j and 4.7-5.2 times at L4-L9).  Then
-    its sparse block (at most 3 n_j nonzeros of 12 bytes), its Gram with
-    the reordered copies (25 n_j together) and its banded factor are held:
-    at most k (2^(j-1) + 2) entries for a
-    mu = 6 space (its reverse Cuthill-McKee bandwidth is 2^(j-1) + 1,
-    tested at L1-L7), and k^2 for any other (mu = 5 bands are about k / 3
-    wide).
+    One birth is held at a time: its sparse block (at most 3 n_j nonzeros
+    of 12 bytes) and its Gram with the reordered copies (25 n_j together),
+    and its banded factor, at most k (2^(j-1) + 2) entries for a mu = 6
+    space born at level j (its reverse Cuthill-McKee bandwidth is
+    2^(j-1) + 1, tested at L1-L7) and k^2 for any other (mu = 5 bands are
+    about k / 3 wide).  The templates of a newborn block
+    (:func:`_newborn`) peak below 15 n_j before the block exists
+    (tracemalloc at L5-L10), inside the 25 n_j.
     """
-    anc = _ancestors(levels, keep)
-    birth = np.argmax(anc >= 0, axis=0)
     entries = 0
-    for j, g in set(zip(birth.tolist(), anc[birth, np.arange(len(keep))].tolist())):
+    for j, g in set(zip(birth.tolist(), born.tolist())):
         mu, k, n = levels[j][0][g], int(levels[j][1][g]), (3 ** (j + 1) + 3) // 2
-        newborn = 120 * n if mu == 6.0 else 6 * 162 * 4 ** max(j - 2, 0)
-        factor = k * min(k, 2**j // 2 + 2 if mu == 6.0 else k) + 25 * n
-        entries = max(entries, newborn, factor)
+        entries = max(entries, k * min(k, 2**j // 2 + 2 if mu == 6.0 else k) + 25 * n)
     return entries
 
 
-def _path_columns(levels, keep, widths):
+def _path_columns(anc, widths):
     """Most columns one level-j eigenspace holds along the path, for each level j.
 
     Column 0, and its kept descendants' ``widths`` (the combinations of
-    each), at most ``BLOCK`` at a time.
+    each), at most ``BLOCK`` at a time; ``anc`` is that of :func:`_ancestors`.
     """
-    anc = _ancestors(levels, keep)
     return [1 + min(BLOCK, int(np.bincount(a[a >= 0], widths[a >= 0]).max())) if (a >= 0).any() else 0
             for a in anc]
 
@@ -512,8 +482,8 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     column at each level j), six more n x r blocks at the top (the last
     eigenspace's columns, which the consumer still holds, the stacked input
     of E(mu), and the scaled, renumbered and residual-check copies; r the
-    widest top-level column count), the largest birth with its newborn null
-    spaces and banded factor (:func:`_birth_entries`), 26 n for the cached
+    widest top-level column count), the largest birth with its Gram and
+    banded factor (:func:`_birth_entries`), 26 n for the cached
     extension pattern, the level spectrum and the O(n) index arrays and
     operators of the construction, and ``FIXED_BYTES`` -- exceeds the
     available memory.
@@ -538,9 +508,10 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     ends = ends[: len(keep)]
     starts = ends - mult[keep]
     widths = np.ones(len(keep), dtype=np.int64) if weights is not None else np.minimum(mult[keep], count - starts)
-    path = _path_columns(levels, keep, widths)
+    anc, birth, born = _ancestors(levels, keep)
+    path = _path_columns(anc, widths)
     sizes = [(3 ** (j + 1) + 3) // 2 for j in range(depth + 1)]
-    need = (held + 8 * (int(np.dot(sizes, path)) + n * (6 * path[-1] + 26) + _birth_entries(levels, keep))
+    need = (held + 8 * (int(np.dot(sizes, path)) + n * (6 * path[-1] + 26) + _birth_entries(levels, birth, born))
             + FIXED_BYTES)
     avail = _available_memory()
     if need > avail:
@@ -561,7 +532,7 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
         return ((lo + a, np.eye(a + b, b, -a)) for a in range(0, k, BLOCK) for b in [min(BLOCK, k - a)])
 
     def columns():
-        for i, y, g00, entries in _eigenspace_columns(levels, keep, coefficients):
+        for i, y, g00, entries in _eigenspace_columns(levels, anc, birth, born, coefficients):
             if word:
                 y = y[rows]
             v = y[:, 1:] / np.sqrt(y[:, 0] ** 2 @ mass.diagonal / g00)

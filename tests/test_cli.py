@@ -241,9 +241,9 @@ def test_sample_budget_solves_only_its_modes(tmp_path, monkeypatch):
     built = []
     columns = spectral._eigenspace_columns
 
-    def spy(levels, keep, coefficients):
-        built.append(keep)
-        return columns(levels, keep, coefficients)
+    def spy(levels, anc, *args):
+        built.append(anc[-1])
+        return columns(levels, anc, *args)
 
     monkeypatch.setattr(spectral, "_eigenspace_columns", spy)
 
@@ -468,8 +468,8 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the streamed draw has an estimate of its own, with no n x J term, checked
-    # before anything is allocated; the level-8 budget draw needs about 36 MB
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**24)
+    # before anything is allocated; the level-8 budget draw needs about 15 MB
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**23)
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",
                  "--out", str(tmp_path / "f.csv")])

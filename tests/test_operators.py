@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,19 +121,8 @@ def test_decimation_extension_is_the_midpoint_rule(m, mu, rng):
         want[z] = ((4.0 - mu) * (u[x] + u[y]) + 2.0 * u[w]) / ((2.0 - mu) * (5.0 - mu))
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
     np.testing.assert_array_equal(got[:n], u)
-
-
-@pytest.mark.parametrize("mu", EXTENSION_MUS)
-def test_decimation_extension_dense_and_sparse_agree(mu, rng):
-    # one matrix for both: a sparse block comes back column-compressed, with the same entries
-    fine = build_level(5)
-    u = sp.random_array((len(build_level(4)), 7), density=0.2, format="csc", rng=rng)
-    got = decimation_extension(u, fine, mu)
-    assert got.format == "csc"
-    dense = decimation_extension(u.toarray(), fine, mu)
-    np.testing.assert_allclose(got.toarray(), dense, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(decimation_extension(u.toarray()[:, 0], fine, mu), dense[:, 0],
-                               rtol=0, atol=1e-14)
+    # a single vector is one column
+    np.testing.assert_allclose(decimation_extension(u[:, 0], fine, mu), got[:, 0], rtol=0, atol=1e-14)
 
 
 def test_extension_pattern_is_cached_per_level():

@@ -31,7 +31,7 @@ from gasket_fgf.kernels import (
     riesz_value_quadrature,
 )
 from gasket_fgf.operators import (MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass,
-                                  decimation_extension)
+                                  decimation_extension, parent_cells)
 from gasket_fgf.spectral import (
     SolverError,
     _birth_factor,
@@ -61,6 +61,31 @@ def dense_eigen(stiffness, mass):
     a = stiffness.matrix.toarray() * d[:, None] * d[None, :]
     w, psi = scipy.linalg.eigh(0.5 * (a + a.T))
     return w, psi * d[:, None]
+
+
+def newborn_oracle(fine, mu):
+    """The oracle: each newborn function of ``fine`` as the null vector of its local problem.
+
+    For every batch ``(support, values)`` of ``_newborn``, the columns
+    ``support`` of S - lambda M on the rows of the level-(m-1) cells whose
+    midpoints the support holds (three per cell, after the vertex x for
+    mu = 6); a QR and an SVD of each problem alone give its unit null
+    vector, signed so that its first entry is positive.  Yields
+    ``(support, values, oracle)``.
+    """
+    corners, mids = parent_cells(fine)
+    cell_of = np.empty(len(fine), dtype=np.int64)
+    cell_of[mids.ravel()] = np.arange(len(mids)).repeat(3)
+    op = (assemble_energy(fine).matrix - sp.diags_array(1.5 * 5.0**fine.level * mu * fine.measure)).tocsr()
+    for support, values in _newborn(fine, mu):
+        if not len(support):
+            continue
+        cells = cell_of[support[:, support.shape[1] % 3 :: 3]]
+        rows = np.concatenate([corners[cells], mids[cells]], axis=2).reshape(len(cells), -1)
+        r, c = np.broadcast_arrays(rows[:, :, None], support[:, None, :])
+        blocks = np.asarray(op[r.ravel(), c.ravel()]).reshape(r.shape)
+        oracle = np.linalg.svd(np.linalg.qr(blocks, mode="r"))[2][:, -1, :]
+        yield support, values, oracle * np.copysign(1.0, oracle[:, :1])
 
 
 def birth_levels(levels):
@@ -154,23 +179,27 @@ def test_clusters_partition_spectrum(basis5):
                          [(m, ()) for m in range(2, 7)] + [(5, (0,)), (5, (1,)), (5, (2, 1))],
                          ids=[f"L{m}" for m in range(2, 7)] + ["L5-cell0", "L5-cell1", "L5-cell21"])
 def test_basis_ignores_null_vector_signs(level, word, flip, monkeypatch):
-    # the SVD leaves the sign of each newborn null vector arbitrary; negating
-    # any of them before the sign rule (so before the birth factor) leaves
-    # every eigenvector as it was
-    rng, svd, flipped = np.random.default_rng(level), np.linalg.svd, []
+    # a null vector is fixed only up to a nonzero factor, and the basis
+    # depends on it through the sign alone: scaling newborn columns by
+    # positive factors before the birth factor (all of them, or about half)
+    # leaves every eigenvector as it was
+    rng, newborn_block, scaled = np.random.default_rng(level), spectral._newborn_block, []
 
-    def negating_svd(a):
-        u, sv, vh = svd(a)
-        sign = -np.ones(len(vh)) if flip == "all" else rng.choice([-1.0, 1.0], len(vh))
-        vh[:, -1, :] *= sign[:, None]
-        flipped.append(int((sign < 0).sum()))
-        return u, sv, vh
+    def scaled_block(fine, mu):
+        block = newborn_block(fine, mu)
+        factors = rng.uniform(0.5, 2.0, block.shape[1])
+        if flip == "some":
+            factors[rng.random(block.shape[1]) < 0.5] = 1.0
+        scaled.append(int((factors != 1.0).sum()))
+        # in place: the reverse Cuthill-McKee order breaks ties by the stored index order
+        block.data *= factors.repeat(np.diff(block.indptr))
+        return block
 
     ref = get_basis(level, word=word)
-    monkeypatch.setattr(np.linalg, "svd", negating_svd)
+    monkeypatch.setattr(spectral, "_newborn_block", scaled_block)
     g = ref.graph
     basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
-    assert sum(flipped) > 0
+    assert sum(scaled) > 0
     assert np.abs(basis.vectors - ref.vectors).max() <= 1e-12
 
 
@@ -273,48 +302,44 @@ def test_spectrum_is_the_solvers(basis6, sub_basis5):
     assert len(spectrum(10)) == (3**11 + 3) // 2 - 1
 
 
-@pytest.mark.parametrize("m", range(2, 7))
-def test_newborn_null_vectors(m, monkeypatch):
-    # each newborn function is a unit eigenvector of the whole level-m problem,
-    # and solving each distinct local problem once gives, bit for bit, what
-    # a QR and SVD of every problem alone gives, signed to a positive first entry
-    solved, solve = [], spectral._null_vectors
-
-    def spy(blocks):
-        solved.append((blocks, solve(blocks)))
-        return solved[-1][1]
-
-    monkeypatch.setattr(spectral, "_null_vectors", spy)
+@pytest.mark.parametrize("m", range(2, 11))
+def test_newborn_null_vectors(m):
+    # each closed-form newborn function is a unit eigenvector of the whole
+    # level-m problem, equal to the null vector of its local problem by QR
+    # and SVD (up to level 9), and its first entry, which fixes that
+    # vector's sign, is exactly 2 / sqrt(4 + 3k) (mu = 6, k cells) or
+    # 1 / sqrt(2r) (mu = 5, r cells)
     fine = build_level(m)
     for mu in (6.0, 5.0):
         op = assemble_energy(fine).matrix - sp.diags_array(1.5 * 5.0**m * mu * fine.measure)
+        batches = 0
         for support, values in _newborn(fine, mu):
             cols = np.repeat(np.arange(len(support)), support.shape[1])
             v = sp.csc_array((values.ravel(), (support.ravel(), cols)), shape=(len(fine), len(support)))
-            resid = np.linalg.norm((op @ v).toarray(), axis=0)
-            assert resid.max() <= 1e-12 * abs(op).max()
+            assert np.sqrt((op @ v).power(2).sum(axis=0)).max() <= 1e-12 * abs(op).max()
             np.testing.assert_allclose(np.linalg.norm(values, axis=1), 1.0, rtol=1e-12)
-    assert len(solved) == m + 1  # two mu = 6 batches, m - 1 mu = 5 ones
-    for blocks, values in solved:
-        for block, value in zip(blocks, values):
-            ref = np.linalg.svd(np.linalg.qr(block, mode="r"))[2][-1]
-            np.testing.assert_array_equal(value, ref * np.copysign(1.0, ref[0]))
+            size = support.shape[1]  # 1 + 3k entries for mu = 6, 3r for mu = 5
+            first = 2.0 / np.sqrt(3 + size) if mu == 6.0 else 1.0 / np.sqrt(2 * (size // 3))
+            np.testing.assert_array_equal(values[:, 0], first)
+            batches += len(support) > 0
+        assert batches == (2 if mu == 6.0 else m - 1)
+        if m <= 9:
+            for support, values, oracle in newborn_oracle(fine, mu):
+                np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
-def test_newborn_first_entry_is_bounded_away_from_zero(m):
-    # the sign rule reads the first support entry (the vertex x for mu = 6, a
-    # hole midpoint for mu = 5): it is the largest entry of its unit vector,
-    # so at least their root mean square 1 / sqrt(r), and no threshold enters.
-    # The level-0 hole function doubles its support r each level, so the entry
-    # itself falls (0.051 at level 8); entry * sqrt(r) stays 1.22 (mu = 5)
-    # and 1.51 or 1.67 (mu = 6)
+def test_birth_order_is_the_oracles(m, monkeypatch):
+    # the closed form holds exact zeros where the QR and SVD leave rounding,
+    # and no birth Gram's reverse Cuthill-McKee order moves with them
     fine = build_level(m)
     for mu in (6.0, 5.0):
-        for support, values in _newborn(fine, mu):
-            first = values[:, 0]
-            assert np.all(first >= np.abs(values).max(axis=1) * (1 - 1e-12)), (mu, support.shape)
-            assert first.min() * np.sqrt(support.shape[1]) >= 1.2, (mu, support.shape)
+        oracles = [(support, oracle) for support, _, oracle in newborn_oracle(fine, mu)]
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_newborn", lambda *_: iter(oracles))
+            oracle = spectral._newborn_block(fine, mu)
+        np.testing.assert_array_equal(_birth_factor(spectral._newborn_block(fine, mu), fine.measure)[0],
+                                      _birth_factor(oracle, fine.measure)[0])
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -379,7 +404,7 @@ def test_eigenspace_blocks_hold_at_most_3n_nonzeros(m, monkeypatch):
     solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
     mu, mult, _ = levels[-1]
     keep = np.argsort(mu, kind="stable")[1:]
-    path = spectral._path_columns(levels, keep, mult[keep])
+    path = spectral._path_columns(spectral._ancestors(levels, keep)[0], mult[keep])
     assert peak[0] <= sum(len(build_level(j)) * c for j, c in enumerate(path)) + len(g) * path[-1]
 
 
