@@ -17,8 +17,8 @@ _EXPORTS = {
                   "hurst_from_s", "s_from_hurst"),
     "geometry": ("LevelGraph", "SymmetryMap", "build_level", "extract_cell", "symmetry_permutation"),
     "operators": ("MassMatrix", "StiffnessMatrix", "assemble_energy", "assemble_mass",
-                  "energy_value", "harmonic_extension", "self_similar_energy_residual"),
-    "spectral": ("SolverError", "SpectralBasis", "WeylFit", "counting_function", "pick_truncation",
+                  "energy_value", "self_similar_energy_residual"),
+    "spectral": ("SolverError", "SpectralBasis", "WeylFit", "pick_truncation",
                  "solve_eigen", "spectrum", "tail_variance", "weyl_exponent_fit"),
     "kernels": ("IncrementReport", "KernelEstimateReport", "apply_fractional_laplacian",
                 "estimate_bound_fit", "heat_matrix", "heat_trace", "increment_l2_check",
@@ -26,7 +26,7 @@ _EXPORTS = {
     "fields": ("CovarianceReport", "FieldSample", "HoelderReport", "InvarianceReport",
                "VariogramReport", "empirical_covariance", "hoelder_statistic", "pinned_field",
                "sample_field", "scaling_invariance_test", "stream_field", "symmetry_invariance_test",
-               "variogram", "white_noise_pairing"),
+               "variogram"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

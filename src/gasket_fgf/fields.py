@@ -33,7 +33,7 @@ from .kernels import (
     squared_increments,
 )
 from .operators import MassMatrix, StiffnessMatrix
-from .spectral import SpectralBasis, canonical_eigenspaces, check_truncation, spectral_coeffs
+from .spectral import SpectralBasis, canonical_eigenspaces, check_truncation
 
 #: Replications per block when accumulating Monte Carlo statistics.
 MC_CHUNK = 50
@@ -138,10 +138,10 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
     x_c = sum_j lambda_c^{-s} N_j Phi_j into the field at once and is then
     dropped: the weights of all kept eigenspaces born together go through
     one banded solve at their birth level, and each term is pushed up from
-    there as one column, depth-first, and residual-checked relative to
-    lambda_c ||x_c||_M at the top.  So the memory check counts the columns
-    along one path and the field, not a basis.  The values agree with
-    ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
+    there as one column, depth-first, and scaled by its own M-norm and
+    residual-checked relative to lambda_c ||x_c||_M at the top.  So the
+    memory check counts the columns along one path and the field, not a
+    basis.  The values agree with ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
     (None is every mode); J = 0 gives the identically zero field and solves
     nothing.
     """
@@ -172,28 +172,6 @@ def pinned_field(sample: FieldSample, q=0) -> FieldSample:
     if not 0 <= q < len(sample.values):
         raise ValueError(f"pinned vertex must lie in [0, {len(sample.values) - 1}], not {q}")
     return dataclasses.replace(sample, values=sample.values - sample.values[q])
-
-
-def white_noise_pairing(sample: FieldSample, basis: SpectralBasis, f, s=None):
-    """Both sides of the duality <(-Delta)^s f, X>_M = <f, W>.
-
-    f is first M-projected onto span{Phi_1..Phi_J}.  Returns (lhs, rhs)
-    where lhs pairs the fractional Laplacian of f against the field values
-    and rhs pairs the f-coefficients against the very noise draws that made
-    the sample; they agree to rounding error, which is the discrete content
-    of the white-noise identity.
-    """
-    if s is None:
-        s = sample.s
-    elif float(s) != sample.s:
-        raise ValueError("s must match the s the sample was drawn with")
-    J = sample.modes
-    f = np.asarray(f, dtype=np.float64)
-    coeff = spectral_coeffs(basis, f, J)
-    frac = basis.phi[:, :J] @ (basis.lam[:J] ** float(s) * coeff)
-    lhs = float(frac @ (basis.mass * sample.values))
-    rhs = float(coeff @ sample.coefficients)
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

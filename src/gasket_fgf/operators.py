@@ -175,19 +175,3 @@ def decimation_extension(u, fine: LevelGraph, mu):
     denom = (2.0 - mu) * (5.0 - mu)
     return _extension_pattern(fine.level) @ np.concatenate([u, (4.0 - mu) / denom * u, 2.0 / denom * u])
 
-
-def harmonic_extension(f_coarse, fine: LevelGraph, coarse: LevelGraph = None):
-    """Energy-minimizing extension of a ``coarse`` function to ``fine``.
-
-    ``coarse`` defaults to the level below ``fine``.  Level by level this is
-    :func:`decimation_extension` at ``mu = 0``: the classical 1/5-2/5 rule,
-    with E_{m+1}(g) = E_m(f).
-    """
-    if coarse is None:
-        coarse = build_level(fine.level - 1)
-    g = np.asarray(f_coarse, dtype=np.float64)
-    if len(g) != len(coarse):
-        raise ValueError("boundary data does not match the coarse graph")
-    for level in range(coarse.level + 1, fine.level + 1):
-        g = decimation_extension(g, build_level(level), 0.0)
-    return g

@@ -32,36 +32,36 @@ degenerate eigenspace: the M-Gram-Schmidt of the constructed block in the
 order of its birth factor (see :func:`_birth_columns`).  Every eigenspace descends
 from a birth eigenspace (the level-0 base or a newborn block) through
 extensions E(mu), and each extension scales the M-Gram of the whole
-eigenspace by one scalar, so the Gram of each birth eigenspace is factored
+eigenspace by one scalar c, so the Gram of each birth eigenspace is factored
 once, as a banded Cholesky G = P^T L L^T P in reverse Cuthill-McKee order,
-and every descendant B reads its scalar c from the M-norm of one column:
-B P^T L^{-T} / sqrt(c) is its basis.  Any combination of that basis is one
-banded triangular solve on its k coefficients and one sparse product at the
-birth level, extended from there.  Mode i needs only the leading i + 1 coefficients, so a truncated
-solve's basis is the leading columns of the full solve's, and the
-eigenvectors, and every field built from them, are reproducible across
-machines and thread counts.  Identities across different bases are still
-formulated on kernels/projectors, trimmed to the nearest cluster boundary
-(``SpectralBasis.cluster_complete``).
+and B P^T L^{-T} / sqrt(c) is the basis of every descendant B.  Any
+combination of that basis is one banded triangular solve on its k
+coefficients w and one sparse product at the birth level, extended from
+there, and has M-norm ||w||: so each column y is scaled at the top by its
+own M-norm, to y ||w|| / ||y||_M, and c is never formed.  Mode i needs only
+the leading i + 1 coefficients, so a truncated solve's basis is the leading
+columns of the full solve's, and the eigenvectors, and every field built
+from them, are reproducible across machines and thread counts.  Identities
+across different bases are still formulated on kernels/projectors, trimmed
+to the nearest cluster boundary (``SpectralBasis.cluster_complete``).
 
 A field or a block of modes is built by one depth-first traversal of the
 eigenspace labels (:func:`_eigenspace_columns`).  Each birth eigenspace is
 formed and factored once, as a sparse block at its birth level, and there
-the dense columns B P^T L^{-T} c its kept descendants need are formed at
-once, with B's column 0 for the scale c; they go up one level at a time
-through the extension E(mu) of
+the dense columns B P^T L^{-T} w its kept descendants need are formed at
+once; they go up one level at a time through the extension E(mu) of
 :func:`~gasket_fgf.operators.decimation_extension`, each child taking only
-the columns of its own descendants, and are scaled and residual-checked at
-the top.  No sparse block exists above its birth level, and between
-eigenspaces nothing is held but the columns along the current path.  The
-kept eigenspaces come as one stream, :func:`canonical_eigenspaces`:
-:func:`solve_eigen` passes leading identity columns, ``BLOCK`` at a time,
-and writes the modes into an n x (count + 1) basis, and
-:func:`~gasket_fgf.fields.stream_field` passes its weights and adds one
-column per eigenspace, its whole term of the field, so a field never needs
-the n x J basis.  The one limit is memory: an estimate of the stream's peak
-plus what its consumer holds must fit in the memory available to the
-process, checked before anything is allocated.
+the slice of columns of its own descendants, and are scaled and
+residual-checked at the top.  No sparse block exists above its birth
+level, and between eigenspaces nothing is held but the columns along the
+current path.  The kept eigenspaces come as one stream,
+:func:`canonical_eigenspaces`: :func:`solve_eigen` passes leading identity
+columns, ``BLOCK`` at a time, and writes the modes into an n x (count + 1)
+basis, and :func:`~gasket_fgf.fields.stream_field` passes its weights and
+adds one column per eigenspace, its whole term of the field, so a field
+never needs the n x J basis.  The one limit is memory: an estimate of the
+stream's peak plus what its consumer holds must fit in the memory
+available to the process, checked before anything is allocated.
 """
 
 import os
@@ -281,10 +281,10 @@ def _ancestors(levels, keep):
 def _birth_factor(block, mass):
     """The M-Gram G = B^T M B of a birth eigenspace, factored once as a banded Cholesky.
 
-    Returns ``(perm, ab, g00)``: the reverse Cuthill-McKee order of G, the
-    lower factor of G[perm][:, perm] = L L^T in LAPACK band storage, and
-    G[0, 0].  G has about 5-7 nonzeros per row, and the order keeps its
-    band narrow (bandwidth 65 for k = 1,095 and 126 for k = 364 at level 7).
+    Returns ``(perm, ab)``: the reverse Cuthill-McKee order of G and the
+    lower factor of G[perm][:, perm] = L L^T in LAPACK band storage.  G has
+    about 5-7 nonzeros per row, and the order keeps its band narrow
+    (bandwidth 65 for k = 1,095 and 126 for k = 364 at level 7).
     """
     mblock = block.copy()
     mblock.data *= mass[block.indices]
@@ -298,7 +298,7 @@ def _birth_factor(block, mass):
     ab, info = sla.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
     if info:
         raise SolverError(f"the M-Gram of a birth eigenspace is not positive definite (info {info})")
-    return perm, ab, gram[0, 0]
+    return perm, ab
 
 
 def _birth_block(j, mu, g):
@@ -318,18 +318,18 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
     of r combinations.
     Every eigenspace descends from one birth eigenspace B (the level-0 base
     or a newborn block), whose M-Gram is factored once (:func:`_birth_factor`,
-    ``(perm, ab, g00)``, G = P^T L L^T P).  At its birth level the columns
-    B P^T L^{-T} c of its kept descendants are formed at once, dense, after
-    B's column 0, at most ``BLOCK`` of them at a time, and go up one level
-    at a time through :func:`~gasket_fgf.operators.decimation_extension`;
-    each child extends column 0 and the columns of its own descendants at
-    its own mu.  No sparse block is formed above its birth level, and
-    between eigenspaces nothing is held but the columns along the current
-    path.  Yields ``(i, y, g00, entries)`` at the top: y holds the extended
-    column 0 and then the combinations of ``entries``, the ``(first, r)`` of
-    each block c in order.  E(mu) scales the M-Gram of a whole eigenspace
-    by one scalar, so the combinations of its M-orthonormal basis are
-    y[:, 1:] / sqrt(c), with c = ||y[:, 0]||_M^2 / g00.
+    ``(perm, ab)``, G = P^T L L^T P).  At its birth level the columns
+    B P^T L^{-T} c of its kept descendants are formed at once, dense, at
+    most ``BLOCK`` of them at a time, and go up one level at a time through
+    :func:`~gasket_fgf.operators.decimation_extension`; each child extends
+    the slice of columns of its own descendants at its own mu.  No sparse
+    block is formed above its birth level, and between eigenspaces nothing
+    is held but the columns along the current path.  Yields
+    ``(i, y, entries)`` at the top: y holds the combinations of ``entries``,
+    the ``(first, r)`` of each block c in order.  E(mu) scales the M-Gram
+    of a whole eigenspace by one scalar, so y is the combinations of its
+    M-orthonormal basis times one unknown factor, which each column's own
+    M-norm removes.
     """
     m = len(levels) - 1
     # births level by level, and the kept descendants of each depth-first
@@ -339,13 +339,12 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
         if j == m:
             yield entries[0][0], y, entries
             return
-        start = 1
+        start = 0
         for child, group in groupby(entries, key=lambda e: anc[j + 1, e[0]]):
             group = list(group)
             width = sum(r for _, _, r in group)
-            cols = slice(None) if width == y.shape[1] - 1 else [0, *range(start, start + width)]
-            yield from push(j + 1, decimation_extension(y[:, cols], build_level(j + 1), levels[j + 1][0][child]),
-                            group)
+            yield from push(j + 1, decimation_extension(y[:, start : start + width], build_level(j + 1),
+                                                        levels[j + 1][0][child]), group)
             start += width
 
     def grow(j, g, leaves):
@@ -357,7 +356,7 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
             entries = [(i, first, c.shape[1]) for i, first, c in batch]
             batch.clear()  # the coefficients are spent
             for i, top, group in push(j, y, entries):
-                yield i, top, factor[2], [(first, r) for _, first, r in group]
+                yield i, top, [(first, r) for _, first, r in group]
 
         batch, width = [], 0
         for i in leaves:
@@ -374,22 +373,21 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
 
 
 def _birth_columns(block, factor, coefs):
-    """[B e_0, B P^T L^{-T} c_1, B P^T L^{-T} c_2, ...]: column 0 and the combinations ``coefs`` of a birth block.
+    """[B P^T L^{-T} c_1, B P^T L^{-T} c_2, ...]: the combinations ``coefs`` of a birth block.
 
     Each c (p x r) holds the leading p coefficients of r combinations, the
     rest zero; since L^T is upper triangular, one banded solve with the
-    leading rows of the factor ``(perm, ab, g00)`` gives them all.
+    leading rows of the factor ``(perm, ab)`` gives them all.
     """
-    perm, ab, _ = factor
+    perm, ab = factor
     p = max(c.shape[0] for c in coefs)
     rhs = np.zeros((p, sum(c.shape[1] for c in coefs)))
     start = 0
     for c in coefs:
         rhs[: c.shape[0], start : start + c.shape[1]] = c
         start += c.shape[1]
-    y = np.zeros((block.shape[1], 1 + rhs.shape[1]))
-    y[0, 0] = 1.0
-    y[perm[:p], 1:] = sla.lapack.dtbtrs(ab[:, :p], rhs, uplo="L", trans="T")[0]
+    y = np.zeros((block.shape[1], rhs.shape[1]))
+    y[perm[:p]] = sla.lapack.dtbtrs(ab[:, :p], rhs, uplo="L", trans="T")[0]
     return block @ y
 
 
@@ -425,10 +423,10 @@ def _birth_entries(levels, birth, born):
 def _path_columns(anc, widths):
     """Most columns one level-j eigenspace holds along the path, for each level j.
 
-    Column 0, and its kept descendants' ``widths`` (the combinations of
-    each), at most ``BLOCK`` at a time; ``anc`` is that of :func:`_ancestors`.
+    Its kept descendants' ``widths`` (the combinations of each), at most
+    ``BLOCK`` at a time; ``anc`` is that of :func:`_ancestors`.
     """
-    return [1 + min(BLOCK, int(np.bincount(a[a >= 0], widths[a >= 0]).max())) if (a >= 0).any() else 0
+    return [min(BLOCK, int(np.bincount(a[a >= 0], widths[a >= 0]).max())) if (a >= 0).any() else 0
             for a in anc]
 
 
@@ -453,7 +451,7 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
 
     The labels of :func:`_decimation_levels` give every eigenspace, and
     :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
-    holds mode ``count`` are built (newborn null spaces, then decimation
+    holds mode ``count`` are built (newborn blocks, then decimation
     extension) by one depth-first traversal, :func:`_eigenspace_columns`.
     No dense eigensolver runs at any level.
 
@@ -462,7 +460,9 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     coefficients of one combination of all modes) it holds one column per
     eigenspace, its term of that combination.  Mode i of an eigenspace
     needs only the leading i + 1 of its coefficients, so an eigenspace cut
-    at ``count`` is never solved past the cut.
+    at ``count`` is never solved past the cut.  Each column is scaled at
+    the top by its own M-norm: to 1 for a mode, and to the norm of the
+    eigenspace's weights for a term.
 
     ``count`` and the memory are checked at once, and the stream is returned
     as ``(graph, lambdas, ends, columns)``: the graph (``build_level`` of a
@@ -528,14 +528,17 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     def coefficients(i):
         lo, k = int(starts[i]), int(widths[i])
         if weights is not None:
-            return [(lo, weights[lo : lo + int(mult[keep[i]]), None])]
+            return [(lo, weights[lo : ends[i], None])]
         return ((lo + a, np.eye(a + b, b, -a)) for a in range(0, k, BLOCK) for b in [min(BLOCK, k - a)])
 
     def columns():
-        for i, y, g00, entries in _eigenspace_columns(levels, anc, birth, born, coefficients):
+        for i, y, entries in _eigenspace_columns(levels, anc, birth, born, coefficients):
             if word:
                 y = y[rows]
-            v = y[:, 1:] / np.sqrt(y[:, 0] ** 2 @ mass.diagonal / g00)
+            # a combination c of an M-orthonormal basis has M-norm ||c||: 1 for a mode, and the
+            # norm of the eigenspace's weights for its term
+            norm = 1.0 if weights is None else np.linalg.norm(weights[starts[i] : ends[i]])
+            v = y * (norm / np.sqrt(np.einsum("ij,ij,i->j", y, y, mass.diagonal)))
             residual = _residual(stiffness, mass.diagonal, v, lambdas[starts[i]])
             if residual > tol:
                 raise SolverError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
@@ -610,17 +613,6 @@ def spectrum(level, word=()):
     mu, mult, _ = _decimation_levels(level - len(word))[-1]
     order = np.argsort(mu, kind="stable")
     return np.repeat(1.5 * 5.0**level * mu[order], mult[order])[1:]
-
-
-def counting_function(spec, t):
-    """N(t) = #{j >= 1 : lambda_j <= t} (right-continuous step function).
-
-    ``spec`` is taken as by :func:`tail_variance`: a SpectralBasis counts
-    its whole level spectrum, also the modes a truncated solve did not compute.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return int(np.searchsorted(_level_spectrum(spec), t, side="right"))
 
 
 def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:

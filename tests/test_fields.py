@@ -16,7 +16,6 @@ from gasket_fgf.fields import (
     stream_field,
     symmetry_invariance_test,
     variogram,
-    white_noise_pairing,
 )
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
 from gasket_fgf.kernels import increment_l2_check, kernel_matrix, pair_sample
@@ -174,29 +173,6 @@ def test_pinned_vertex_must_exist(basis4, q):
     # q = -1 would pin the last vertex through Python's negative indexing
     with pytest.raises(ValueError, match=r"pinned vertex must lie in \[0, 122\]"):
         pinned_field(sample_field(basis4, 0.5, seed=5), q=q)
-
-
-def test_white_noise_pairing_per_mode(basis4):
-    smp = sample_field(basis4, 0.5, seed=9)
-    for j in (0, 3, 17):
-        lhs, rhs = white_noise_pairing(smp, basis4, basis4.phi[:, j])
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-        # pairing against mode j recovers that mode's raw noise draw
-        assert rhs == pytest.approx(smp.coefficients[j], abs=1e-10)
-
-
-def test_white_noise_pairing_random_f(basis4, rng):
-    smp = sample_field(basis4, 0.5, seed=9)
-    for _ in range(20):
-        f = basis4.phi @ rng.standard_normal(basis4.count)
-        lhs, rhs = white_noise_pairing(smp, basis4, f)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_white_noise_pairing_s_mismatch(basis4):
-    smp = sample_field(basis4, 0.5, seed=9)
-    with pytest.raises(ValueError):
-        white_noise_pairing(smp, basis4, basis4.phi[:, 0], s=0.6)
 
 
 def test_empirical_covariance_small(basis4):

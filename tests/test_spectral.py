@@ -38,7 +38,6 @@ from gasket_fgf.spectral import (
     _decimation_levels,
     _newborn,
     canonical_eigenspaces,
-    counting_function,
     pick_truncation,
     solve_eigen,
     spectrum,
@@ -110,7 +109,7 @@ def test_orthonormality(basis4):
 
 def test_streamed_columns_are_orthonormal_at_level_7():
     # the 1% budget at H = 0.3: every canonical column from one banded
-    # birth factor per eigenspace, scaled by the M-norm of a single column
+    # birth factor per eigenspace, each scaled by its own M-norm
     g = build_level(7)
     mm = assemble_mass(g)
     J = pick_truncation(spectrum(7), s_from_hurst(0.3))
@@ -125,8 +124,8 @@ def test_streamed_columns_are_orthonormal_at_level_7():
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_each_eigenspace_is_orthonormal(m):
-    # B P^T L^{-T} / sqrt(c) with no QR after it: a wrong Gram scale c or a
-    # factor of the wrong eigenspace would show on the diagonal
+    # the columns of B P^T L^{-T}, each scaled by its own M-norm, with no QR
+    # after them: a factor of the wrong eigenspace would show off the diagonal
     g = build_level(m)
     basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
     for lo, hi in basis.clusters():
@@ -262,7 +261,7 @@ def test_deep_budget_draw_fits_in_two_gib(monkeypatch):
     _, lam, ends, _ = canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
     assert J == len(lam) == 69805 and ends[-1] >= J
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**29)
-    with pytest.raises(ValueError, match=r"dimension 797163: 1\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 0\.9 GiB at peak, more than"):
         canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
 
 
@@ -342,10 +341,14 @@ def test_birth_order_is_the_oracles(m, monkeypatch):
                                       _birth_factor(oracle, fine.measure)[0])
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_extension_scales_the_gram(m):
     # E(mu) multiplies the M-Gram of a whole eigenspace by one scalar c, so
-    # one factor of its birth Gram serves every descendant
+    # one factor of its birth Gram serves every descendant; c is
+    # gamma(mu) = (2 mu - 5)(mu - 6) / (3 (2 - mu)(5 - mu)), known before any
+    # vector, but the solver reads each column's own M-norm instead: a
+    # product of gamma along the path leaves a level-7 basis 2.5e-12 from
+    # M-orthonormal
     levels = _decimation_levels(m)
     mu, _, parent = levels[m]
     coarse = get_basis(m - 1)
@@ -360,6 +363,8 @@ def test_extension_scales_the_gram(m):
         base = u.T @ (mass[:, None] * u)
         c = gram[0, 0] / base[0, 0]
         assert np.abs(gram - c * base).max() <= 1e-12 * np.abs(gram).max()
+        gamma = (2.0 * mu[g] - 5.0) * (mu[g] - 6.0) / (3.0 * (2.0 - mu[g]) * (5.0 - mu[g]))
+        assert c == pytest.approx(gamma, rel=1e-11)
 
 
 def test_solve_extends_at_one_mu(g6, monkeypatch):
@@ -513,25 +518,6 @@ def test_full_solve_needs_no_dense_eigensolver(g6, basis6, monkeypatch):
     basis = solve_eigen(assemble_energy(g6), assemble_mass(g6), len(g6) - 1, graph=g6)
     assert basis.count == len(g6) - 1 and basis.residual_norm <= 1e-8
     assert np.abs(basis.vectors - basis6.vectors).max() <= 1e-12
-
-
-def test_counting_function_right_continuous(basis5):
-    t = float(basis5.lam[5])
-    n = counting_function(basis5, t)
-    assert n >= 6
-    assert counting_function(basis5, t * (1 - 1e-6)) < n
-    assert counting_function(basis5, 0.0) == 0
-    with pytest.raises(ValueError):
-        counting_function(basis5, -1.0)
-
-
-def test_counting_function_reads_the_level_spectrum(basis5):
-    # a truncated solve still counts every eigenvalue of its level
-    g = basis5.graph
-    b50 = solve_eigen(assemble_energy(g), assemble_mass(g), 50)
-    t = float(basis5.lam[199])
-    assert counting_function(b50, t) == 200
-    assert counting_function(basis5, t) == counting_function(spectrum(5), t) == 200
 
 
 def test_weyl_exponent_level6(basis6):
