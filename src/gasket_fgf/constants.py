@@ -30,8 +30,8 @@ S_MAX = 1.0 - S_MIN
 H_MIN = 0.0
 H_MAX = WALK_DIM - HAUSDORFF_DIM
 
-#: Deepest supported approximation level (|V_12| = 797163).
-MAX_LEVEL = 12
+#: Deepest supported approximation level (|V_13| = 2391486).
+MAX_LEVEL = 13
 
 #: First nonzero Laplacian eigenvalue, Richardson-extrapolated from the
 #: level 4-6 generalized eigenproblems (project reference value, not a

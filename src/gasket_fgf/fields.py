@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .constants import check_s, hurst_from_s
 from .geometry import LevelGraph, SymmetryMap, embed_indices
@@ -137,11 +136,11 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
     :func:`~gasket_fgf.spectral.canonical_eigenspaces` adds its whole term
     x_c = sum_j lambda_c^{-s} N_j Phi_j into the field at once and is then
     dropped: the weights of all kept eigenspaces born together go through
-    one banded solve at their birth level, and each term is pushed up from
-    there as one column, depth-first, and scaled by its own M-norm and
-    residual-checked relative to lambda_c ||x_c||_M at the top.  So the
-    memory check counts the columns along one path and the field, not a
-    basis.  The values agree with ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
+    one sparse triangular solve at their birth level, and each term is
+    pushed up from there as one column, depth-first, and scaled by its own
+    M-norm and residual-checked relative to lambda_c ||x_c||_M at the top.
+    So the memory check counts the columns along one path and the field,
+    not a basis.  The values agree with ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
     (None is every mode); J = 0 gives the identically zero field and solves
     nothing.
     """
@@ -325,6 +324,8 @@ def hoelder_statistic(
     shrinks; claiming a larger H makes it grow.  Diagnostic only -- the
     verdict thresholds are calibration values, not theorem constants.
     """
+    from scipy.spatial import cKDTree  # only this statistic needs scipy.spatial
+
     deltas = tuple(float(d) for d in deltas)
     if any(not 0.0 < d < 1.0 / np.e for d in deltas):
         raise ValueError("every delta must lie in (0, 1/e)")

@@ -290,10 +290,13 @@ def write_pgm(values, graph, path, size=512):
     """Nearest-vertex grayscale raster of a vertex function (binary PGM).
 
     Pixels outside influence of any vertex still take the nearest vertex's
-    shade (:func:`pixel_vertices`).
+    shade (:func:`pixel_vertices`).  Grey levels run from the min to the max
+    over all vertices, shown or not, so the scale depends on the function
+    alone and not on which of two equally near vertices a pixel shows.
     """
-    shade = np.asarray(values, dtype=np.float64)[pixel_vertices(graph, size)]
-    lo, hi = shade.min(), shade.max()
+    values = np.asarray(values, dtype=np.float64)
+    shade = values[pixel_vertices(graph, size)]
+    lo, hi = values.min(), values.max()
     if hi > lo:
         pix = np.round(255.0 * (shade - lo) / (hi - lo)).astype(np.uint8)
     else:

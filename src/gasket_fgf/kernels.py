@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_function, gammaincc
 
 from .constants import HAUSDORFF_DIM, S_MIN, SPECTRAL_EXPONENT, WALK_DIM, check_s
 from .spectral import SpectralBasis, spectral_coeffs, tail_variance
@@ -164,6 +163,7 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
     sum_j lambda_j^{-s} Q(s, lambda_j T) Phi_j(x) Phi_j(y) beyond T.
     """
     from scipy.integrate import quad  # about 0.2 s of import that only this check needs
+    from scipy.special import gamma, gammaincc
 
     if s <= 0:
         raise ValueError("s must be positive")
@@ -177,7 +177,7 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
         return float(np.exp(-lam * v ** (1.0 / s)) @ pij)
 
     head, _ = quad(integrand, 0.0, T ** s, limit=300, epsabs=1e-13, epsrel=1e-12)
-    head /= s * gamma_function(s)
+    head /= s * gamma(s)
     tail = float((lam ** (-s) * gammaincc(s, lam * T)) @ pij)
     return head + tail
 

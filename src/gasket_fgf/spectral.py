@@ -28,17 +28,17 @@ Eigenvectors are returned M-orthonormal, in continuum normalization (the
 stiffness and mass already carry (5/3)^m and 3^{-m}).
 
 The construction is deterministic, so it fixes the basis inside each
-degenerate eigenspace: the M-Gram-Schmidt of the constructed block in the
-order of its birth factor (see :func:`_birth_columns`).  Every eigenspace descends
+degenerate eigenspace: the M-Gram-Schmidt of the constructed block in its
+own column order (see :func:`_birth_columns`).  Every eigenspace descends
 from a birth eigenspace (the level-0 base or a newborn block) through
 extensions E(mu), and each extension scales the M-Gram of the whole
 eigenspace by one scalar c, so the Gram of each birth eigenspace is factored
-once, as a banded Cholesky G = P^T L L^T P in reverse Cuthill-McKee order,
-and B P^T L^{-T} / sqrt(c) is the basis of every descendant B.  Any
-combination of that basis is one banded triangular solve on its k
-coefficients w and one sparse product at the birth level, extended from
-there, and has M-norm ||w||: so each column y is scaled at the top by its
-own M-norm, to y ||w|| / ||y||_M, and c is never formed.  Mode i needs only
+once, as a sparse Cholesky G = R^T R in the order the construction gives
+(:func:`_birth_factor`), and B R^{-1} / sqrt(c) is the basis of every
+descendant B.  Any combination of that basis is one sparse triangular solve
+on its k coefficients w and one sparse product at the birth level, extended
+from there, and has M-norm ||w||: so each column y is scaled at the top by
+its own M-norm, to y ||w|| / ||y||_M, and c is never formed.  Mode i needs only
 the leading i + 1 coefficients, so a truncated solve's basis is the leading
 columns of the full solve's, and the eigenvectors, and every field built
 from them, are reproducible across machines and thread counts.  Identities
@@ -48,7 +48,7 @@ to the nearest cluster boundary (``SpectralBasis.cluster_complete``).
 A field or a block of modes is built by one depth-first traversal of the
 eigenspace labels (:func:`_eigenspace_columns`).  Each birth eigenspace is
 formed and factored once, as a sparse block at its birth level, and there
-the dense columns B P^T L^{-T} w its kept descendants need are formed at
+the dense columns B R^{-1} w its kept descendants need are formed at
 once; they go up one level at a time through the extension E(mu) of
 :func:`~gasket_fgf.operators.decimation_extension`, each child taking only
 the slice of columns of its own descendants, and are scaled and
@@ -69,9 +69,8 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .constants import S_MIN
 from .geometry import LevelGraph, build_level, embed_indices
@@ -247,7 +246,8 @@ def _newborn(fine: LevelGraph, mu):
 def _newborn_block(fine: LevelGraph, mu):
     """The eigenspace born on ``fine`` at mu = 6 or 5 as one sparse block, one column per eigenfunction.
 
-    The columns follow the order of :func:`_newborn`; no dense column is formed.
+    The columns run in the reverse order of :func:`_newborn`, the order in
+    which :func:`_birth_factor` eliminates them; no dense column is formed.
     """
     rows, cols, vals, k = [], [], [], 0
     for support, values in _newborn(fine, mu):
@@ -256,7 +256,7 @@ def _newborn_block(fine: LevelGraph, mu):
         vals.append(values.ravel())
         k += len(support)
     rows, cols = (np.concatenate(x).astype(sp.get_index_dtype(maxval=len(fine))) for x in (rows, cols))
-    return sp.csc_array((np.concatenate(vals), (rows, cols)), shape=(len(fine), k))
+    return sp.csc_array((np.concatenate(vals), (rows, k - 1 - cols)), shape=(len(fine), k))
 
 
 def _ancestors(levels, keep):
@@ -279,26 +279,32 @@ def _ancestors(levels, keep):
 
 
 def _birth_factor(block, mass):
-    """The M-Gram G = B^T M B of a birth eigenspace, factored once as a banded Cholesky.
+    """The upper Cholesky factor R of the M-Gram G = B^T M B = R^T R of a birth eigenspace, in its column order.
 
-    Returns ``(perm, ab)``: the reverse Cuthill-McKee order of G and the
-    lower factor of G[perm][:, perm] = L L^T in LAPACK band storage.  G has
-    about 5-7 nonzeros per row, and the order keeps its band narrow
-    (bandwidth 65 for k = 1,095 and 126 for k = 364 at level 7).
+    SuperLU factors G as it stands, G = L U with no column permutation and
+    no row pivoting, and R = D^{-1/2} U for the pivots D = diag(U), a sparse
+    matrix.  The columns of a newborn block run finest hole first (mu = 5)
+    or highest vertex first (mu = 6), an elimination order that the
+    construction itself gives: a mu = 5 factor holds exactly the entries of
+    G's upper triangle, a mu = 6 one about 1.56 times as many (tested at
+    L1-L10).  Raises SolverError when that order needs a pivot off the
+    diagonal or a pivot is not positive: G is then not positive definite.
     """
     mblock = block.copy()
     mblock.data *= mass[block.indices]
-    gram = (block.T @ mblock).tocsr()
-    perm = reverse_cuthill_mckee(gram, symmetric_mode=True)
-    g = gram[perm][:, perm].tocoo()
-    low = g.row >= g.col
-    diag, col = g.row[low] - g.col[low], g.col[low]
-    ab = np.zeros((int(diag.max()) + 1, gram.shape[0]), order="F")
-    ab[diag, col] = g.data[low]
-    ab, info = sla.lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info:
-        raise SolverError(f"the M-Gram of a birth eigenspace is not positive definite (info {info})")
-    return perm, ab
+    gram = (mblock.T @ block).tocsc()
+    gram.sort_indices()
+    k = gram.shape[0]
+    try:
+        lu = splu(gram, permc_spec="NATURAL", diag_pivot_thresh=0)
+    except RuntimeError as err:  # an exactly singular pivot
+        raise SolverError(f"the M-Gram of a birth eigenspace is singular ({err})") from None
+    factor = lu.U
+    pivots = factor.diagonal()
+    if (lu.perm_r != np.arange(k)).any() or (lu.perm_c != np.arange(k)).any() or not (pivots > 0).all():
+        raise SolverError("the M-Gram of a birth eigenspace is not positive definite in its column order")
+    factor.data /= np.sqrt(pivots)[factor.indices]
+    return factor
 
 
 def _birth_block(j, mu, g):
@@ -318,9 +324,9 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
     of r combinations.
     Every eigenspace descends from one birth eigenspace B (the level-0 base
     or a newborn block), whose M-Gram is factored once (:func:`_birth_factor`,
-    ``(perm, ab)``, G = P^T L L^T P).  At its birth level the columns
-    B P^T L^{-T} c of its kept descendants are formed at once, dense, at
-    most ``BLOCK`` of them at a time, and go up one level at a time through
+    G = R^T R).  At its birth level the columns B R^{-1} c of its kept
+    descendants are formed at once, dense, at most ``BLOCK`` of them at a
+    time, and go up one level at a time through
     :func:`~gasket_fgf.operators.decimation_extension`; each child extends
     the slice of columns of its own descendants at its own mu.  No sparse
     block is formed above its birth level, and between eigenspaces nothing
@@ -373,22 +379,19 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
 
 
 def _birth_columns(block, factor, coefs):
-    """[B P^T L^{-T} c_1, B P^T L^{-T} c_2, ...]: the combinations ``coefs`` of a birth block.
+    """[B R^{-1} c_1, B R^{-1} c_2, ...]: the combinations ``coefs`` of a birth block.
 
     Each c (p x r) holds the leading p coefficients of r combinations, the
-    rest zero; since L^T is upper triangular, one banded solve with the
-    leading rows of the factor ``(perm, ab)`` gives them all.
+    rest zero; since the factor R is upper triangular, so is R^{-1}, and one
+    sparse triangular solve with the leading p x p block of R gives them all.
     """
-    perm, ab = factor
     p = max(c.shape[0] for c in coefs)
     rhs = np.zeros((p, sum(c.shape[1] for c in coefs)))
     start = 0
     for c in coefs:
         rhs[: c.shape[0], start : start + c.shape[1]] = c
         start += c.shape[1]
-    y = np.zeros((block.shape[1], rhs.shape[1]))
-    y[perm[:p]] = sla.lapack.dtbtrs(ab[:, :p], rhs, uplo="L", trans="T")[0]
-    return block @ y
+    return block[:, :p] @ spsolve_triangular(factor[:p, :p], rhs, lower=False, overwrite_b=True)
 
 
 def _available_memory():
@@ -399,25 +402,6 @@ def _available_memory():
             return min(avail, int(f.read()))
     except (OSError, ValueError):  # no cgroup v2 limit, or "max"
         return avail
-
-
-def _birth_entries(levels, birth, born):
-    """Doubles held while forming the largest of the birth eigenspaces ``born`` (at levels ``birth``), at most.
-
-    One birth is held at a time: its sparse block (at most 3 n_j nonzeros
-    of 12 bytes) and its Gram with the reordered copies (25 n_j together),
-    and its banded factor, at most k (2^(j-1) + 2) entries for a mu = 6
-    space born at level j (its reverse Cuthill-McKee bandwidth is
-    2^(j-1) + 1, tested at L1-L7) and k^2 for any other (mu = 5 bands are
-    about k / 3 wide).  The templates of a newborn block
-    (:func:`_newborn`) peak below 15 n_j before the block exists
-    (tracemalloc at L5-L10), inside the 25 n_j.
-    """
-    entries = 0
-    for j, g in set(zip(birth.tolist(), born.tolist())):
-        mu, k, n = levels[j][0][g], int(levels[j][1][g]), (3 ** (j + 1) + 3) // 2
-        entries = max(entries, k * min(k, 2**j // 2 + 2 if mu == 6.0 else k) + 25 * n)
-    return entries
 
 
 def _path_columns(anc, widths):
@@ -435,14 +419,13 @@ def _path_columns(anc, widths):
 FIXED_BYTES = 2**16
 
 
-def _residual(stiffness, mass, v, lam):
-    """max_j ||S v_j - lam M v_j||_2 / (lam ||v_j||_M) over the columns of v."""
-    norm = lam * np.sqrt(np.einsum("ij,ij,i->j", v, v, mass))
-    resid = stiffness.matrix @ v
-    t = v * lam
+def _residual(stiffness, mass, y, lam, norms):
+    """max_j ||S y_j - lam M y_j||_2 / (lam ||y_j||_M) over the columns of y, whose M-norms are ``norms``."""
+    resid = stiffness.matrix @ y
+    t = y * lam
     t *= mass[:, None]
     resid -= t
-    return float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / norm))
+    return float(np.max(np.sqrt(np.einsum("ij,ij->j", resid, resid)) / (lam * norms)))
 
 
 def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, held, weights=None, tol=1e-8,
@@ -482,11 +465,14 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     column at each level j), six more n x r blocks at the top (the last
     eigenspace's columns, which the consumer still holds, the stacked input
     of E(mu), and the scaled, renumbered and residual-check copies; r the
-    widest top-level column count), the largest birth with its Gram and
-    banded factor (:func:`_birth_entries`), 26 n for the cached
-    extension pattern, the level spectrum and the O(n) index arrays and
-    operators of the construction, and ``FIXED_BYTES`` -- exceeds the
-    available memory.
+    widest top-level column count), 40 n_j for the birth held at its
+    level j (at most 3 n_j nonzeros of 12 bytes in its block, with its
+    Gram and sparse factor below 20 n_j in tracemalloc at L6-L11, and
+    SuperLU's own buffers, which tracemalloc does not see, below 18 n_j of
+    max RSS at L10-L11; a newborn's templates peak below 15 n_j before its
+    block exists), 26 n for the cached extension pattern, the level
+    spectrum and the O(n) index arrays and operators of the construction,
+    and ``FIXED_BYTES`` -- exceeds the available memory.
     """
     n = stiffness.dim
     count = int(count)
@@ -511,8 +497,7 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
     anc, birth, born = _ancestors(levels, keep)
     path = _path_columns(anc, widths)
     sizes = [(3 ** (j + 1) + 3) // 2 for j in range(depth + 1)]
-    need = (held + 8 * (int(np.dot(sizes, path)) + n * (6 * path[-1] + 26) + _birth_entries(levels, birth, born))
-            + FIXED_BYTES)
+    need = held + 8 * (int(np.dot(sizes, path)) + n * (6 * path[-1] + 26) + 40 * sizes[birth.max()]) + FIXED_BYTES
     avail = _available_memory()
     if need > avail:
         raise ValueError(
@@ -535,14 +520,15 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
         for i, y, entries in _eigenspace_columns(levels, anc, birth, born, coefficients):
             if word:
                 y = y[rows]
-            # a combination c of an M-orthonormal basis has M-norm ||c||: 1 for a mode, and the
-            # norm of the eigenspace's weights for its term
-            norm = 1.0 if weights is None else np.linalg.norm(weights[starts[i] : ends[i]])
-            v = y * (norm / np.sqrt(np.einsum("ij,ij,i->j", y, y, mass.diagonal)))
-            residual = _residual(stiffness, mass.diagonal, v, lambdas[starts[i]])
+            # the residual does not depend on a column's scale, so y is checked before it is scaled
+            mnorm = np.sqrt(np.einsum("ij,ij,i->j", y, y, mass.diagonal))
+            residual = _residual(stiffness, mass.diagonal, y, lambdas[starts[i]], mnorm)
             if residual > tol:
                 raise SolverError(f"eigensolver residual {residual:.3e} exceeds tolerance {tol:.3e}",
                                   residual=residual)
+            # a combination c of an M-orthonormal basis has M-norm ||c||: 1 for a mode, and the
+            # norm of the eigenspace's weights for its term
+            v = y * ((1.0 if weights is None else np.linalg.norm(weights[starts[i] : ends[i]])) / mnorm)
             start = 0
             for first, r in entries:
                 yield first, v[:, start : start + r], residual

@@ -468,8 +468,8 @@ def test_deep_count_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     # the streamed draw has an estimate of its own, with no n x J term, checked
-    # before anything is allocated; the level-8 budget draw needs about 15 MB
-    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**23)
+    # before anything is allocated; the level-8 budget draw needs about 6 MB
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**22)
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--level", "8", "--H", "0.3", "--tail-budget", "0.01",
                  "--out", str(tmp_path / "f.csv")])

@@ -41,19 +41,19 @@ GOLDEN_L6 = [0, 1, 2, 3, 10, 57, 100, 250, 400, 611, 800, 1094]
 GOLDEN_SUB5 = [0, 1, 2, 3, 7, 15, 30, 44, 61, 80, 100, 122]
 GOLDEN_FIELDS = {
     "full-J878": [
-        -0.5067379155643241, -0.9226266001335164, -0.40241510101452743, -0.16689956397225178,
-        0.1343547392044869, -0.0045047364589299935, 0.23806708437945748, -0.18630933974897998,
-        0.22205862874822097, 0.0010487627840833208, 0.14976323608715067, -0.454500341967423,
+        -0.5513782855391789, -0.2838642897711942, -0.08303693812250458, 0.47252378267951434,
+        0.1138516503755235, 0.5112439228101227, -0.06935101901557753, -0.016203572749726364,
+        0.11118523743009422, 0.2721907990883729, 0.1617835902756982, -0.1810581124558401,
     ],
     "count300": [
-        -0.33630509845486484, -0.7079169139422081, -0.31213126790200196, -0.08386731877795732,
-        0.13998511351037754, 0.09675907786653974, 0.14914222321292323, -0.17466379577922342,
-        0.17500325230223834, -0.0834834311361032, 0.13453518802864864, -0.30107988553135234,
+        -0.37820040762248475, -0.2880431325699641, -0.1663218692418048, 0.36125186072466325,
+        0.05285541985574732, 0.43074756718988827, -0.06941802582044711, 0.10301293050219956,
+        0.08512825191269062, 0.21018906909970952, 0.12553086854856454, -0.16760880121563584,
     ],
     "sub5": [
-        -0.22229352094995, -0.5872837040910025, -0.18540193502816762, -0.08883252891359596,
-        0.1818324941890755, 0.016690726489900783, 0.03235111471877076, -0.316347889962387,
-        0.0561797602542493, -0.2559305782652174, 0.17267243778395497, -0.32420106025489787,
+        -0.25545188598437435, -0.19035702932138346, -0.15754538573715943, 0.3506318769004129,
+        0.02252897332258064, -0.15810116815050573, 0.2000629319878414, -0.20822993029989334,
+        0.005613298721071083, 0.15159358177199775, 0.03341872996775399, -0.11207264804360695,
     ],
 }
 
@@ -183,7 +183,7 @@ def test_empirical_covariance_small(basis4):
     rep = empirical_covariance(basis4, 0.5, seeds, pairs)
     assert rep.replications == 1500
     assert rep.npairs == 10
-    assert rep.max_abs_z == pytest.approx(1.1201, abs=1e-3)
+    assert rep.max_abs_z == pytest.approx(1.5216, abs=1e-3)
     assert rep.passed
 
 
@@ -211,7 +211,7 @@ def test_variogram_mc_converges(basis5):
         rep = variogram(basis5, 0.5, seeds=seeds, mode="mc")
     assert rep.mode == "mc"
     assert rep.replications == 60
-    assert rep.slope == pytest.approx(0.7630, abs=1e-3)
+    assert rep.slope == pytest.approx(0.7607, abs=1e-3)
     assert rep.half_width < 0.05
     assert abs(rep.slope - 2 * hurst_from_s(0.5)) <= 2 * max(rep.half_width, 0.05)
 
@@ -284,7 +284,7 @@ def test_hoelder_bounded_for_true_exponent(basis6):
     smp = sample_field(basis6, 0.5, seed=5000, J=basis6.cluster_complete(878))
     rep = hoelder_statistic(smp, basis6.graph, smp.hurst)
     assert rep.verdict == "bounded"
-    assert rep.ratio == pytest.approx(0.6865, abs=1e-3)
+    assert rep.ratio == pytest.approx(0.7912, abs=1e-3)
     assert rep.hurst_claim == smp.hurst
     assert len(rep.values) == len(rep.deltas) == 3
 

@@ -27,7 +27,7 @@ def float_cell_map(word, points):
     return points
 
 
-@pytest.mark.parametrize("m", range(13))
+@pytest.mark.parametrize("m", range(14))
 def test_counts(m):
     g = build_level(m)
     assert len(g) == (3 ** (m + 1) + 3) // 2

@@ -21,10 +21,10 @@ def pixel_centres(size):
 
 
 def full_query_pgm(values, graph, size):
-    """The raster with every pixel looked up in the k-d tree."""
+    """The raster with every pixel looked up in the k-d tree, grey levels scaled over all vertices."""
     _, nearest = cKDTree(graph.points).query(pixel_centres(size))
     shade = np.asarray(values, dtype=np.float64)[nearest]
-    lo, hi = shade.min(), shade.max()
+    lo, hi = np.min(values), np.max(values)
     pix = np.round(255.0 * (shade - lo) / (hi - lo)).astype(np.uint8)
     return f"P5\n{size} {size}\n255\n".encode("ascii") + pix.tobytes()
 

@@ -130,6 +130,17 @@ def test_import_leaves_quadrature_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_import_leaves_special_and_spatial_unloaded():
+    # scipy.special loads only for the quadrature cross-check, scipy.spatial only for the Hoelder statistic
+    src = os.path.dirname(os.path.dirname(riesz_value_quadrature.__code__.co_filename))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, gasket_fgf.fields, gasket_fgf.kernels; "
+            "print([m for m in ('scipy.special', 'scipy.spatial') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_inverse_pair(basis4, rng):
     s = 0.55
     f = basis4.phi @ rng.standard_normal(basis4.count)

@@ -108,7 +108,7 @@ def test_orthonormality(basis4):
 
 
 def test_streamed_columns_are_orthonormal_at_level_7():
-    # the 1% budget at H = 0.3: every canonical column from one banded
+    # the 1% budget at H = 0.3: every canonical column from one sparse
     # birth factor per eigenspace, each scaled by its own M-norm
     g = build_level(7)
     mm = assemble_mass(g)
@@ -181,25 +181,28 @@ def test_basis_ignores_null_vector_signs(level, word, flip, monkeypatch):
     # a null vector is fixed only up to a nonzero factor, and the basis
     # depends on it through the sign alone: scaling newborn columns by
     # positive factors before the birth factor (all of them, or about half)
-    # leaves every eigenvector as it was
+    # leaves every eigenvector as it was, whether the block is scaled in
+    # place or as a product, which stores its indices in another order
     rng, newborn_block, scaled = np.random.default_rng(level), spectral._newborn_block, []
-
-    def scaled_block(fine, mu):
-        block = newborn_block(fine, mu)
-        factors = rng.uniform(0.5, 2.0, block.shape[1])
-        if flip == "some":
-            factors[rng.random(block.shape[1]) < 0.5] = 1.0
-        scaled.append(int((factors != 1.0).sum()))
-        # in place: the reverse Cuthill-McKee order breaks ties by the stored index order
-        block.data *= factors.repeat(np.diff(block.indptr))
-        return block
-
     ref = get_basis(level, word=word)
-    monkeypatch.setattr(spectral, "_newborn_block", scaled_block)
     g = ref.graph
-    basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
-    assert sum(scaled) > 0
-    assert np.abs(basis.vectors - ref.vectors).max() <= 1e-12
+    for product in (False, True):
+        def scaled_block(fine, mu):
+            block = newborn_block(fine, mu)
+            factors = rng.uniform(0.5, 2.0, block.shape[1])
+            if flip == "some":
+                factors[rng.random(block.shape[1]) < 0.5] = 1.0
+            scaled.append(int((factors != 1.0).sum()))
+            if product:
+                return block @ sp.diags_array(factors)
+            block.data *= factors.repeat(np.diff(block.indptr))
+            return block
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_newborn_block", scaled_block)
+            basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
+        assert sum(scaled) > 0
+        assert np.abs(basis.vectors - ref.vectors).max() <= 1e-12, product
 
 
 @pytest.mark.parametrize("j,trimmed", [(0, 0), (100, 80), (300, 242), (878, 728), (1094, 1094)])
@@ -239,29 +242,50 @@ def test_deep_truncated_solve_fails_before_dense_allocation():
 
     n = NoDense.shape[0]
     s, mm = StiffnessMatrix(12, NoDense(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    with pytest.raises(ValueError, match=r"dimension 797163: 4804\.\d GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 797163: 4746\.\d GiB at peak, more than"):
         solve_eigen(s, mm, n - 1)
+
+
+class Untouched:
+    """A stiffness that the memory check must not touch."""
+
+    def __init__(self, n):
+        self.shape = (n, n)
+
+    def __matmul__(self, other):
+        raise AssertionError("stiffness used")
+
+
+def budget_draw(level):
+    """The arguments of the 1% draw at H = 0.3 at ``level`` to :func:`canonical_eigenspaces`, with no operator."""
+    n = (3 ** (level + 1) + 3) // 2
+    J = pick_truncation(spectrum(level), s_from_hurst(0.3))
+    s, mm = StiffnessMatrix(level, Untouched(n), 1.0), MassMatrix(level, np.full(n, 1.0 / n))
+    return s, mm, J, 8 * (n + 3 * J), np.zeros(J)
 
 
 def test_deep_budget_draw_fits_in_two_gib(monkeypatch):
     # the level-12 draw at the 1% budget (J = 69,805) passes its memory check
-    # at 2 GiB, from the labels alone, and refuses 0.5 GiB; the stream builds
-    # nothing until it is read
-    class Untouched:
-        shape = (797163, 797163)
-
-        def __matmul__(self, other):
-            raise AssertionError("stiffness used")
-
-    n = Untouched.shape[0]
-    J = pick_truncation(spectrum(12), s_from_hurst(0.3))
-    s, mm = StiffnessMatrix(12, Untouched(), 1.0), MassMatrix(12, np.full(n, 1.0 / n))
-    draw = (s, mm, J, 8 * (n + 3 * J), np.zeros(J))
+    # at 2 GiB, from the labels alone, and refuses 0.125 GiB; the stream
+    # builds nothing until it is read
+    draw = budget_draw(12)
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**31)
     _, lam, ends, _ = canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
-    assert J == len(lam) == 69805 and ends[-1] >= J
+    assert draw[2] == len(lam) == 69805 and ends[-1] >= draw[2]
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**27)
+    with pytest.raises(ValueError, match=r"dimension 797163: 0\.2 GiB at peak, more than"):
+        canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
+
+
+def test_level_13_budget_draw_fits_in_one_gib(monkeypatch):
+    # the deepest level: its 1% draw (J = 87,497) passes at 1 GiB and is
+    # refused at 0.5 GiB, from the labels alone
+    draw = budget_draw(13)
+    monkeypatch.setattr(spectral, "_available_memory", lambda: 2**30)
+    _, lam, ends, _ = canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
+    assert draw[2] == len(lam) == 87497 and ends[-1] >= draw[2]
     monkeypatch.setattr(spectral, "_available_memory", lambda: 2**29)
-    with pytest.raises(ValueError, match=r"dimension 797163: 0\.9 GiB at peak, more than"):
+    with pytest.raises(ValueError, match=r"dimension 2391486: 0\.6 GiB at peak, more than"):
         canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
 
 
@@ -325,20 +349,6 @@ def test_newborn_null_vectors(m):
         if m <= 9:
             for support, values, oracle in newborn_oracle(fine, mu):
                 np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-14)
-
-
-@pytest.mark.parametrize("m", range(2, 9))
-def test_birth_order_is_the_oracles(m, monkeypatch):
-    # the closed form holds exact zeros where the QR and SVD leave rounding,
-    # and no birth Gram's reverse Cuthill-McKee order moves with them
-    fine = build_level(m)
-    for mu in (6.0, 5.0):
-        oracles = [(support, oracle) for support, _, oracle in newborn_oracle(fine, mu)]
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_newborn", lambda *_: iter(oracles))
-            oracle = spectral._newborn_block(fine, mu)
-        np.testing.assert_array_equal(_birth_factor(spectral._newborn_block(fine, mu), fine.measure)[0],
-                                      _birth_factor(oracle, fine.measure)[0])
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -413,16 +423,33 @@ def test_eigenspace_blocks_hold_at_most_3n_nonzeros(m, monkeypatch):
     assert peak[0] <= sum(len(build_level(j)) * c for j, c in enumerate(path)) + len(g) * path[-1]
 
 
-@pytest.mark.parametrize("m", range(1, 8))
-def test_birth_factor_bands(m):
-    # the memory estimate counts k (2^(m-1) + 2) entries for the factor of a
-    # mu = 6 space born at level m, and at most k^2 for a mu = 5 one
+@pytest.mark.parametrize("m", range(1, 11))
+def test_birth_factor_fill(m):
+    # each birth Gram is factored sparse in the block's own column order: a
+    # mu = 5 factor has exactly the entries of the Gram's upper triangle, a
+    # mu = 6 one at most 1.6 times as many, so the estimate counts the
+    # factor as O(n_j)
     fine = build_level(m)
     for mu in (6.0, 5.0)[:m]:
         block = spectral._newborn_block(fine, mu)
-        k = block.shape[1]
-        ab = _birth_factor(block, fine.measure)[1]
-        assert ab.shape[1] == k and ab.shape[0] <= (2 ** (m - 1) + 2 if mu == 6.0 else k)
+        gram = block.T @ sp.diags_array(fine.measure) @ block
+        factor = _birth_factor(block, fine.measure)
+        assert abs(factor.T @ factor - gram).max() <= 1e-13 * abs(gram).max()
+        upper = sp.triu(gram)
+        if mu == 5.0:
+            assert factor.nnz == upper.nnz and ((factor != 0) != (upper != 0)).nnz == 0
+        else:
+            assert factor.nnz <= 1.6 * upper.nnz
+
+
+def test_birth_factor_refuses_a_gram_that_is_not_positive_definite():
+    # a repeated column makes the Gram singular, a negative mass makes it
+    # negative definite; either stops the solve with a SolverError
+    fine = build_level(3)
+    block = spectral._newborn_block(fine, 6.0)
+    for cols, mass in (([0, 0, *range(1, block.shape[1])], fine.measure), (slice(None), -fine.measure)):
+        with pytest.raises(SolverError, match="M-Gram of a birth eigenspace"):
+            _birth_factor(block[:, cols], mass)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
