@@ -140,9 +140,9 @@ def stream_field(stiffness: StiffnessMatrix, mass: MassMatrix, s, seed, J=None,
     pushed up from there as one column, depth-first, and scaled by its own
     M-norm and residual-checked relative to lambda_c ||x_c||_M at the top.
     So the memory check counts the columns along one path and the field,
-    not a basis.  The values agree with ``sample_field`` to rounding.  J is read as ``sample_field`` reads it
-    (None is every mode); J = 0 gives the identically zero field and solves
-    nothing.
+    not a basis.  The values agree with ``sample_field`` to rounding.  J is
+    read as ``sample_field`` reads it (None is every mode); J = 0 gives the
+    identically zero field and solves nothing.
     """
     check_s(s)
     n = stiffness.dim

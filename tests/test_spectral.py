@@ -183,10 +183,12 @@ def test_basis_ignores_null_vector_signs(level, word, flip, monkeypatch):
     # positive factors before the birth factor (all of them, or about half)
     # leaves every eigenvector as it was, whether the block is scaled in
     # place or as a product, which stores its indices in another order
-    rng, newborn_block, scaled = np.random.default_rng(level), spectral._newborn_block, []
+    rng, newborn_block = np.random.default_rng(level), spectral._newborn_block
     ref = get_basis(level, word=word)
     g = ref.graph
     for product in (False, True):
+        scaled = []
+
         def scaled_block(fine, mu):
             block = newborn_block(fine, mu)
             factors = rng.uniform(0.5, 2.0, block.shape[1])
