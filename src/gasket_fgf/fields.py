@@ -23,13 +23,12 @@ import numpy as np
 from .constants import check_s, hurst_from_s
 from .geometry import LevelGraph, SymmetryMap, embed_indices
 from .kernels import (
-    DEFAULT_PAIR_COUNT,
     DEFAULT_PAIR_SEED,
     FIT_WINDOW,
-    binned_points,
+    _increment_fit,
+    binned_loglog_fit,
     kernel_matrix,
     pair_sample,
-    squared_increments,
 )
 from .operators import MassMatrix, StiffnessMatrix
 from .spectral import SpectralBasis, canonical_eigenspaces, check_truncation
@@ -243,24 +242,17 @@ def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> Covar
     )
 
 
-def variogram(
-    basis: SpectralBasis,
-    s,
-    seeds=None,
-    window=FIT_WINDOW,
-    nbins=12,
-    mode="exact",
-    J=None,
-    npairs=DEFAULT_PAIR_COUNT,
-    pair_seed=DEFAULT_PAIR_SEED,
-) -> VariogramReport:
+def variogram(basis: SpectralBasis, s, seeds=None, window=FIT_WINDOW, mode="exact", J=None) -> VariogramReport:
     """Log-log slope of the mean squared increment against distance.
 
     The default mode regresses the *exact* second moments
     E (X(x)-X(y))^2 = sum_j lambda_j^{-2s} (Phi_j(x)-Phi_j(y))^2 (no
-    sampling noise); mode='mc' replaces them with Monte Carlo averages over
-    ``seeds`` to validate the sampler end-to-end.  Expected slope 2H.
-    Bins left with a single pair are dropped with a warning.
+    sampling noise) over the default :func:`~gasket_fgf.kernels.pair_sample`,
+    the same fit whose slope :func:`~gasket_fgf.kernels.increment_l2_check`
+    reports; mode='mc' replaces them with Monte Carlo averages over
+    ``seeds``, at the sampled pairs inside the window, to validate the
+    sampler end-to-end.  Expected slope 2H.  Bins left with a single pair
+    are dropped with a warning.
     """
     check_s(s)
     J = basis.truncation(J)
@@ -270,44 +262,36 @@ def variogram(
         raise ValueError(f"window must lie inside [2^-{m + 1}, 2^-2]")
     if hi / lo < 8.0 * (1 - 1e-12):
         raise ValueError("window must span at least three octaves of distance")
-    iu, ju, dp = pair_sample(basis.graph, npairs, pair_seed)
 
     if mode == "exact":
-        d2 = squared_increments(basis, s, iu, ju, J)
+        npairs, fit = _increment_fit(basis, s, window, J)
         replications = 0
     elif mode == "mc":
         seeds = [] if seeds is None else list(seeds)
         if not seeds:
             raise ValueError("mc mode needs a list of replication seeds")
         replications = len(seeds)
+        iu, ju, dp = pair_sample(basis.graph)
         keep = (dp >= lo) & (dp <= hi)
-        iu, ju, dp = iu[keep], ju[keep], dp[keep]
-        d2 = _mc_increments(basis, s, seeds, J, iu, ju)
+        npairs = int(keep.sum())
+        fit = binned_loglog_fit(dp[keep], _mc_increments(basis, s, seeds, J, iu[keep], ju[keep]), window)
+        if fit.dropped:
+            warnings.warn(f"{fit.dropped} distance bin(s) had < 2 pairs and were dropped")
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    xs, ys, dropped = binned_points(dp, d2, window, nbins, agg="mean")
-    if dropped:
-        warnings.warn(f"{dropped} distance bin(s) had < 2 pairs and were dropped")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    k = len(xs)
-    resid = ys - (slope * xs + intercept)
-    if k > 2:
-        se = np.sqrt((resid @ resid) / (k - 2) / ((xs - xs.mean()) ** 2).sum())
-    else:
-        se = float("nan")
     return VariogramReport(
         s=float(s),
         h_target=hurst_from_s(s),
         window=(float(lo), float(hi)),
-        bin_distances=tuple(np.exp(xs)),
-        bin_means=tuple(np.exp(ys)),
-        slope=float(slope),
-        half_width=float(1.96 * se),
+        bin_distances=tuple(np.exp(fit.log_d)),
+        bin_means=tuple(np.exp(fit.log_val)),
+        slope=fit.slope,
+        half_width=float(1.96 * fit.slope_se),
         replications=replications,
         mode=mode,
-        npairs=len(dp),
-        seed=int(pair_seed),
+        npairs=npairs,
+        seed=DEFAULT_PAIR_SEED,
     )
 
 
@@ -397,24 +381,18 @@ def symmetry_invariance_test(basis: SpectralBasis, s, sym: SymmetryMap, J=None) 
     )
 
 
-def scaling_invariance_test(
-    basis_ref: SpectralBasis,
-    basis_sub: SpectralBasis,
-    s,
-    word=None,
-    j_max=20,
-) -> InvarianceReport:
-    """Renormalization covariance of the field under the cell maps F_w.
+def scaling_invariance_test(basis_ref: SpectralBasis, basis_sub: SpectralBasis, s) -> InvarianceReport:
+    """Renormalization covariance of the field under the cell map F_w of ``basis_sub.graph.word``.
 
     For |w| = n the sub-gasket eigenproblem reproduces the reference
     spectrum scaled by 5^n, and its covariance satisfies
     G^w_{2s}(F_w x, F_w y) = 2^{-2nH} G_{2s}(x, y).  Eigenvalues are checked
-    for j < j_max (1% tolerance); kernels entry-wise within 2% on
+    for the first 20 modes (1% tolerance); kernels entry-wise within 2% on
     low-mode-dominated pairs (|G_{2s}| above its 75th percentile), at a
     common cluster-complete truncation.
     """
     check_s(s)
-    word = basis_sub.graph.word if word is None else tuple(word)
+    word = basis_sub.graph.word
     n = len(word)
     if basis_sub.level != basis_ref.level + n:
         raise ValueError(
@@ -423,7 +401,7 @@ def scaling_invariance_test(
         )
     h = hurst_from_s(s)
     lam_tol, ker_tol = 0.01, 0.02
-    jj = min(j_max, basis_ref.count, basis_sub.count)
+    jj = min(20, basis_ref.count, basis_sub.count)
     lam_dev = float(np.abs(basis_sub.lam[:jj] / (5.0 ** n * basis_ref.lam[:jj]) - 1.0).max())
 
     J = min(basis_ref.count, basis_sub.count)

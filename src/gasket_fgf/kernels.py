@@ -28,6 +28,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,40 +99,44 @@ def heat_trace(lam, t):
     return float(1.0 + np.exp(-np.asarray(lam, dtype=np.float64) * t).sum())
 
 
-def heat_envelope_constant(basis: SpectralBasis, t0=1.0, J=None):
-    """C with |p_t - 1| <= C e^{-lambda_1 t} for all t >= t0 (full gasket).
+def heat_envelope_constant(basis: SpectralBasis, J=None):
+    """C with |p_t - 1| <= C e^{-lambda_1 t} for all t >= 1 (full gasket).
 
-    C = max_{x,y} sum_j e^{-(lambda_j - lambda_1) t0} |Phi_j(x) Phi_j(y)|;
-    each summand decays in t at least as fast as at t0, so the bound
-    propagates to every larger t.
+    C = max_{x,y} sum_j e^{-(lambda_j - lambda_1)} |Phi_j(x) Phi_j(y)|, the
+    envelope at t = 1; each summand decays in t at least as fast as at
+    t = 1, so the bound propagates to every larger t.
     """
     J = basis.truncation(J)
     lam = basis.lam[:J]
     aphi = np.abs(basis.phi[:, :J])
-    env = (aphi * np.exp(-(lam - lam[0]) * t0)) @ aphi.T
+    env = (aphi * np.exp(-(lam - lam[0]))) @ aphi.T
     return float(env.max())
 
 
-def ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2), npts=25):
+def ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2)):
     """Log-log slope of t -> :func:`heat_trace` of the sorted eigenvalues ``lam`` over a dyadic window.
 
-    The sub-Gaussian regime predicts slope -d_h/d_w = -0.6826; at desk scale
-    the window must stay below ~1/lambda_1 or the fit drifts toward the
-    large-t plateau.  Returns (slope, intercept).
+    The trace is read at 25 log-spaced times.  The sub-Gaussian regime
+    predicts slope -d_h/d_w = -0.6826; at desk scale the window must stay
+    below ~1/lambda_1 or the fit drifts toward the large-t plateau.
+    Returns (slope, intercept).
     """
     lo, hi = window
     if not 0 < lo < hi:
         raise ValueError("window must satisfy 0 < lo < hi")
-    ts = np.logspace(np.log10(lo), np.log10(hi), npts)
+    ts = np.logspace(np.log10(lo), np.log10(hi), 25)
     z = np.array([heat_trace(lam, t) for t in ts])
     slope, intercept = np.polyfit(np.log(ts), np.log(z), 1)
     return float(slope), float(intercept)
 
 
-def ondiagonal_constants(lam, window=(2.0 ** -10, 1.0), npts=40):
-    """Two-sided constants (c, C) with c t^{-a} <= heat trace <= C t^{-a}, a = d_h/d_w."""
+def ondiagonal_constants(lam, window=(2.0 ** -10, 1.0)):
+    """Two-sided constants (c, C) with c t^{-a} <= heat trace <= C t^{-a}, a = d_h/d_w.
+
+    The trace is read at 40 log-spaced times in the window.
+    """
     lo, hi = window
-    ts = np.logspace(np.log10(lo), np.log10(hi), npts)
+    ts = np.logspace(np.log10(lo), np.log10(hi), 40)
     z = np.array([heat_trace(lam, t) for t in ts])
     ratio = z * ts ** SPECTRAL_EXPONENT
     return float(ratio.min()), float(ratio.max())
@@ -154,13 +159,14 @@ def kernel_matrix(basis: SpectralBasis, exponent, J=None):
     return (phi * basis.lam[:J] ** (-float(exponent))) @ phi.T
 
 
-def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
+def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None):
     """G_s(x, y) via (1/Gamma(s)) int_0^inf t^{s-1} (p_t(x,y) - 1) dt.
 
     Independent cross-check of the spectral sum: adaptive quadrature on
-    [0, T] after the substitution v = t^s (which removes the t^{s-1}
-    endpoint singularity), plus the analytic upper-incomplete-gamma tail
-    sum_j lambda_j^{-s} Q(s, lambda_j T) Phi_j(x) Phi_j(y) beyond T.
+    [0, T], T = 20 / lambda_1, after the substitution v = t^s (which
+    removes the t^{s-1} endpoint singularity), plus the analytic
+    upper-incomplete-gamma tail sum_j lambda_j^{-s} Q(s, lambda_j T)
+    Phi_j(x) Phi_j(y) beyond T.
     """
     from scipy.integrate import quad  # about 0.2 s of import that only this check needs
     from scipy.special import gamma, gammaincc
@@ -169,8 +175,7 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None, T=None):
         raise ValueError("s must be positive")
     J = basis.truncation(J)
     lam = basis.lam[:J]
-    if T is None:
-        T = 20.0 / lam[0]
+    T = 20.0 / lam[0]
     pij = basis.phi[x, :J] * basis.phi[y, :J]
 
     def integrand(v):
@@ -224,19 +229,20 @@ def pair_sample(graph, npairs=DEFAULT_PAIR_COUNT, seed=DEFAULT_PAIR_SEED):
     """Vertex pairs (i, j, distance) for regressions.
 
     All distinct pairs when the graph is small (level <= 4 or fewer pairs
-    than requested); otherwise a uniform random subsample without
-    replacement, reproducible from the integer ``seed``.  The sample is a
-    function of (graph, npairs, seed), so the last few are cached and every
-    caller gets the same read-only arrays.
+    than requested); otherwise a uniform random subsample of ``npairs``
+    without replacement, reproducible from the integer ``seed``.  The
+    regressions take the defaults.  The sample is a function of
+    (graph, npairs, seed), so the last few are cached and every caller gets
+    the same read-only arrays.
     """
-    return _pair_sample(graph, None if npairs is None else int(npairs), operator.index(seed))
+    return _pair_sample(graph, int(npairs), operator.index(seed))
 
 
 @lru_cache(maxsize=4)
 def _pair_sample(graph, npairs, seed):
     n = len(graph)
     total = n * (n - 1) // 2
-    if graph.level > ALL_PAIRS_MAX_LEVEL and npairs is not None and total > npairs:
+    if graph.level > ALL_PAIRS_MAX_LEVEL and total > npairs:
         flat = np.random.default_rng(seed).choice(total, npairs, replace=False)
         flat.sort()
         iu, ju = unrank_pairs(n, flat)
@@ -249,11 +255,11 @@ def _pair_sample(graph, npairs, seed):
     return iu, ju, d
 
 
-def binned_points(dists, vals, window=FIT_WINDOW, nbins=12, agg="mean"):
+def binned_points(dists, vals, window=FIT_WINDOW, agg="mean"):
     """Reduce a (distance, value) scatter to one point per log-distance bin.
 
-    Pairs are bucketed into ``nbins`` equal bins of log-distance over
-    ``window``; each bin with >= 2 points contributes one point.
+    Pairs are bucketed into 12 equal bins of log-distance over ``window``;
+    each bin with >= 2 points contributes one point.
     agg='mean' takes the log of the arithmetic bin average at the mean
     log-distance (the moment estimators want this); agg='max' takes the bin
     envelope anchored at the maximizing pair (upper-bound estimators want
@@ -269,6 +275,7 @@ def binned_points(dists, vals, window=FIT_WINDOW, nbins=12, agg="mean"):
     if not msk.any():
         raise ValueError("fit window is empty")
     x, v = np.log(dists[msk]), np.log(vals[msk])
+    nbins = 12
     edges = np.linspace(np.log(lo) - 1e-12, np.log(hi) + 1e-12, nbins + 1)
     which = np.digitize(x, edges) - 1
     xs, ys = [], []
@@ -292,15 +299,41 @@ def binned_points(dists, vals, window=FIT_WINDOW, nbins=12, agg="mean"):
     return np.array(xs), np.array(ys), dropped
 
 
-def binned_loglog_fit(dists, vals, window=FIT_WINDOW, nbins=12, agg="mean"):
-    """Least squares through the :func:`binned_points` reduction.
+class BinnedFit(NamedTuple):
+    """A least-squares line through binned log-log points (:func:`binned_loglog_fit`)."""
 
-    Returns (slope, intercept, rms_residual, nbins_used, nbins_dropped).
-    """
-    xs, ys, dropped = binned_points(dists, vals, window, nbins, agg)
+    slope: float
+    intercept: float
+    residual: float  # rms over the bins
+    slope_se: float  # standard error of the slope; nan with only two bins
+    log_d: np.ndarray
+    log_val: np.ndarray
+    dropped: int  # bins holding a single pair
+
+
+def binned_loglog_fit(dists, vals, window=FIT_WINDOW, agg="mean") -> BinnedFit:
+    """Least squares through the :func:`binned_points` reduction."""
+    xs, ys, dropped = binned_points(dists, vals, window, agg)
     slope, intercept = np.polyfit(xs, ys, 1)
-    residual = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    return float(slope), float(intercept), residual, len(xs), dropped
+    resid = ys - (slope * xs + intercept)
+    k = len(xs)
+    se = np.sqrt((resid @ resid) / (k - 2) / ((xs - xs.mean()) ** 2).sum()) if k > 2 else np.nan
+    return BinnedFit(float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2))), float(se),
+                     xs, ys, dropped)
+
+
+def _increment_fit(basis: SpectralBasis, s, window, J):
+    """(pairs, fit): the mean-binned :func:`binned_loglog_fit` of the exact squared increments of G_2s.
+
+    The one regression behind ``variogram(mode='exact')`` and
+    :func:`increment_l2_check`, over the default :func:`pair_sample`; bins
+    left with a single pair are dropped with a warning.
+    """
+    iu, ju, dp = pair_sample(basis.graph)
+    fit = binned_loglog_fit(dp, squared_increments(basis, s, iu, ju, J), window)
+    if fit.dropped:
+        warnings.warn(f"{fit.dropped} distance bin(s) had < 2 pairs and were dropped")
+    return len(iu), fit
 
 
 def _resolve_regime(s):
@@ -310,16 +343,7 @@ def _resolve_regime(s):
     return "power" if gap < 0 else "bounded"
 
 
-def estimate_bound_fit(
-    basis: SpectralBasis,
-    s,
-    regime="auto",
-    window=FIT_WINDOW,
-    nbins=12,
-    npairs=DEFAULT_PAIR_COUNT,
-    seed=DEFAULT_PAIR_SEED,
-    J=None,
-) -> KernelEstimateReport:
+def estimate_bound_fit(basis: SpectralBasis, s, regime="auto", window=FIT_WINDOW, J=None) -> KernelEstimateReport:
     """Regress the decay of |G_s| against distance and compare to its bound.
 
     Three regimes:
@@ -328,6 +352,7 @@ def estimate_bound_fit(
       log     (s d_w = d_h): |G_s| <~ |ln d|; fit on ln|ln d| abscissa
               (bound exponent 1), constant = max |G_s|/|ln d|.
       bounded (s d_w > d_h): |G_s| <~ C; bound exponent 0.
+    The pairs are the default :func:`pair_sample`, binned into 12 bins.
     ``within_bound`` records fitted <= bound + 0.1.  At desk-scale levels
     the power/bounded fits sit above their asymptotic bounds (the fit window
     is not yet in the scaling regime and the truncated tail inflates short
@@ -343,7 +368,7 @@ def estimate_bound_fit(
     if regime not in ("power", "log", "bounded"):
         raise ValueError(f"unknown regime {regime!r}")
     J = basis.truncation(J)
-    iu, ju, dp = pair_sample(basis.graph, npairs, seed)
+    iu, ju, dp = pair_sample(basis.graph)
     g = kernel_matrix(basis, s, J)
     vals = np.abs(g[iu, ju])
     in_win = (dp >= lo) & (dp <= hi)
@@ -356,13 +381,13 @@ def estimate_bound_fit(
         if not keep.any():
             raise ValueError("fit window is empty")
         lnd = np.abs(np.log(dp[keep]))
-        fitted, _, residual, nbins_used, _ = binned_loglog_fit(
-            lnd, vals[keep], (lnd.min(), lnd.max()), nbins, agg="max")
+        fit = binned_loglog_fit(lnd, vals[keep], (lnd.min(), lnd.max()), agg="max")
+        fitted = fit.slope
         bound = 1.0
         constant = float((vals[keep] / lnd).max())
     else:
-        slope, _, residual, nbins_used, _ = binned_loglog_fit(dp, vals, window, nbins, agg="max")
-        fitted = -slope
+        fit = binned_loglog_fit(dp, vals, window, agg="max")
+        fitted = -fit.slope
         if regime == "power":
             bound = HAUSDORFF_DIM - s * WALK_DIM
             constant = float((vals[in_win] * dp[in_win] ** bound).max())
@@ -378,45 +403,34 @@ def estimate_bound_fit(
         bound_exponent=float(bound),
         within_bound=bool(fitted <= bound + 0.1),
         constant=constant,
-        residual=residual,
+        residual=fit.residual,
         tail_variance=tail_variance(basis, s, J) if s > S_MIN else float("nan"),
-        seed=int(seed),
+        seed=DEFAULT_PAIR_SEED,
         npairs=len(iu),
-        nbins=nbins_used,
+        nbins=len(fit.log_d),
     )
 
 
-def increment_l2_check(
-    basis: SpectralBasis,
-    s,
-    window=FIT_WINDOW,
-    nbins=12,
-    npairs=DEFAULT_PAIR_COUNT,
-    seed=DEFAULT_PAIR_SEED,
-    J=None,
-) -> IncrementReport:
+def increment_l2_check(basis: SpectralBasis, s, window=FIT_WINDOW, J=None) -> IncrementReport:
     """Fit the exponent of D(x,y) = sum_j lambda_j^{-2s} (Phi_j(x)-Phi_j(y))^2.
 
     D is the squared L2 increment of G_s(x, .), the quantity whose
     d^{2 s d_w - d_h} bound drives the field's Hoelder regularity; the
     fitted log-log slope must clear that exponent minus a 0.2 allowance.
+    The fit is the one ``variogram(mode='exact')`` reports as its slope.
     """
     check_s(s)
     J = basis.truncation(J)
-    iu, ju, dp = pair_sample(basis.graph, npairs, seed)
-    d2 = squared_increments(basis, s, iu, ju, J)
-    slope, _, residual, _, dropped = binned_loglog_fit(dp, d2, window, nbins, agg="mean")
-    if dropped:
-        warnings.warn(f"{dropped} distance bin(s) had < 2 pairs and were dropped")
+    npairs, fit = _increment_fit(basis, s, window, J)
     floor = 2.0 * s * WALK_DIM - HAUSDORFF_DIM - 0.2
     return IncrementReport(
         s=float(s),
-        slope=float(slope),
+        slope=fit.slope,
         floor=float(floor),
-        passed=bool(slope >= floor),
+        passed=bool(fit.slope >= floor),
         window=(float(window[0]), float(window[1])),
-        residual=residual,
+        residual=fit.residual,
         tail_variance=tail_variance(basis, s, J),
-        seed=int(seed),
-        npairs=len(iu),
+        seed=DEFAULT_PAIR_SEED,
+        npairs=npairs,
     )

@@ -58,19 +58,19 @@ class MassMatrix:
 def assemble_energy(g: LevelGraph) -> StiffnessMatrix:
     """Assemble the stiffness matrix of E_m on ``g``.
 
-    Off-diagonal entries are -(5/3)^m on edges; the diagonal is set to the
-    negated off-diagonal row sum, which enforces zero row sums (and hence an
-    exactly constant kernel vector) at assembly time.
+    Off-diagonal entries are -(5/3)^m on edges and the diagonal is
+    (5/3)^m times the vertex degree, the negated off-diagonal row sum, so
+    the row sums vanish and the constant vector lies exactly in the
+    kernel.  One coordinate list holds both, converted once to sorted CSR.
     """
     n = len(g)
     p = ENERGY_SCALE ** g.level
     e = g.edges
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    vals = np.full(2 * len(e), -p)
-    off = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    matrix = (off + sp.diags_array(diag, format="csr")).tocsr()
+    rows = np.concatenate([e[:, 0], e[:, 1], np.arange(n)])
+    cols = np.concatenate([e[:, 1], e[:, 0], np.arange(n)])
+    vals = np.concatenate([np.full(2 * len(e), -p), p * np.bincount(e.ravel(), minlength=n)])
+    matrix = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix.sort_indices()
     return StiffnessMatrix(g.level, matrix, p)
 
 

@@ -432,10 +432,11 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
                           graph: LevelGraph = None):
     """Combinations of the canonical basis of the ``count`` smallest nonzero eigenpairs, as a stream.
 
-    The labels of :func:`_decimation_levels` give every eigenspace, and
-    :func:`spectrum` every eigenvalue; the eigenspaces up to the one that
-    holds mode ``count`` are built (newborn blocks, then decimation
-    extension) by one depth-first traversal, :func:`_eigenspace_columns`.
+    The labels of :func:`_decimation_levels` give every eigenspace and its
+    eigenvalue (the values :func:`spectrum` lists); the eigenspaces up to
+    the one that holds mode ``count`` are built (newborn blocks, then
+    decimation extension) by one depth-first traversal,
+    :func:`_eigenspace_columns`.
     No dense eigensolver runs at any level.
 
     Without ``weights`` the stream holds the modes themselves, up to
@@ -508,7 +509,7 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
         graph = build_level(depth)
     # extract_cell numbers vertices by parent id, not as build_level(depth) does
     rows = np.argsort(embed_indices(build_level(depth), graph)) if word else None
-    lambdas = spectrum(stiffness.level, word)[:count]
+    lambdas = np.repeat(1.5 * 5.0**stiffness.level * mu[keep], mult[keep])[:count]
 
     def coefficients(i):
         lo, k = int(starts[i]), int(widths[i])
@@ -601,12 +602,12 @@ def spectrum(level, word=()):
     return np.repeat(1.5 * 5.0**level * mu[order], mult[order])[1:]
 
 
-def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
+def weyl_exponent_fit(spectrum) -> WeylFit:
     """Least-squares fit of log N(lambda_j) against log lambda_j.
 
     ``spectrum`` is a SpectralBasis or a sorted array of nonzero
-    eigenvalues.  The fit uses the middle (lo_frac, hi_frac) of the computed
-    spectrum by index -- the bottom is preasymptotic, the top polluted by
+    eigenvalues.  The fit uses the middle 20%-80% of the computed spectrum
+    by index -- the bottom is preasymptotic, the top polluted by
     discretization.  N is evaluated right-continuously; ``solve_eigen`` gives
     every mode of one eigenspace the same eigenvalue, bit for bit, so each
     degenerate cluster counts its full multiplicity.
@@ -616,7 +617,7 @@ def weyl_exponent_fit(spectrum, lo_frac=0.2, hi_frac=0.8) -> WeylFit:
     J = len(lam)
     if J < 100:
         raise ValueError("at least 100 modes are required for a Weyl exponent fit")
-    lo, hi = int(J * lo_frac), int(J * hi_frac)
+    lo, hi = int(J * 0.2), int(J * 0.8)
     lams = lam[lo:hi]
     counts = np.searchsorted(lam, lams, side="right")
     x, y = np.log(lams), np.log(counts)
@@ -645,10 +646,7 @@ def tail_variance(spec, s, J):
     if s <= S_MIN:
         raise ValueError(f"s must exceed {S_MIN:.5f} for a square-summable spectral tail")
     lam = _level_spectrum(spec)
-    J = int(J)
-    if not 0 <= J <= len(lam):
-        raise ValueError(f"J must lie in [0, {len(lam)}]")
-    return float(np.sum(lam[J:] ** (-2.0 * s)))
+    return float(np.sum(lam[check_truncation(J, len(lam)):] ** (-2.0 * s)))
 
 
 def pick_truncation(spec, s, budget=0.01):

@@ -181,7 +181,7 @@ def check_heat_completeness(level=6, **_):
 
 def check_heat_envelope(level=6, **_):
     basis = get_basis(level)
-    c_env = heat_envelope_constant(basis, t0=1.0)
+    c_env = heat_envelope_constant(basis)
     lam1 = float(basis.lam[0])
     worst = 0.0
     for t in (1.0, 1.5, 2.0, 3.0):
@@ -371,7 +371,7 @@ def check_symmetry(level=6, s=0.5, **_):
 def check_scaling(ref_level=4, word=(0,), s=0.5, **_):
     ref = get_basis(ref_level)
     sub = get_basis(ref_level + len(word), word=word)
-    rep = scaling_invariance_test(ref, sub, s, word=word)
+    rep = scaling_invariance_test(ref, sub, s)
     return CheckResult(
         "8b",
         "renormalization scaling",

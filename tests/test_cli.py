@@ -402,6 +402,19 @@ def test_config_supports_h_alias(tmp_path):
     assert read_json(rep)["config"]["H"] == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("content,match", [(None, "cannot read config file"),
+                                           ("{not json", "cannot read config file"),
+                                           ("[3]", "must hold a JSON object")])
+def test_unreadable_config_exits_2(tmp_path, capsys, content, match):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["build", "--config", str(cfg), "--out", str(tmp_path / "g.json")])
+    assert exc.value.code == 2
+    assert match in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"levle": 3}))

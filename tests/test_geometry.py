@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_fgf.constants import MAX_LEVEL
 from gasket_fgf.geometry import (
     CORNERS,
     _cell_map,
@@ -126,6 +127,36 @@ def test_extract_cell_structure(g4, cell_graph):
 
 def test_extract_empty_word_is_identity(g4):
     assert extract_cell(g4, ()) is g4
+
+
+@pytest.mark.parametrize("m", [-1, MAX_LEVEL + 1])
+def test_build_level_out_of_range(m):
+    with pytest.raises(ValueError, match=rf"level must lie in \[0, {MAX_LEVEL}\]"):
+        build_level(m)
+
+
+@pytest.mark.parametrize("i", [0, 4, "1"])
+def test_symmetry_index_must_be_1_2_or_3(g4, i):
+    with pytest.raises(ValueError, match="symmetry index must be 1, 2 or 3"):
+        symmetry_permutation(g4, i)
+
+
+def test_symmetries_need_a_full_gasket(cell_graph):
+    with pytest.raises(ValueError, match="full-gasket graphs only"):
+        symmetry_permutation(cell_graph, 1)
+
+
+@pytest.mark.parametrize("word,match", [((0, 1, 2, 0, 1), "word longer than graph level"),
+                                        ((3,), "letters must lie in"),
+                                        ((0, -1), "letters must lie in")])
+def test_extract_cell_rejects_a_bad_word(g4, word, match):
+    with pytest.raises(ValueError, match=match):
+        extract_cell(g4, word)
+
+
+def test_extract_cell_needs_a_full_gasket(cell_graph):
+    with pytest.raises(ValueError, match="full-gasket graphs only"):
+        extract_cell(cell_graph, (1,))
 
 
 @given(words.filter(lambda w: len(w) >= 1))

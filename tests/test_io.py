@@ -35,6 +35,12 @@ def assert_same_pgm(tmp_path, graph, size):
     assert (tmp_path / "f.pgm").read_bytes() == full_query_pgm(values, graph, size)
 
 
+def test_pgm_of_a_constant_field_is_black(tmp_path):
+    # no grey scale spans a single value: every pixel is 0
+    write_pgm(np.full(42, 3.5), build_level(3), tmp_path / "f.pgm", 16)
+    assert (tmp_path / "f.pgm").read_bytes() == b"P5\n16 16\n255\n" + bytes(256)
+
+
 @pytest.mark.parametrize("level", range(9))
 def test_pgm_matches_full_query(tmp_path, level):
     # no pixel has two nearest vertices at size 512 up to level 8

@@ -72,7 +72,7 @@ def test_long_time_limit(basis4):
 
 
 def test_envelope_constant_level6(basis6):
-    c = heat_envelope_constant(basis6, t0=1.0)
+    c = heat_envelope_constant(basis6)
     assert c == pytest.approx(3.431078, abs=1e-5)
     lam1 = basis6.lam[0]
     for t in (1.0, 1.7, 2.5):
@@ -245,13 +245,12 @@ def test_binned_loglog_fit_recovers_power_law(rng):
     v = 3.0 * d ** 1.7
     # envelope bins anchor at the maximizing pair, so an exact power law is
     # exactly colinear; moment bins carry a small Jensen offset
-    slope, intercept, resid, used, dropped = binned_loglog_fit(d, v, agg="max")
-    assert slope == pytest.approx(1.7, abs=1e-9)
-    assert intercept == pytest.approx(np.log(3.0), abs=1e-9)
-    assert resid <= 1e-12
-    assert used == 12 and dropped == 0
-    slope_m, _, _, _, _ = binned_loglog_fit(d, v, agg="mean")
-    assert slope_m == pytest.approx(1.7, abs=0.05)
+    fit = binned_loglog_fit(d, v, agg="max")
+    assert fit.slope == pytest.approx(1.7, abs=1e-9)
+    assert fit.intercept == pytest.approx(np.log(3.0), abs=1e-9)
+    assert fit.residual <= 1e-12 and fit.slope_se <= 1e-12
+    assert len(fit.log_d) == len(fit.log_val) == 12 and fit.dropped == 0
+    assert binned_loglog_fit(d, v, agg="mean").slope == pytest.approx(1.7, abs=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +259,15 @@ def test_binned_loglog_fit_recovers_power_law(rng):
 
 
 def test_regime_resolution(basis4):
-    assert estimate_bound_fit(basis4, 0.5, npairs=None).regime == "power"
-    assert estimate_bound_fit(basis4, SPECTRAL_EXPONENT, npairs=None).regime == "log"
-    assert estimate_bound_fit(basis4, 0.7, npairs=None).regime == "bounded"
+    assert estimate_bound_fit(basis4, 0.5).regime == "power"
+    assert estimate_bound_fit(basis4, SPECTRAL_EXPONENT).regime == "log"
+    assert estimate_bound_fit(basis4, 0.7).regime == "bounded"
 
 
 def test_estimate_bound_fit_log_regime_empty_window(basis4):
     # every pair in (0.9, 1.0] has |ln d| < 0.5, so the log regime has no points
     with pytest.raises(ValueError, match="fit window is empty"):
-        estimate_bound_fit(basis4, SPECTRAL_EXPONENT, window=(0.9, 1.0), npairs=None)
+        estimate_bound_fit(basis4, SPECTRAL_EXPONENT, window=(0.9, 1.0))
 
 
 def test_estimate_bound_fit_power_level6(basis6):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf import spectral
-from gasket_fgf.constants import REFERENCE_LAMBDA_1, SPECTRAL_EXPONENT, s_from_hurst
+from gasket_fgf.constants import REFERENCE_LAMBDA_1, S_MIN, SPECTRAL_EXPONENT, s_from_hurst
 from gasket_fgf.fields import (
     empirical_covariance,
     sample_field,
@@ -291,6 +291,18 @@ def test_level_13_budget_draw_fits_in_one_gib(monkeypatch):
         canonical_eigenspaces(*draw, graph=SimpleNamespace(word=()))
 
 
+@pytest.mark.parametrize("level,word", [(m, ()) for m in range(1, 9)] + [(6, (2,)), (8, (0, 1))])
+def test_stream_eigenvalues_are_the_spectrum(level, word):
+    # the stream reads its eigenvalues off the labels it keeps: the bits spectrum() gives
+    g = extract_cell(build_level(level), word) if word else SimpleNamespace(word=())
+    n = (3 ** (level - len(word) + 1) + 3) // 2
+    s, mm = StiffnessMatrix(level, Untouched(n), 1.0), MassMatrix(level, np.full(n, 1.0 / n))
+    ref = spectrum(level, word)
+    for count in (1, n // 3, n - 1):
+        _, lam, _, _ = canonical_eigenspaces(s, mm, count, 0, graph=g)
+        np.testing.assert_array_equal(lam, ref[:count])
+
+
 @pytest.mark.parametrize("m", range(1, 11))
 def test_decimation_labels_count_every_mode(m):
     # eigenvalues only: no vector is built
@@ -558,6 +570,11 @@ def test_weyl_exponent_level6(basis6):
     assert 0.9 < fit.r2 <= 1.0
 
 
+def test_weyl_fit_needs_100_modes():
+    with pytest.raises(ValueError, match="at least 100 modes"):
+        weyl_exponent_fit(spectrum(6)[:99])
+
+
 def test_weyl_window_is_mid_spectrum(basis6):
     fit = weyl_exponent_fit(basis6.lam[:300])
     lo, hi = fit.window
@@ -579,6 +596,20 @@ def test_tail_variance_monotone(basis5):
     tails = [tail_variance(basis5, s, j) for j in range(0, basis5.count + 1, 25)]
     assert all(a >= b for a, b in zip(tails, tails[1:]))
     assert tail_variance(basis5, s, basis5.count) == 0.0
+
+
+def test_tail_variance_rejects_J_outside_the_spectrum():
+    for J in (-1, len(spectrum(3)) + 1):
+        with pytest.raises(ValueError, match=rf"J must lie in \[0, {len(spectrum(3))}\]"):
+            tail_variance(spectrum(3), 0.5, J)
+
+
+@pytest.mark.parametrize("s", [S_MIN, 0.2])
+def test_tail_needs_s_above_s_min(s):
+    with pytest.raises(ValueError, match="square-summable"):
+        tail_variance(spectrum(3), s, 0)
+    with pytest.raises(ValueError, match="square-summable"):
+        pick_truncation(spectrum(3), s)
 
 
 def test_pick_truncation_level6(basis6):
