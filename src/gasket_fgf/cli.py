@@ -10,10 +10,10 @@ checks failed; 2 invalid configuration (message names the violated
 invariant and admissible interval); 3 eigensolver failure.
 
 Heavy numerical imports happen inside the command handlers, after the
-``--threads`` cap has been exported to the BLAS thread-count variables --
-they only take effect if set before numpy loads.  An explicit ``--threads``
-overrides inherited thread variables; the GASKET_FGF_THREADS fallback only
-fills those that are unset.
+``--threads`` cap (flag or config) has been exported to the BLAS
+thread-count variables -- they only take effect if set before numpy loads.
+An explicit ``--threads`` overrides inherited thread variables; the
+GASKET_FGF_THREADS fallback only fills those that are unset.
 """
 
 import argparse
@@ -32,15 +32,9 @@ _THREAD_VARS = (
 _KEY_ALIASES = {"H": "hurst"}
 
 
-def _peel_threads(argv):
-    n = None
-    for k, a in enumerate(argv):
-        if a == "--threads" and k + 1 < len(argv):
-            n = argv[k + 1]
-        elif a.startswith("--threads="):
-            n = a.split("=", 1)[1]
-    if n:
-        # an explicit flag overrides thread variables inherited from the shell
+def _export_threads(n):
+    if n is not None:
+        # an explicit cap overrides thread variables inherited from the shell
         for var in _THREAD_VARS:
             os.environ[var] = str(n)
         return
@@ -93,7 +87,6 @@ def build_parser():
     k.add_argument("--modes", type=int, help="truncation J (default: every mode)")
     k.add_argument("--tail-budget", dest="tail_budget", type=float,
                    help="pick J so the omitted variance fraction stays below this")
-    k.add_argument("--regime", choices=("auto", "power", "log", "bounded"))
     k.add_argument("--out", help="kernel CSV path (upper triangle)")
     k.add_argument("--report", help="decay-estimate report JSON path")
 
@@ -243,7 +236,7 @@ def cmd_kernel(args, parser):
             "J": j}
     write_kernel_csv(kernel_matrix(basis, args.s, j), args.out, header=echo)
     if args.report:
-        report = estimate_bound_fit(basis, args.s, regime=args.regime or "auto", J=j)
+        report = estimate_bound_fit(basis, args.s, J=j)
         doc = {"config": echo}
         doc.update(to_jsonable(report))
         # the regression slope itself, in addition to the regime's exponent
@@ -299,11 +292,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _peel_threads(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     _merge_config(args, parser)
+    _export_threads(args.threads)
     from .spectral import SolverError
 
     try:

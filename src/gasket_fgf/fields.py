@@ -242,29 +242,27 @@ def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> Covar
     )
 
 
-def variogram(basis: SpectralBasis, s, seeds=None, window=FIT_WINDOW, mode="exact", J=None) -> VariogramReport:
+def variogram(basis: SpectralBasis, s, seeds=None, mode="exact", J=None) -> VariogramReport:
     """Log-log slope of the mean squared increment against distance.
 
     The default mode regresses the *exact* second moments
     E (X(x)-X(y))^2 = sum_j lambda_j^{-2s} (Phi_j(x)-Phi_j(y))^2 (no
-    sampling noise) over the default :func:`~gasket_fgf.kernels.pair_sample`,
-    the same fit whose slope :func:`~gasket_fgf.kernels.increment_l2_check`
-    reports; mode='mc' replaces them with Monte Carlo averages over
-    ``seeds``, at the sampled pairs inside the window, to validate the
-    sampler end-to-end.  Expected slope 2H.  Bins left with a single pair
-    are dropped with a warning.
+    sampling noise) over :func:`~gasket_fgf.kernels.pair_sample` and
+    ``FIT_WINDOW`` = [2^-5, 2^-2], the same fit whose slope
+    :func:`~gasket_fgf.kernels.increment_l2_check` reports; mode='mc'
+    replaces them with Monte Carlo averages over ``seeds``, at the sampled
+    pairs inside the window, to validate the sampler end-to-end.  Expected
+    slope 2H.  The window starts at the level-4 mesh, so coarser bases are
+    refused.  Bins left with a single pair are dropped with a warning.
     """
     check_s(s)
     J = basis.truncation(J)
-    lo, hi = window
-    m = basis.graph.level
-    if not (2.0 ** -(m + 1) <= lo < hi <= 2.0 ** -2 * (1 + 1e-12)):
-        raise ValueError(f"window must lie inside [2^-{m + 1}, 2^-2]")
-    if hi / lo < 8.0 * (1 - 1e-12):
-        raise ValueError("window must span at least three octaves of distance")
+    lo, hi = FIT_WINDOW
+    if basis.graph.level < 4:
+        raise ValueError(f"the fit window [2^-5, 2^-2] needs a level >= 4, not {basis.graph.level}")
 
     if mode == "exact":
-        npairs, fit = _increment_fit(basis, s, window, J)
+        npairs, fit = _increment_fit(basis, s, J)
         replications = 0
     elif mode == "mc":
         seeds = [] if seeds is None else list(seeds)
@@ -274,7 +272,7 @@ def variogram(basis: SpectralBasis, s, seeds=None, window=FIT_WINDOW, mode="exac
         iu, ju, dp = pair_sample(basis.graph)
         keep = (dp >= lo) & (dp <= hi)
         npairs = int(keep.sum())
-        fit = binned_loglog_fit(dp[keep], _mc_increments(basis, s, seeds, J, iu[keep], ju[keep]), window)
+        fit = binned_loglog_fit(dp[keep], _mc_increments(basis, s, seeds, J, iu[keep], ju[keep]))
         if fit.dropped:
             warnings.warn(f"{fit.dropped} distance bin(s) had < 2 pairs and were dropped")
     else:
@@ -283,7 +281,7 @@ def variogram(basis: SpectralBasis, s, seeds=None, window=FIT_WINDOW, mode="exac
     return VariogramReport(
         s=float(s),
         h_target=hurst_from_s(s),
-        window=(float(lo), float(hi)),
+        window=FIT_WINDOW,
         bin_distances=tuple(np.exp(fit.log_d)),
         bin_means=tuple(np.exp(fit.log_val)),
         slope=fit.slope,

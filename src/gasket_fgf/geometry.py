@@ -84,7 +84,7 @@ class LevelGraph:
         n = len(self.coords)
         a, b = self.cells, np.roll(self.cells, -1, axis=1)
         keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=None)
-        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]  # sorted (a < b) sides, each once
+        # sorted (a < b) sides; two cells never share a side, so each appears once
         self.edges = _frozen(np.column_stack(np.divmod(keys, n)))
         counts = np.bincount(self.cells.ravel(), minlength=n)
         self.measure = _frozen(counts * (1.0 / 3 ** (level + 1)))

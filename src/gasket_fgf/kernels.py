@@ -24,7 +24,6 @@ The time-integral route G_s = (1/Gamma(s)) int_0^inf t^{s-1}(p_t - 1) dt is
 implemented only as a quadrature cross-check of the spectral sum.
 """
 
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,11 +34,10 @@ import numpy as np
 from .constants import HAUSDORFF_DIM, S_MIN, SPECTRAL_EXPONENT, WALK_DIM, check_s
 from .spectral import SpectralBasis, spectral_coeffs, tail_variance
 
-#: Default distance window for kernel regressions (dyadic, inside (0, diam]).
+#: Distance window of the exponent regressions (dyadic, inside (0, diam]).
 FIT_WINDOW = (2.0 ** -5, 2.0 ** -2)
 
-#: Pair-sampling policy: all pairs up to this level, random subsample beyond.
-ALL_PAIRS_MAX_LEVEL = 4
+#: Pair-sampling policy: every pair up to this many, a seeded subsample beyond.
 DEFAULT_PAIR_COUNT = 100_000
 DEFAULT_PAIR_SEED = 2024
 
@@ -130,13 +128,12 @@ def ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2)):
     return float(slope), float(intercept)
 
 
-def ondiagonal_constants(lam, window=(2.0 ** -10, 1.0)):
+def ondiagonal_constants(lam):
     """Two-sided constants (c, C) with c t^{-a} <= heat trace <= C t^{-a}, a = d_h/d_w.
 
-    The trace is read at 40 log-spaced times in the window.
+    The trace is read at 40 log-spaced times in [2^-10, 1].
     """
-    lo, hi = window
-    ts = np.logspace(np.log10(lo), np.log10(hi), 40)
+    ts = np.logspace(np.log10(2.0 ** -10), 0.0, 40)
     z = np.array([heat_trace(lam, t) for t in ts])
     ratio = z * ts ** SPECTRAL_EXPONENT
     return float(ratio.min()), float(ratio.max())
@@ -225,25 +222,20 @@ def squared_increments(basis: SpectralBasis, s, iu, ju, J):
     return diag[iu] + diag[ju] - 2.0 * c[iu, ju]
 
 
-def pair_sample(graph, npairs=DEFAULT_PAIR_COUNT, seed=DEFAULT_PAIR_SEED):
-    """Vertex pairs (i, j, distance) for regressions.
-
-    All distinct pairs when the graph is small (level <= 4 or fewer pairs
-    than requested); otherwise a uniform random subsample of ``npairs``
-    without replacement, reproducible from the integer ``seed``.  The
-    regressions take the defaults.  The sample is a function of
-    (graph, npairs, seed), so the last few are cached and every caller gets
-    the same read-only arrays.
-    """
-    return _pair_sample(graph, int(npairs), operator.index(seed))
-
-
 @lru_cache(maxsize=4)
-def _pair_sample(graph, npairs, seed):
+def pair_sample(graph):
+    """Vertex pairs (i, j, distance) for the regressions.
+
+    Every distinct pair when the graph has at most ``DEFAULT_PAIR_COUNT``
+    of them; otherwise a uniform subsample of that many without
+    replacement, drawn from ``default_rng(DEFAULT_PAIR_SEED)``.  The sample
+    is a function of the graph, so the last few are cached and every caller
+    gets the same read-only arrays.
+    """
     n = len(graph)
     total = n * (n - 1) // 2
-    if graph.level > ALL_PAIRS_MAX_LEVEL and total > npairs:
-        flat = np.random.default_rng(seed).choice(total, npairs, replace=False)
+    if total > DEFAULT_PAIR_COUNT:
+        flat = np.random.default_rng(DEFAULT_PAIR_SEED).choice(total, DEFAULT_PAIR_COUNT, replace=False)
         flat.sort()
         iu, ju = unrank_pairs(n, flat)
     else:
@@ -322,15 +314,15 @@ def binned_loglog_fit(dists, vals, window=FIT_WINDOW, agg="mean") -> BinnedFit:
                      xs, ys, dropped)
 
 
-def _increment_fit(basis: SpectralBasis, s, window, J):
+def _increment_fit(basis: SpectralBasis, s, J):
     """(pairs, fit): the mean-binned :func:`binned_loglog_fit` of the exact squared increments of G_2s.
 
     The one regression behind ``variogram(mode='exact')`` and
-    :func:`increment_l2_check`, over the default :func:`pair_sample`; bins
-    left with a single pair are dropped with a warning.
+    :func:`increment_l2_check`, over :func:`pair_sample` and ``FIT_WINDOW``;
+    bins left with a single pair are dropped with a warning.
     """
     iu, ju, dp = pair_sample(basis.graph)
-    fit = binned_loglog_fit(dp, squared_increments(basis, s, iu, ju, J), window)
+    fit = binned_loglog_fit(dp, squared_increments(basis, s, iu, ju, J))
     if fit.dropped:
         warnings.warn(f"{fit.dropped} distance bin(s) had < 2 pairs and were dropped")
     return len(iu), fit
@@ -343,62 +335,55 @@ def _resolve_regime(s):
     return "power" if gap < 0 else "bounded"
 
 
-def estimate_bound_fit(basis: SpectralBasis, s, regime="auto", window=FIT_WINDOW, J=None) -> KernelEstimateReport:
+def estimate_bound_fit(basis: SpectralBasis, s, J=None) -> KernelEstimateReport:
     """Regress the decay of |G_s| against distance and compare to its bound.
 
-    Three regimes:
+    The regime follows from s alone:
       power   (s d_w < d_h): |G_s| <~ d^{-(d_h - s d_w)}; envelope fit of
               log|G_s| vs log d, fitted exponent = -slope.
       log     (s d_w = d_h): |G_s| <~ |ln d|; fit on ln|ln d| abscissa
               (bound exponent 1), constant = max |G_s|/|ln d|.
       bounded (s d_w > d_h): |G_s| <~ C; bound exponent 0.
-    The pairs are the default :func:`pair_sample`, binned into 12 bins.
-    ``within_bound`` records fitted <= bound + 0.1.  At desk-scale levels
-    the power/bounded fits sit above their asymptotic bounds (the fit window
-    is not yet in the scaling regime and the truncated tail inflates short
-    distances); the report states this honestly rather than widening bands.
+    The pairs are :func:`pair_sample`'s inside ``FIT_WINDOW``, binned into
+    12 bins.  ``within_bound`` records fitted <= bound + 0.1.  At desk-scale
+    levels the power/bounded fits sit above their asymptotic bounds (the fit
+    window is not yet in the scaling regime and the truncated tail inflates
+    short distances); the report states this honestly rather than widening
+    bands.
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    lo, hi = window
-    if not 0 < lo < hi <= 1.0:
-        raise ValueError("window endpoints must lie in (0, 1] (diameter of the gasket)")
-    if regime == "auto":
-        regime = _resolve_regime(s)
-    if regime not in ("power", "log", "bounded"):
-        raise ValueError(f"unknown regime {regime!r}")
+    lo, hi = FIT_WINDOW
+    regime = _resolve_regime(s)
     J = basis.truncation(J)
     iu, ju, dp = pair_sample(basis.graph)
     g = kernel_matrix(basis, s, J)
     vals = np.abs(g[iu, ju])
-    in_win = (dp >= lo) & (dp <= hi)
-    if not in_win.any():
+    keep = (dp >= lo) & (dp <= hi) & (vals > 0)
+    if not keep.any():
         raise ValueError("fit window is empty")
 
     if regime == "log":
         # the modulus has no power law; regress on the ln|ln d| axis instead
-        keep = in_win & (np.abs(np.log(dp)) >= 0.5) & (vals > 0)
-        if not keep.any():
-            raise ValueError("fit window is empty")
         lnd = np.abs(np.log(dp[keep]))
         fit = binned_loglog_fit(lnd, vals[keep], (lnd.min(), lnd.max()), agg="max")
         fitted = fit.slope
         bound = 1.0
         constant = float((vals[keep] / lnd).max())
     else:
-        fit = binned_loglog_fit(dp, vals, window, agg="max")
+        fit = binned_loglog_fit(dp, vals, agg="max")
         fitted = -fit.slope
         if regime == "power":
             bound = HAUSDORFF_DIM - s * WALK_DIM
-            constant = float((vals[in_win] * dp[in_win] ** bound).max())
+            constant = float((vals[keep] * dp[keep] ** bound).max())
         else:
             bound = 0.0
-            constant = float(vals[in_win].max())
+            constant = float(vals[keep].max())
 
     return KernelEstimateReport(
         s=float(s),
         regime=regime,
-        window=(float(lo), float(hi)),
+        window=FIT_WINDOW,
         fitted_exponent=float(fitted),
         bound_exponent=float(bound),
         within_bound=bool(fitted <= bound + 0.1),
@@ -411,24 +396,25 @@ def estimate_bound_fit(basis: SpectralBasis, s, regime="auto", window=FIT_WINDOW
     )
 
 
-def increment_l2_check(basis: SpectralBasis, s, window=FIT_WINDOW, J=None) -> IncrementReport:
+def increment_l2_check(basis: SpectralBasis, s, J=None) -> IncrementReport:
     """Fit the exponent of D(x,y) = sum_j lambda_j^{-2s} (Phi_j(x)-Phi_j(y))^2.
 
     D is the squared L2 increment of G_s(x, .), the quantity whose
     d^{2 s d_w - d_h} bound drives the field's Hoelder regularity; the
     fitted log-log slope must clear that exponent minus a 0.2 allowance.
-    The fit is the one ``variogram(mode='exact')`` reports as its slope.
+    The fit, over ``FIT_WINDOW``, is the one ``variogram(mode='exact')``
+    reports as its slope.
     """
     check_s(s)
     J = basis.truncation(J)
-    npairs, fit = _increment_fit(basis, s, window, J)
+    npairs, fit = _increment_fit(basis, s, J)
     floor = 2.0 * s * WALK_DIM - HAUSDORFF_DIM - 0.2
     return IncrementReport(
         s=float(s),
         slope=fit.slope,
         floor=float(floor),
         passed=bool(fit.slope >= floor),
-        window=(float(window[0]), float(window[1])),
+        window=FIT_WINDOW,
         residual=fit.residual,
         tail_variance=tail_variance(basis, s, J),
         seed=DEFAULT_PAIR_SEED,

@@ -50,10 +50,6 @@ class MassMatrix:
     def dim(self):
         return len(self.diagonal)
 
-    @property
-    def trace(self):
-        return float(self.diagonal.sum())
-
 
 def assemble_energy(g: LevelGraph) -> StiffnessMatrix:
     """Assemble the stiffness matrix of E_m on ``g``.

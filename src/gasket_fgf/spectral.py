@@ -140,11 +140,6 @@ class SpectralBasis:
         """The number of modes J to use: ``count`` for None, else J checked against [0, count]."""
         return check_truncation(J, self.count)
 
-    def clusters(self):
-        """Runs [lo, hi) of nonzero-mode indices, one per eigenspace (the last cut at ``count``)."""
-        lo = [0, *self.ends[:-1].tolist()]
-        return [(a, min(b, self.count)) for a, b in zip(lo, self.ends.tolist())]
-
     def cluster_complete(self, J):
         """Largest J' <= J (and <= ``count``) that does not split an eigenspace."""
         ends = np.concatenate([[0], self.ends])
@@ -602,18 +597,18 @@ def spectrum(level, word=()):
     return np.repeat(1.5 * 5.0**level * mu[order], mult[order])[1:]
 
 
-def weyl_exponent_fit(spectrum) -> WeylFit:
+def weyl_exponent_fit(lam) -> WeylFit:
     """Least-squares fit of log N(lambda_j) against log lambda_j.
 
-    ``spectrum`` is a SpectralBasis or a sorted array of nonzero
-    eigenvalues.  The fit uses the middle 20%-80% of the computed spectrum
-    by index -- the bottom is preasymptotic, the top polluted by
-    discretization.  N is evaluated right-continuously; ``solve_eigen`` gives
-    every mode of one eigenspace the same eigenvalue, bit for bit, so each
-    degenerate cluster counts its full multiplicity.
+    ``lam`` is a sorted array of nonzero eigenvalues.  The fit uses the
+    middle 20%-80% of the computed spectrum by index -- the bottom is
+    preasymptotic, the top polluted by discretization.  N is evaluated
+    right-continuously; ``solve_eigen`` gives every mode of one eigenspace
+    the same eigenvalue, bit for bit, so each degenerate cluster counts its
+    full multiplicity.
     The expected slope is d_h/d_w = ln3/ln5.
     """
-    lam = spectrum.lam if isinstance(spectrum, SpectralBasis) else np.asarray(spectrum, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
     J = len(lam)
     if J < 100:
         raise ValueError("at least 100 modes are required for a Weyl exponent fit")

@@ -201,7 +201,7 @@ def check_heat_ondiagonal(level=6, **_):
     target = -SPECTRAL_EXPONENT
     passed = abs(slope - target) <= 0.07
     in_regime, _ = ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -6))
-    c_lo, c_hi = ondiagonal_constants(lam, window=(2.0 ** -10, 1.0))
+    c_lo, c_hi = ondiagonal_constants(lam)
     lam1 = float(lam[0])
     detail = (
         f"window top 2^-2 = {0.25 * lam1:.1f}/lambda_1 lies past the spectral-gap knee "

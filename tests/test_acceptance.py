@@ -90,7 +90,7 @@ def test_criterion_4d_numbers_at_level_12():
     lam = spectrum(12)
     slope, _ = ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2))
     in_regime, _ = ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -6))
-    c_lo, _ = ondiagonal_constants(lam, window=(2.0 ** -10, 1.0))
+    c_lo, _ = ondiagonal_constants(lam)
     assert slope == pytest.approx(-0.5252, abs=1e-4)
     assert abs(slope + SPECTRAL_EXPONENT) > 0.07  # outside the band: the strict xfail stands
     assert in_regime == pytest.approx(-0.6279, abs=1e-4)

@@ -66,6 +66,14 @@ def test_build_artifacts_keep_their_bytes(tmp_path, level):
     assert digests == BUILD_SHA256[level]
 
 
+def test_kernel_report_keeps_its_bytes(tmp_path):
+    rep = tmp_path / "report.json"
+    assert run_cli(["kernel", "--level", "5", "--s", "0.5", "--out", str(tmp_path / "k.csv"),
+                    "--report", str(rep)]) == 0
+    assert hashlib.sha256(rep.read_bytes()).hexdigest() == (
+        "7c2150b1f4afa4206efaef6a74d1b95ef6ebe49e24bf952bc37756f4c735a0f9")
+
+
 def test_eigs_artifacts(tmp_path):
     out = tmp_path / "eigs.json"
     vec = tmp_path / "vectors.csv"
@@ -509,6 +517,15 @@ def test_threads_flag_exports_blas_env(tmp_path, monkeypatch):
              "--out", str(tmp_path / "g.json")])
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_threads_from_config_exports_blas_env(tmp_path, monkeypatch):
+    for var in cli._THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 2, "threads": 2}))
+    assert run_cli(["build", "--config", str(cfg), "--out", str(tmp_path / "g.json")]) == 0
+    assert all(os.environ[var] == "2" for var in cli._THREAD_VARS)
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):

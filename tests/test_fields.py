@@ -21,6 +21,7 @@ from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
 from gasket_fgf.kernels import increment_l2_check, kernel_matrix, pair_sample
 from gasket_fgf.operators import assemble_energy, assemble_mass
 from gasket_fgf.spectral import pick_truncation, solve_eigen, spectrum
+from gasket_fgf.verify import get_basis
 
 
 def test_sample_reproducible(basis4):
@@ -270,12 +271,8 @@ def test_empirical_covariance_matches_kernel_matrix(request, level):
 
 
 def test_variogram_window_validation(basis5):
-    with pytest.raises(ValueError):
-        variogram(basis5, 0.5, window=(2.0 ** -4, 2.0 ** -1))  # hi too large
-    with pytest.raises(ValueError):
-        variogram(basis5, 0.5, window=(2.0 ** -9, 2.0 ** -2))  # lo below mesh
-    with pytest.raises(ValueError):
-        variogram(basis5, 0.5, window=(2.0 ** -4, 2.0 ** -2))  # < 3 octaves
+    with pytest.raises(ValueError, match="needs a level >= 4"):
+        variogram(get_basis(3), 0.5)  # the window starts below the level-3 mesh
     with pytest.raises(ValueError):
         variogram(basis5, 0.5, mode="mc")  # mc needs seeds
 

@@ -15,7 +15,10 @@ from gasket_fgf.constants import (
     WALK_DIM,
     hurst_from_s,
 )
+from gasket_fgf.geometry import build_level
 from gasket_fgf.kernels import (
+    DEFAULT_PAIR_COUNT,
+    DEFAULT_PAIR_SEED,
     apply_fractional_laplacian,
     binned_loglog_fit,
     binned_points,
@@ -31,6 +34,7 @@ from gasket_fgf.kernels import (
     riesz_value_quadrature,
 )
 from gasket_fgf.operators import assemble_energy
+from gasket_fgf.verify import get_basis
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +95,7 @@ def test_ondiagonal_slopes_level6(basis6):
 
 
 def test_ondiagonal_two_sided_constants(basis6):
-    c_lo, c_hi = ondiagonal_constants(basis6.lam, window=(2.0 ** -10, 1.0))
+    c_lo, c_hi = ondiagonal_constants(basis6.lam)
     assert 0.13 <= c_lo <= 0.15
     assert c_hi == pytest.approx(1.0, abs=1e-6)
     assert c_lo <= c_hi
@@ -181,42 +185,37 @@ def test_fractional_laplacian_s1_matches_stiffness(basis4):
 
 
 def test_pair_sample_small_graph_is_exhaustive(g4):
-    i, j, d = pair_sample(g4, npairs=100, seed=1)
+    i, j, d = pair_sample(g4)
     n = len(g4)
     assert len(i) == n * (n - 1) // 2
     assert np.all(d > 0)
 
 
-def test_pair_sample_subsamples_reproducibly(g6):
-    i1, j1, d1 = pair_sample(g6, npairs=5000, seed=9)
-    i2, j2, d2 = pair_sample(g6, npairs=5000, seed=9)
-    assert len(i1) == 5000
-    np.testing.assert_array_equal(i1, i2)
-    np.testing.assert_array_equal(j1, j2)
-    i3, _, _ = pair_sample(g6, npairs=5000, seed=10)
-    assert not np.array_equal(i1, i3)
-
-
 def test_pair_sample_is_shared_and_read_only(g6):
-    first = pair_sample(g6, 5000, 9)
-    again = pair_sample(g6, npairs=5000, seed=np.int64(9))
+    first = pair_sample(g6)
+    again = pair_sample(g6)
     assert all(a is b for a, b in zip(first, again))
     for a in first:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
-    with pytest.raises(TypeError):
-        pair_sample(g6, 5000, np.random.default_rng(9))
 
 
-@pytest.mark.parametrize("npairs,seed", [(100_000, 2024), (5000, 9)])
-def test_pair_sample_matches_triu_reference(g6, npairs, seed):
-    # the flat indices are unranked without building the n(n-1)/2 index arrays
-    iu, ju = np.triu_indices(len(g6), 1)
-    sel = np.sort(np.random.default_rng(seed).choice(len(iu), npairs, replace=False))
-    i, j, d = pair_sample(g6, npairs=npairs, seed=seed)
+@pytest.mark.parametrize("level", [5, 6])
+def test_pair_sample_matches_triu_reference(level):
+    # L5 holds 66,795 pairs, so every one is taken; L6's 598,965 are
+    # subsampled, unranked without building the n(n-1)/2 index arrays
+    g = build_level(level)
+    iu, ju = np.triu_indices(len(g), 1)
+    if len(iu) > DEFAULT_PAIR_COUNT:
+        rng = np.random.default_rng(DEFAULT_PAIR_SEED)
+        sel = np.sort(rng.choice(len(iu), DEFAULT_PAIR_COUNT, replace=False))
+    else:
+        sel = np.arange(len(iu))
+    assert len(sel) == {5: 66_795, 6: 100_000}[level]
+    i, j, d = pair_sample(g)
     np.testing.assert_array_equal(i, iu[sel])
     np.testing.assert_array_equal(j, ju[sel])
-    np.testing.assert_array_equal(d, np.linalg.norm(g6.points[iu[sel]] - g6.points[ju[sel]], axis=1))
+    np.testing.assert_array_equal(d, np.linalg.norm(g.points[iu[sel]] - g.points[ju[sel]], axis=1))
 
 
 def test_binned_points_rejects_empty_window():
@@ -264,10 +263,10 @@ def test_regime_resolution(basis4):
     assert estimate_bound_fit(basis4, 0.7).regime == "bounded"
 
 
-def test_estimate_bound_fit_log_regime_empty_window(basis4):
-    # every pair in (0.9, 1.0] has |ln d| < 0.5, so the log regime has no points
+def test_estimate_bound_fit_log_regime_empty_window():
+    # no level-1 pair lies closer than 1/2, so FIT_WINDOW = [2^-5, 2^-2] holds none
     with pytest.raises(ValueError, match="fit window is empty"):
-        estimate_bound_fit(basis4, SPECTRAL_EXPONENT, window=(0.9, 1.0))
+        estimate_bound_fit(get_basis(1), SPECTRAL_EXPONENT)
 
 
 def test_estimate_bound_fit_power_level6(basis6):

@@ -87,6 +87,12 @@ def newborn_oracle(fine, mu):
         yield support, values, oracle * np.copysign(1.0, oracle[:, :1])
 
 
+def eigenspace_runs(basis):
+    """Runs [lo, hi) of nonzero-mode indices, one per eigenspace (the last cut at ``count``)."""
+    lo = [0, *basis.ends[:-1].tolist()]
+    return [(a, min(b, basis.count)) for a, b in zip(lo, basis.ends.tolist())]
+
+
 def birth_levels(levels):
     """Level at which each top-level eigenspace of ``_decimation_levels`` was born."""
     born = np.zeros(len(levels[0][0]), dtype=np.int64)
@@ -128,7 +134,7 @@ def test_each_eigenspace_is_orthonormal(m):
     # after them: a factor of the wrong eigenspace would show off the diagonal
     g = build_level(m)
     basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
-    for lo, hi in basis.clusters():
+    for lo, hi in eigenspace_runs(basis):
         phi = basis.phi[:, lo:hi]
         gram = phi.T @ (basis.mass[:, None] * phi)
         assert np.abs(gram - np.eye(hi - lo)).max() <= 1e-12, (lo, hi)
@@ -163,7 +169,7 @@ def test_spectrum_increasing(basis5):
 
 
 def test_clusters_partition_spectrum(basis5):
-    runs = basis5.clusters()
+    runs = eigenspace_runs(basis5)
     assert runs[0][0] == 0 and runs[-1][1] == basis5.count
     assert all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
     for lo, hi in runs:
@@ -326,7 +332,7 @@ def test_decimation_matches_dense_oracle(level, word):
     w, psi = dense_eigen(assemble_energy(g), assemble_mass(g))
     assert basis.count == len(g) - 1
     np.testing.assert_allclose(basis.lam, w[1:], rtol=1e-10)
-    for lo, hi in basis.clusters():
+    for lo, hi in eigenspace_runs(basis):
         ours, theirs = basis.phi[:, lo:hi], psi[:, 1 + lo : 1 + hi]
         gap = (ours @ ours.T - theirs @ theirs.T) * basis.mass
         assert np.abs(gap).max() <= 1e-10, (lo, hi)
@@ -377,7 +383,7 @@ def test_extension_scales_the_gram(m):
     mu, _, parent = levels[m]
     coarse = get_basis(m - 1)
     labels = np.argsort(levels[m - 1][0], kind="stable")[1:]  # coarse eigenspaces in solve order
-    runs = dict(zip(labels, coarse.clusters()))
+    runs = dict(zip(labels, eigenspace_runs(coarse)))
     fine, mass = build_level(m), coarse.mass
     for g in np.flatnonzero((parent >= 0) & (mu != 0.0)):  # every inherited eigenspace but the constant
         lo, hi = runs[parent[g]]
