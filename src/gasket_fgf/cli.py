@@ -1,9 +1,9 @@
 """Command-line entry point: graphs -> spectra -> kernels -> fields -> reports.
 
-One binary with subcommands; a JSON config file can predefine any flag and
-explicit flags win.  All artifacts embed the resolved mathematical
-configuration (never output paths or timestamps), so identical
-configurations rerun to byte-identical files.
+One binary with subcommands; a ``--config`` JSON file is read as more
+command line (:class:`_Command`), and explicit flags win.  All artifacts
+embed the resolved mathematical configuration (never output paths or
+timestamps), so identical configurations rerun to byte-identical files.
 
 Exit codes: 0 success (and, for `verify`, all checks passed); 1 verify
 checks failed; 2 invalid configuration (message names the violated
@@ -28,9 +28,6 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-#: config keys whose attribute name differs from a plain dash swap
-_KEY_ALIASES = {"H": "hurst"}
-
 
 def _export_threads(n):
     if n is not None:
@@ -44,9 +41,53 @@ def _export_threads(n):
             os.environ.setdefault(var, n)
 
 
+class _Command(argparse.ArgumentParser):
+    """A subcommand's parser, which reads its ``--config`` file as flags in front of its arguments.
+
+    Each key ``k`` of the file's object is the flag ``--k=value``
+    (underscores as dashes), so every value goes through its flag's type and
+    an explicit flag, parsed later, wins.  A key naming a positional
+    (``verify``'s ``suite``) sets that positional's default instead, so an
+    explicit one wins too.  ``null`` leaves a flag unset, and ``command``,
+    as artifacts echo it, is skipped.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        pre = argparse.ArgumentParser(prog=self.prog, add_help=False)
+        pre.add_argument("--config")
+        path = pre.parse_known_args(args)[0].config
+        if path is None:
+            return super().parse_known_args(args, namespace)
+        try:
+            with open(path) as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            self.error(f"cannot read config file: {exc}")
+        if not isinstance(cfg, dict):
+            self.error("config file must hold a JSON object")
+        positionals = {a.dest for a in self._actions if not a.option_strings}
+        flags = []
+        for key, value in cfg.items():
+            if key == "command":
+                continue
+            flag = "--" + key.replace("_", "-")
+            if flag not in self._option_string_actions and key not in positionals:
+                self.error(f"unknown config key {key!r}")
+            if value is None:
+                continue
+            # checked before str(): a bool would read as the text True or False
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                self.error(f"config key {key!r} must hold a JSON string or number, not {json.dumps(value)}")
+            if key in positionals:
+                self.set_defaults(**{key: str(value)})
+            else:
+                flags.append(f"{flag}={value}")
+        return super().parse_known_args(flags + args, namespace)
+
+
 def _add_common(sp):
     sp.add_argument("--config", metavar="JSON",
-                    help="JSON file of flag defaults; explicit flags win")
+                    help="JSON file of flags, read before the explicit ones; explicit flags win")
     sp.add_argument("--threads", type=int, metavar="N",
                     help="cap BLAS/OpenMP threads (fallback: GASKET_FGF_THREADS)")
 
@@ -64,73 +105,53 @@ def build_parser():
         description="Fractional Gaussian fields on the Sierpinski gasket: "
                     "level graphs, Laplacian spectra, Riesz kernels, field samples.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     b = sub.add_parser("build", help="construct a level graph, write JSON (+ stiffness COO)")
     _add_common(b)
-    b.add_argument("--level", type=int)
-    b.add_argument("--out", help="graph JSON path")
+    b.add_argument("--level", type=int, required=True)
+    b.add_argument("--out", required=True, help="graph JSON path")
     b.add_argument("--matrix-out", dest="matrix_out", help="stiffness coordinate-list path")
 
     e = sub.add_parser("eigs", help="solve the generalized eigenproblem, write spectra")
     _add_common(e)
-    e.add_argument("--level", type=int)
-    e.add_argument("--count", type=int, help="number of nonzero modes (default 300)")
-    e.add_argument("--tol", type=float, help="residual tolerance (default 1e-8)")
-    e.add_argument("--out", help="eigenvalue JSON path")
+    e.add_argument("--level", type=int, required=True)
+    e.add_argument("--count", type=int, default=300, help="number of nonzero modes (default 300)")
+    e.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
+    e.add_argument("--out", required=True, help="eigenvalue JSON path")
     e.add_argument("--vectors-out", dest="vectors_out", help="eigenvector CSV path")
 
     k = sub.add_parser("kernel", help="evaluate the Riesz kernel G_s, write CSV (+ decay report)")
     _add_common(k)
-    k.add_argument("--level", type=int)
+    k.add_argument("--level", type=int, required=True)
     _add_exponent(k)
     k.add_argument("--modes", type=int, help="truncation J (default: every mode)")
     k.add_argument("--tail-budget", dest="tail_budget", type=float,
                    help="pick J so the omitted variance fraction stays below this")
-    k.add_argument("--out", help="kernel CSV path (upper triangle)")
+    k.add_argument("--out", required=True, help="kernel CSV path (upper triangle)")
     k.add_argument("--report", help="decay-estimate report JSON path")
 
     f = sub.add_parser("sample", help="draw a field realization, write CSV (+ PGM raster)")
     _add_common(f)
-    f.add_argument("--level", type=int)
+    f.add_argument("--level", type=int, required=True)
     _add_exponent(f)
-    f.add_argument("--modes", type=int, help="truncation J")
-    f.add_argument("--tail-budget", dest="tail_budget", type=float,
+    f.add_argument("--modes", type=int, help="truncation J (wins over --tail-budget)")
+    f.add_argument("--tail-budget", dest="tail_budget", type=float, default=0.01,
                    help="pick J from a tail-variance budget (default 0.01)")
-    f.add_argument("--seed", type=int, help="64-bit generator seed (default 42)")
+    f.add_argument("--seed", type=int, default=42, help="64-bit generator seed (default 42)")
     f.add_argument("--pin", type=int, nargs="?", const=0, default=None, metavar="Q",
                    help="pin the field to zero at vertex Q (default corner 0)")
-    f.add_argument("--out", help="field CSV path")
+    f.add_argument("--out", required=True, help="field CSV path")
     f.add_argument("--pgm", help="512x512 grayscale raster path")
 
     v = sub.add_parser("verify", help="run acceptance check suites")
     _add_common(v)
-    v.add_argument("suite", nargs="?", help="suite name (default: all)")
-    v.add_argument("--level", type=int)
+    v.add_argument("suite", nargs="?", default="all", help="suite name (default: all)")
+    v.add_argument("--level", type=int, default=6)
     _add_exponent(v)
-    v.add_argument("--seed", type=int)
+    v.add_argument("--seed", type=int, default=7)
 
     return parser
-
-
-def _merge_config(args, parser):
-    if not getattr(args, "config", None):
-        return
-    try:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
-    if not isinstance(cfg, dict):
-        parser.error("config file must hold a JSON object")
-    for key, value in cfg.items():
-        if key == "command":
-            continue
-        attr = _KEY_ALIASES.get(key, key.replace("-", "_"))
-        if not hasattr(args, attr):
-            parser.error(f"unknown config key {key!r} for command {args.command!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
 
 
 def _resolve_exponent(args, parser, required=True):
@@ -157,22 +178,13 @@ def _resolve_exponent(args, parser, required=True):
         parser.error(str(exc))
 
 
-def _require(args, parser, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            flag = "--" + name.replace("_", "-")
-            parser.error(f"{flag} is required (flag or config)")
-
-
-def _solve(level, count, tol=None):
+def _solve(level, count, **kwargs):
     from .geometry import build_level
     from .operators import assemble_energy, assemble_mass
     from .spectral import solve_eigen
 
     graph = build_level(level)
-    kwargs = {} if tol is None else {"tol": tol}
-    return graph, solve_eigen(assemble_energy(graph), assemble_mass(graph), count,
-                              graph=graph, **kwargs)
+    return solve_eigen(assemble_energy(graph), assemble_mass(graph), count, graph=graph, **kwargs)
 
 
 def _modes(args):
@@ -187,7 +199,7 @@ def _modes(args):
     graph = build_level(args.level)  # checks the level before the spectrum is formed
     n = len(graph)
     if args.modes is not None:
-        j = int(args.modes)
+        j = args.modes
         if not 1 <= j <= n - 1:
             raise ValueError(f"count must lie in [1, {n - 1}] for dimension {n}")
     elif args.tail_budget is not None:
@@ -202,7 +214,6 @@ def cmd_build(args, parser):
     from .io import write_graph_json, write_matrix_coo
     from .operators import assemble_energy
 
-    _require(args, parser, "level", "out")
     graph = build_level(args.level)
     write_graph_json(graph, args.out, config={"command": "build", "level": args.level})
     if args.matrix_out:
@@ -213,11 +224,8 @@ def cmd_build(args, parser):
 def cmd_eigs(args, parser):
     from .io import write_eigen_csv, write_eigen_json
 
-    _require(args, parser, "level", "out")
-    count = 300 if args.count is None else args.count
-    tol = 1e-8 if args.tol is None else args.tol
-    _, basis = _solve(args.level, count, tol)
-    echo = {"command": "eigs", "level": args.level, "count": count, "tol": tol}
+    basis = _solve(args.level, args.count, tol=args.tol)
+    echo = {"command": "eigs", "level": args.level, "count": args.count, "tol": args.tol}
     write_eigen_json(basis, args.out, config=echo)
     if args.vectors_out:
         write_eigen_csv(basis, args.vectors_out)
@@ -228,10 +236,9 @@ def cmd_kernel(args, parser):
     from .io import to_jsonable, write_json, write_kernel_csv
     from .kernels import estimate_bound_fit, kernel_matrix
 
-    _require(args, parser, "level", "out")
     _resolve_exponent(args, parser)
     _, j = _modes(args)
-    _, basis = _solve(args.level, max(j, 1))  # J = 0 (a budget of 1) still solves one mode
+    basis = _solve(args.level, max(j, 1))  # J = 0 (a budget of 1) still solves one mode
     echo = {"command": "kernel", "level": args.level, "s": args.s, "H": args.hurst,
             "J": j}
     write_kernel_csv(kernel_matrix(basis, args.s, j), args.out, header=echo)
@@ -250,12 +257,7 @@ def cmd_sample(args, parser):
     from .io import write_field_csv, write_pgm
     from .operators import assemble_energy, assemble_mass
 
-    _require(args, parser, "level", "out")
     _resolve_exponent(args, parser)
-    if args.seed is None:
-        args.seed = 42
-    if args.modes is None and args.tail_budget is None:
-        args.tail_budget = 0.01
     graph, j = _modes(args)
     sample = stream_field(assemble_energy(graph), assemble_mass(graph), args.s, args.seed, j,
                           graph=graph)
@@ -272,13 +274,10 @@ def cmd_sample(args, parser):
 def cmd_verify(args, parser):
     from .verify import SUITES, run_suite
 
-    suite = args.suite or "all"
-    if suite not in SUITES:
-        parser.error(f"unknown suite {suite!r}; choose from {', '.join(sorted(SUITES))}")
+    if args.suite not in SUITES:
+        parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(sorted(SUITES))}")
     _resolve_exponent(args, parser, required=False)
-    level = 6 if args.level is None else args.level
-    seed = 7 if args.seed is None else args.seed
-    results = run_suite(suite, level=level, s=args.s, seed=seed)
+    results = run_suite(args.suite, level=args.level, s=args.s, seed=args.seed)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -294,7 +293,6 @@ _COMMANDS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _merge_config(args, parser)
     _export_threads(args.threads)
     from .spectral import SolverError
 

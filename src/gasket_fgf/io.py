@@ -39,10 +39,9 @@ def _is_scalar(v):
     return v is None or isinstance(v, (bool, int, float, str))
 
 
-def dumps(obj, indent=0):
+def dumps(obj):
     """JSON text with floats at 17 significant digits and stable key order."""
-    obj = to_jsonable(obj)
-    return _dump(obj, indent)
+    return _dump(to_jsonable(obj), 0)
 
 
 def _dump(obj, indent):

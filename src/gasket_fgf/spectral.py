@@ -326,11 +326,13 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
     the slice of columns of its own descendants at its own mu.  No sparse
     block is formed above its birth level, and between eigenspaces nothing
     is held but the columns along the current path.  Yields
-    ``(i, y, entries)`` at the top: y holds the combinations of ``entries``,
-    the ``(first, r)`` of each block c in order.  E(mu) scales the M-Gram
-    of a whole eigenspace by one scalar, so y is the combinations of its
-    M-orthonormal basis times one unknown factor, which each column's own
-    M-norm removes.
+    ``(i, first, y)`` at the top: y holds the combinations of the one block
+    c given with ``first``.  No item holds two blocks: every block but an
+    eigenspace's last is ``BLOCK`` wide, a batch is flushed before it would
+    pass ``BLOCK``, and each batch is split by eigenspace on its way up.
+    E(mu) scales the M-Gram of a whole eigenspace by one scalar, so y is the
+    combinations of its M-orthonormal basis times one unknown factor, which
+    each column's own M-norm removes.
     """
     m = len(levels) - 1
     # births level by level, and the kept descendants of each depth-first
@@ -338,7 +340,8 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
 
     def push(j, y, entries):
         if j == m:
-            yield entries[0][0], y, entries
+            [(i, first, _)] = entries
+            yield i, first, y
             return
         start = 0
         for child, group in groupby(entries, key=lambda e: anc[j + 1, e[0]]):
@@ -356,8 +359,7 @@ def _eigenspace_columns(levels, anc, birth, born, coefficients):
             y = _birth_columns(block, factor, [c for _, _, c in batch])
             entries = [(i, first, c.shape[1]) for i, first, c in batch]
             batch.clear()  # the coefficients are spent
-            for i, top, group in push(j, y, entries):
-                yield i, top, [(first, r) for _, first, r in group]
+            yield from push(j, y, entries)
 
         batch, width = [], 0
         for i in leaves:
@@ -513,7 +515,7 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
         return ((lo + a, np.eye(a + b, b, -a)) for a in range(0, k, BLOCK) for b in [min(BLOCK, k - a)])
 
     def columns():
-        for i, y, entries in _eigenspace_columns(levels, anc, birth, born, coefficients):
+        for i, first, y in _eigenspace_columns(levels, anc, birth, born, coefficients):
             if word:
                 y = y[rows]
             # the residual does not depend on a column's scale, so y is checked before it is scaled
@@ -524,11 +526,8 @@ def canonical_eigenspaces(stiffness: StiffnessMatrix, mass: MassMatrix, count, h
                                   residual=residual)
             # a combination c of an M-orthonormal basis has M-norm ||c||: 1 for a mode, and the
             # norm of the eigenspace's weights for its term
-            v = y * ((1.0 if weights is None else np.linalg.norm(weights[starts[i] : ends[i]])) / mnorm)
-            start = 0
-            for first, r in entries:
-                yield first, v[:, start : start + r], residual
-                start += r
+            scale = 1.0 if weights is None else np.linalg.norm(weights[starts[i] : ends[i]])
+            yield first, y * (scale / mnorm), residual
 
     return graph, lambdas, ends, columns()
 

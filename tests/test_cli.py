@@ -432,6 +432,77 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "levle" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cfg,name", [({"level": 3.0}, "--level"), ({"level": True}, "'level'"),
+                                      ({"seed": 1.5}, "--seed"), ({"out": ["a"]}, "'out'")])
+def test_mistyped_config_value_exits_2(tmp_path, capsys, cfg, name):
+    # a config value is read as its flag reads it, and a bool, list or object is refused
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"level": 3, "out": str(tmp_path / "f.csv"), **cfg}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--config", str(path), "--s", "0.5"])
+    assert exc.value.code == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_config_values_read_as_flags(tmp_path):
+    # a string count is the int the flag makes of it; either spelling of tail-budget works
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 3, "count": "10"}))
+    assert run_cli(["eigs", "--config", str(cfg), "--out", str(tmp_path / "a.json")]) == 0
+    assert run_cli(["eigs", "--level", "3", "--count", "10", "--out", str(tmp_path / "b.json")]) == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    for key in ("tail_budget", "tail-budget"):
+        cfg.write_text(json.dumps({"level": 4, "H": 0.3, key: 0.05}))
+        assert run_cli(["sample", "--config", str(cfg), "--out", str(tmp_path / f"{key}.csv")]) == 0
+    assert run_cli(["sample", "--level", "4", "--H", "0.3", "--tail-budget", "0.05",
+                    "--out", str(tmp_path / "flags.csv")]) == 0
+    assert ((tmp_path / "tail_budget.csv").read_bytes() == (tmp_path / "tail-budget.csv").read_bytes()
+            == (tmp_path / "flags.csv").read_bytes())
+
+
+def test_config_suite_and_positional(tmp_path, capsys):
+    # a config's suite picks the verify suite; an explicit positional wins over it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suite": "spectral", "level": 4}))
+    assert run_cli(["verify", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[2] spectral hygiene: PASS")
+    assert run_cli(["verify", "structure", "--config", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[1] structural exactness: PASS")
+
+
+@pytest.mark.parametrize("cfg,flags,pinned", [({"pin": 5}, ["--pin"], 0), ({"pin": "5"}, [], 5),
+                                              ({"pin": None}, [], None)])
+def test_config_pin(tmp_path, cfg, flags, pinned):
+    # a bare --pin wins over the config's vertex; null leaves the flag unset
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"level": 3, "s": 0.5, **cfg}))
+    out = tmp_path / "f.csv"
+    assert run_cli(["sample", "--config", str(path), *flags, "--out", str(out)]) == 0
+    assert json.loads(out.read_text().splitlines()[0][2:]).get("pinned") == pinned
+
+
+def test_config_before_subcommand_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 2}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["--config", str(cfg), "build", "--out", str(tmp_path / "g.json")])
+    assert exc.value.code == 2
+
+
+def test_unknown_config_key_named_before_required_flags(tmp_path, capsys):
+    # the key is checked before parsing, so the missing --level does not hide it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levle": 3, "hurst": 0.3}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--config", str(cfg), "--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'levle'" in err and "required" not in err
+
+
 # ---------------------------------------------------------------------------
 # exponent validation and exit codes
 # ---------------------------------------------------------------------------

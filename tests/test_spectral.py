@@ -44,7 +44,7 @@ from gasket_fgf.spectral import (
     tail_variance,
     weyl_exponent_fit,
 )
-from gasket_fgf.verify import get_basis
+from gasket_fgf.verify import check_spectral, get_basis
 
 # second Neumann eigenvalue of the renormalized level-m problems; the
 # sequence converges geometrically (ratio ~1/5) toward the gasket value
@@ -126,6 +126,28 @@ def test_streamed_columns_are_orthonormal_at_level_7():
     assert w.shape == (len(g), J) == (3282, 2600) and not np.isnan(w).any()
     w *= np.sqrt(mm.diagonal)[:, None]
     assert np.abs(w.T @ w - np.eye(J)).max() <= 1e-10
+
+
+def test_stream_items_are_one_block_of_one_eigenspace():
+    # every item of a full level-7 solve is r <= BLOCK consecutive modes of
+    # one eigenspace, and the items cover each mode once
+    g = build_level(7)
+    _, _, ends, columns = canonical_eigenspaces(assemble_energy(g), assemble_mass(g), len(g) - 1, 0,
+                                                graph=g)
+    seen = np.zeros(len(g) - 1, dtype=int)
+    for first, v, _ in columns:
+        r = v.shape[1]
+        end = ends[np.searchsorted(ends, first, side="right")]  # of the eigenspace holding `first`
+        assert 1 <= r <= spectral.BLOCK and first + r <= end, (first, r)
+        seen[first : first + r] += 1
+    assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("level", range(5))
+def test_spectral_check_below_level_5(level):
+    # these levels have fewer nonzero modes than the 300 the check reads by default
+    res = check_spectral(level=level)
+    assert res.passed and res.measured["gram_deviation"] <= 1e-14, res.measured
 
 
 @pytest.mark.parametrize("m", range(1, 8))
