@@ -36,6 +36,15 @@ from .spectral import SpectralBasis, canonical_eigenspaces, check_truncation
 #: Replications per block when accumulating Monte Carlo statistics.
 MC_CHUNK = 50
 
+#: Vertex pairs per tile of a Monte Carlo increment block.
+MC_PAIR_TILE = 1024
+
+#: Candidate vertex pairs per tile of the Hoelder statistic.
+HOELDER_TILE = 2 ** 14
+
+#: Buckets per search radius, a side, in the Hoelder statistic's pair search.
+HOELDER_BUCKETS = 3
+
 
 @dataclass(frozen=True)
 class FieldSample:
@@ -198,13 +207,22 @@ def _mc_blocks(basis, s, seeds, J, verts=slice(None)):
 
 
 def _mc_increments(basis, s, seeds, J, iu, ju):
-    """Monte Carlo mean of (X(x) - X(y))^2 over ``seeds`` at the pairs (iu, ju)."""
+    """Monte Carlo mean of (X(x) - X(y))^2 over ``seeds`` at the pairs (iu, ju).
+
+    Each block is read ``MC_PAIR_TILE`` pairs at a time: a tile gathers the
+    rows of its pairs, one row per pair holding all replications of the
+    block, and adds each row's sum of squared differences into that pair's
+    total.  So the temporaries are a tile, not every pair times a block, and
+    each pair's sum is the same row sum whatever the tile size.
+    """
     acc = np.zeros(len(iu))
     for x in _mc_blocks(basis, s, seeds, J):
-        d = x[iu]  # one row per pair: all replications of the block
-        d -= x[ju]
-        d *= d
-        acc += d.sum(axis=1)
+        for lo in range(0, len(iu), MC_PAIR_TILE):
+            tile = slice(lo, lo + MC_PAIR_TILE)
+            d = x[iu[tile]]
+            d -= x[ju[tile]]
+            d *= d
+            acc[tile] += d.sum(axis=1)
     return acc / len(seeds)
 
 
@@ -293,6 +311,47 @@ def variogram(basis: SpectralBasis, s, seeds=None, mode="exact", J=None) -> Vari
     )
 
 
+def _pairs_within(points, values, r):
+    """Distance and |value difference| of every pair of points within r, a tile at a time.
+
+    The points are sorted by square buckets of side r/k (k =
+    ``HOELDER_BUCKETS``), column by column, so that the points a point can
+    pair with on its right lie in k + 1 runs of the sorted order: the rest
+    of its own column up to k buckets above it, and each of the next k
+    columns from k buckets below to k above.  A tile takes whole runs until
+    it holds about ``HOELDER_TILE`` candidates, so each unordered pair is a
+    candidate once and only the sorted copies and the runs outlive a tile.
+    Candidates farther than r, up to a rounding slack, are dropped.  A
+    distance is sqrt(dx^2 + dy^2), the arithmetic of ``np.linalg.norm`` on
+    the difference of the two points.
+    """
+    k = HOELDER_BUCKETS
+    reach = r * (1 + 1e-9)  # a pair at distance r stays within k buckets and is kept despite rounding
+    # the floor on the side keeps the bucket keys inside int64 for any small r
+    side = max(reach / k, float(np.ptp(points, axis=0).max()) / 2 ** 20)
+    cell = np.floor((points - points.min(axis=0)) / side).astype(np.int64)
+    rows = int(cell[:, 1].max()) + 2 * k + 1
+    key = cell[:, 0] * rows + cell[:, 1] + k
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], values[order]
+    x, y = points[order].T
+    first = np.column_stack([np.arange(1, len(key) + 1)]
+                            + [np.searchsorted(key, key + c * rows - k) for c in range(1, k + 1)]).ravel()
+    length = np.column_stack([np.searchsorted(key, key + c * rows + k, side="right")
+                              for c in range(k + 1)]).ravel() - first
+    start = np.concatenate([[0], np.cumsum(length)])  # candidate number of each run's first pair
+    shift = first - start[:-1]
+    cuts = [0, *np.searchsorted(start, np.arange(HOELDER_TILE, start[-1], HOELDER_TILE)), len(length)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        ln = length[a:b]
+        i = np.repeat(np.arange(a, b) // (k + 1), ln)
+        j = np.repeat(shift[a:b], ln) + np.arange(start[a], start[b])
+        dx, dy = x[i] - x[j], y[i] - y[j]
+        q = dx * dx + dy * dy
+        near = q <= reach * reach
+        yield np.sqrt(q[near]), np.abs(values[i[near]] - values[j[near]])
+
+
 def hoelder_statistic(
     sample: FieldSample,
     graph: LevelGraph,
@@ -305,26 +364,27 @@ def hoelder_statistic(
     the true H the statistic stays of one order of magnitude as delta
     shrinks; claiming a larger H makes it grow.  Diagnostic only -- the
     verdict thresholds are calibration values, not theorem constants.
-    """
-    from scipy.spatial import cKDTree  # only this statistic needs scipy.spatial
 
+    Only pairs within the largest delta count.  They are found by sorting
+    the vertices into buckets a fraction of that delta wide and pairing
+    neighbouring buckets, and each annulus keeps a running maximum over
+    tiles of about ``HOELDER_TILE`` candidate pairs, so the memory is one
+    tile and a few integers per vertex, never the list of pairs.  A
+    maximum does not depend on the order, so the values are those of the
+    full list of pairs.
+    """
     deltas = tuple(float(d) for d in deltas)
     if any(not 0.0 < d < 1.0 / np.e for d in deltas):
         raise ValueError("every delta must lie in (0, 1/e)")
-    pts = graph.points
-    # only pairs within the largest annulus count: a k-d tree lists them, not all O(n^2)
-    iu, ju = cKDTree(pts).query_pairs(max(deltas) * (1 + 1e-9), output_type="ndarray").T
-    dp = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    dx = np.abs(sample.values[iu] - sample.values[ju])
-    values = []
-    for d in deltas:
-        msk = (dp > d / 2.0) & (dp <= d)
-        if msk.any():
-            w = dp[msk] ** float(hurst_claim) * np.sqrt(np.abs(np.log(dp[msk])))
-            values.append(float((dx[msk] / w).max()))
-        else:
-            values.append(float("nan"))
-    values = tuple(values)
+    h = float(hurst_claim)
+    best = np.full(len(deltas), np.nan)
+    for dp, dx in _pairs_within(graph.points, sample.values, max(deltas)):
+        for k, d in enumerate(deltas):
+            msk = (dp > d / 2.0) & (dp <= d)
+            if msk.any():
+                w = dp[msk] ** h * np.sqrt(np.abs(np.log(dp[msk])))
+                best[k] = np.fmax(best[k], (dx[msk] / w).max())
+    values = tuple(float(v) for v in best)
     order = np.argsort(deltas)
     small, large = order[0], order[-1]
     ratio = values[small] / values[large] if values[large] else float("nan")

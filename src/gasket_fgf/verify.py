@@ -4,7 +4,13 @@ Each ``check_*`` function runs one criterion at its stated configuration and
 returns a :class:`CheckResult` with the measured numbers, so both the CLI
 (`verify` subcommand) and the test suite consume the same code path.  The
 level/s/seed knobs default to the acceptance configuration; smaller levels
-are useful for smoke runs.  Bases come from :func:`get_basis`, one full
+are useful for smoke runs, down to each suite's floor (``SUITE_FLOORS``):
+level 4 for ``weyl`` (its fit needs 100 modes of the level, and level 3
+has 41), for ``field`` (the variogram window starts at the level-4 mesh)
+and so for ``all``; level 3 for ``increments`` (at level 2 its fit window
+holds too few distances); level 2 for ``riesz`` (it also checks the level
+below, and needs six pairs 2^-4 apart there); level 0 for the rest.  :func:`run_suite`
+refuses a level below the floor before it runs a check.  Bases come from :func:`get_basis`, one full
 solve per level graph for the life of the process; the checks that read
 eigenvalues only (lambda_1, the Weyl fits, the on-diagonal law 4d) take them from
 :func:`~gasket_fgf.spectral.spectrum` and solve nothing.
@@ -451,11 +457,18 @@ SUITES["all"] = [fn for name in ("structure", "spectral", "weyl", "heat", "riesz
                                  "increments", "field", "invariance", "determinism")
                  for fn in SUITES[name]]
 
+#: The lowest level a suite runs at, where it is above 0.
+SUITE_FLOORS = {"weyl": 4, "riesz": 2, "increments": 3, "field": 4}
+SUITE_FLOORS["all"] = max(SUITE_FLOORS.values())
+
 
 def run_suite(name, level=6, s=0.5, seed=7):
     """Run one named suite, print one line per check, return the results."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    floor = SUITE_FLOORS.get(name, 0)
+    if level < floor:
+        raise ValueError(f"verify {name} needs a level >= {floor}, not {level}")
     results = []
     for fn in SUITES[name]:
         result = fn(level=level, s=s, seed=seed)

@@ -646,6 +646,26 @@ def test_verify_reports_failure_exit_code(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("suite,floor", [("weyl", 4), ("field", 4), ("all", 4), ("increments", 3),
+                                         ("riesz", 2)])
+def test_verify_refuses_a_level_below_the_suite_floor(capsys, suite, floor):
+    # refused before any criterion line, with one message that names the floor
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", suite, "--level", str(floor - 1)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"verify {suite} needs a level >= {floor}, not {floor - 1}" in captured.err
+
+
+@pytest.mark.parametrize("suite,floor", [("weyl", 4), ("increments", 3), ("riesz", 2)])
+def test_verify_runs_at_the_suite_floor(capsys, suite, floor):
+    # the floor is a level the suite runs at (level 4 is too coarse for the
+    # Weyl band, an honest FAIL), not one that it passes at
+    assert run_cli(["verify", suite, "--level", str(floor)]) in (0, 1)
+    assert capsys.readouterr().out.startswith("[")
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["verify", "nonsense"])

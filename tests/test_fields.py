@@ -1,5 +1,9 @@
 """Field sampling, duality, variograms, and distributional invariances."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -298,28 +302,90 @@ def test_hoelder_overclaim_raises_slope_gap(basis6):
 
 
 def _hoelder_values_all_pairs(sample, graph, hurst_claim, deltas):
-    """The annulus sups over the ``triu_indices`` list of every vertex pair."""
-    pts = graph.points
-    iu, ju = np.triu_indices(len(graph), 1)
-    dp = np.linalg.norm(pts[iu] - pts[ju], axis=1)
-    dx = np.abs(sample.values[iu] - sample.values[ju])
-    values = []
-    for d in deltas:
-        msk = (dp > d / 2.0) & (dp <= d)
-        w = dp[msk] ** float(hurst_claim) * np.sqrt(np.abs(np.log(dp[msk])))
-        values.append(float((dx[msk] / w).max()) if msk.any() else float("nan"))
+    """The annulus sups over every vertex pair i < j, one row of the upper triangle at a time."""
+    pts, x = graph.points, sample.values
+    values = np.full(len(deltas), np.nan)
+    for i in range(len(graph) - 1):
+        j = np.arange(i + 1, len(graph))
+        dp = np.linalg.norm(pts[i] - pts[j], axis=1)
+        dx = np.abs(x[i] - x[j])
+        for k, d in enumerate(deltas):
+            msk = (dp > d / 2.0) & (dp <= d)
+            if msk.any():
+                w = dp[msk] ** float(hurst_claim) * np.sqrt(np.abs(np.log(dp[msk])))
+                values[k] = np.fmax(values[k], (dx[msk] / w).max())
     return values
 
 
-@pytest.mark.parametrize("level", [4, 5, 6])
+def _streamed(graph, s, seed=5000):
+    """A field on ``graph`` with every mode, drawn without a basis."""
+    return stream_field(assemble_energy(graph), assemble_mass(graph), s, seed, graph=graph)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6, 7])
 @pytest.mark.parametrize("deltas", [(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
                                     tuple(2.0 ** -k for k in range(2, 7))], ids=["default", "wide"])
-def test_hoelder_matches_all_pairs(request, level, deltas):
-    basis = request.getfixturevalue(f"basis{level}")
-    smp = sample_field(basis, 0.5, seed=5000)
-    rep = hoelder_statistic(smp, basis.graph, smp.hurst, deltas)
+def test_hoelder_matches_all_pairs(level, deltas):
+    graph = build_level(level)
+    smp = _streamed(graph, 0.5)
+    rep = hoelder_statistic(smp, graph, smp.hurst, deltas)
     np.testing.assert_array_equal(rep.values,
-                                  _hoelder_values_all_pairs(smp, basis.graph, smp.hurst, deltas))
+                                  _hoelder_values_all_pairs(smp, graph, smp.hurst, deltas))
+
+
+@pytest.mark.parametrize("word", [(), (1,)], ids=["L6", "L6-cell1"])
+@pytest.mark.parametrize("hurst", [0.2, 0.3, 0.5])
+def test_hoelder_matches_all_pairs_custom_deltas(monkeypatch, word, hurst):
+    # overlapping, non-dyadic annuli up to 0.3, on the full graph and on a
+    # sub-gasket in its parent's coordinates; tiles of a few candidates
+    # and one bucket per radius give the same sups
+    graph = extract_cell(build_level(6), word) if word else build_level(6)
+    smp = _streamed(graph, s_from_hurst(hurst))
+    deltas = (0.3, 0.07, 0.045, 2.0 ** -7)
+    ref = _hoelder_values_all_pairs(smp, graph, hurst, deltas)
+    np.testing.assert_array_equal(hoelder_statistic(smp, graph, hurst, deltas).values, ref)
+    monkeypatch.setattr(fields, "HOELDER_TILE", 100)
+    monkeypatch.setattr(fields, "HOELDER_BUCKETS", 1)
+    np.testing.assert_array_equal(hoelder_statistic(smp, graph, hurst, deltas).values, ref)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_hoelder_memory_is_one_tile():
+    # listing the 454,102 pairs within 1/8 at once peaked at 21.8 MB
+    graph = build_level(7)
+    smp = _streamed(graph, 0.5)
+    assert _traced_peak(lambda: hoelder_statistic(smp, graph, smp.hurst)) <= 4e6
+
+
+def test_mc_variogram_memory_is_one_tile(basis6):
+    # 1,000 replications at 23,404 pairs: gathering every pair of a block
+    # at once peaked at 19.4 MB; the pair sample is cached before the trace
+    J = pick_truncation(basis6, 0.5)
+    seeds = np.random.default_rng(6).integers(0, 2**63, 1000).tolist()
+    pair_sample(basis6.graph)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        peak = _traced_peak(lambda: variogram(basis6, 0.5, seeds=seeds, mode="mc", J=J))
+    assert peak <= 4e6
+
+
+def test_hoelder_statistic_loads_no_scipy_spatial():
+    src = os.path.dirname(os.path.dirname(fields.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; from gasket_fgf import fields, geometry, operators; g = geometry.build_level(4); "
+            "x = fields.stream_field(operators.assemble_energy(g), operators.assemble_mass(g), 0.5, 1, graph=g); "
+            "fields.hoelder_statistic(x, g, x.hurst); print('scipy.spatial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_hoelder_inconclusive_when_annulus_empty(basis4):

@@ -135,7 +135,7 @@ def test_import_leaves_quadrature_unloaded():
 
 
 def test_import_leaves_special_and_spatial_unloaded():
-    # scipy.special loads only for the quadrature cross-check, scipy.spatial only for the Hoelder statistic
+    # scipy.special loads only for the quadrature cross-check, and no module loads scipy.spatial
     src = os.path.dirname(os.path.dirname(riesz_value_quadrature.__code__.co_filename))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, gasket_fgf.fields, gasket_fgf.kernels; "
