@@ -332,7 +332,7 @@ def _pairs_within(points, values, r):
     cell = np.floor((points - points.min(axis=0)) / side).astype(np.int64)
     rows = int(cell[:, 1].max()) + 2 * k + 1
     key = cell[:, 0] * rows + cell[:, 1] + k
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key, values = key[order], values[order]
     x, y = points[order].T
     first = np.column_stack([np.arange(1, len(key) + 1)]

@@ -5,12 +5,13 @@ returns a :class:`CheckResult` with the measured numbers, so both the CLI
 (`verify` subcommand) and the test suite consume the same code path.  The
 level/s/seed knobs default to the acceptance configuration; smaller levels
 are useful for smoke runs, down to each suite's floor (``SUITE_FLOORS``):
-level 4 for ``weyl`` (its fit needs 100 modes of the level, and level 3
-has 41), for ``field`` (the variogram window starts at the level-4 mesh)
-and so for ``all``; level 3 for ``increments`` (at level 2 its fit window
-holds too few distances); level 2 for ``riesz`` (it also checks the level
-below, and needs six pairs 2^-4 apart there); level 0 for the rest.  :func:`run_suite`
-refuses a level below the floor before it runs a check.  Bases come from :func:`get_basis`, one full
+level 4 for ``weyl`` (its fit needs 100 modes of the level, and level 3 has
+41), for ``field`` (the variogram window starts at the level-4 mesh) and so
+for ``all``; level 3 for ``increments`` (at level 2 its fit window holds too
+few distances); level 2 for ``riesz`` (it also checks the level below, and
+needs six pairs 2^-4 apart there); level 0 for the rest.
+:func:`run_suite` refuses a level below the floor before it runs a check.
+Bases come from :func:`get_basis`, one full
 solve per level graph for the life of the process; the checks that read
 eigenvalues only (lambda_1, the Weyl fits, the on-diagonal law 4d) take them from
 :func:`~gasket_fgf.spectral.spectrum` and solve nothing.

@@ -367,7 +367,7 @@ def test_hoelder_memory_is_one_tile():
 
 def test_mc_variogram_memory_is_one_tile(basis6):
     # 1,000 replications at 23,404 pairs: gathering every pair of a block
-    # at once peaked at 19.4 MB; the pair sample is cached before the trace
+    # at once peaked at about 20 MB; the pair sample is cached before the trace
     J = pick_truncation(basis6, 0.5)
     seeds = np.random.default_rng(6).integers(0, 2**63, 1000).tolist()
     pair_sample(basis6.graph)
