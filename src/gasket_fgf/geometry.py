@@ -15,12 +15,13 @@ midpoints, so every vertex of V_m sits at
 with integers X, Y.  The scale is 2^(m+1), not 2^m, because the apex
 (1/2, 1/2) of V_0 is not an integer over 2^0.  A graph stores the integer
 pairs (X, Y) as an (n, 2) array and multiplies by sqrt(3) only when a float
-is actually required.  Vertex deduplication, the three mirror symmetries and
-sub-cell embeddings are then exact integer arithmetic with no tolerance knobs.
+is actually required.
 
 Cells are a (3^m, 3) array of vertex ids in word order: the word of a cell is
 the base-3 digits of its row, so the three children of cell k are rows 3k,
-3k + 1 and 3k + 2 one level down.
+3k + 1 and 3k + 2 one level down, and corner p of a cell is its image of
+q_p.  The boundary, the three mirror symmetries and sub-cell embeddings are
+all read off these rows: no vertex is looked up by coordinates.
 
 The reference self-similar measure assigns each level-m cell mass 3^{-m};
 lumping splits the mass of a cell evenly among its three corners, giving the
@@ -43,6 +44,9 @@ SQRT3 = math.sqrt(3.0)
 #: Integer coordinates (X, Y) of the three corners over 2^1, point = (X/2, Y/2 * sqrt(3)).
 CORNERS = np.array([[0, 0], [2, 0], [1, 1]], dtype=np.int64)
 CORNERS.setflags(write=False)
+
+#: sigma_i on the letters {0, 1, 2}: reflection i fixes q_{i-1} and swaps the other two corners.
+_MIRRORS = {1: (0, 2, 1), 2: (2, 1, 0), 3: (1, 0, 2)}
 
 
 @dataclass(frozen=True)
@@ -74,13 +78,15 @@ class LevelGraph:
     measure is 3^{-len(word)} rather than 1.
     """
 
-    def __init__(self, level, coords, cells, boundary, word=(), parent_ids=None):
+    def __init__(self, level, coords, cells, word=(), parent_ids=None):
         self.level = level
         self.word = tuple(word)
         self.coords = _frozen(coords)
         self.cells = _frozen(cells)
         self.parent_ids = parent_ids
-        self._boundary = np.sort(boundary)
+        # corner i of the graph is corner i of its cell i...i, row i (c - 1)/2
+        c = len(self.cells)
+        self._boundary = np.sort(self.cells[[0, (c - 1) // 2, c - 1], [0, 1, 2]])
         n = len(self.coords)
         a, b = self.cells, np.roll(self.cells, -1, axis=1)
         keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b), axis=None)
@@ -117,30 +123,14 @@ def _frozen(a):
     return a
 
 
-def _cell_map(word, coords, level):
-    """Integer F_w = F_{i_1} o ... o F_{i_n} on coordinates over 2^(level+1).
-
-    The images are over 2^(level+n+1): F_i(z) = (z + q_i)/2 sends Z over 2^(r+1)
-    to Z + 2^r Q_i over 2^(r+2), with Q_i the corner over 2^1.
-    """
-    for i in reversed(word):
-        coords = coords + (CORNERS[i] << level)
-        level += 1
-    return coords
-
-
-def _ids_at(g: LevelGraph, coords):
-    """Ids of the vertices of ``g`` at the integer ``coords``; raises KeyError when one is absent."""
-    coords = np.asarray(coords, dtype=np.int64)
-    base = 2 ** (g.level + 1) + 1
-    keys = g.coords[:, 0] * base + g.coords[:, 1]
-    order = np.argsort(keys)
-    pos = np.searchsorted(keys[order], coords[:, 0] * base + coords[:, 1])
-    ids = order[np.minimum(pos, len(order) - 1)]
-    missing = np.any(g.coords[ids] != coords, axis=1)
-    if missing.any():
-        raise KeyError(f"no vertex at {coords[missing][0].tolist()}")
-    return ids
+def check_address(level, word=()):
+    """Raise ValueError unless ``word`` addresses a cell of the level-``level`` gasket."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must lie in [0, {MAX_LEVEL}]")
+    if len(word) > level:
+        raise ValueError("word longer than graph level")
+    if any(l not in (0, 1, 2) for l in word):
+        raise ValueError("word letters must lie in {0, 1, 2}")
 
 
 @lru_cache(maxsize=None)
@@ -149,58 +139,45 @@ def build_level(m):
 
     Vertex ids are stable under refinement: the vertices of V_m appear in
     V_{m+1} with identical ids and coordinates (doubled, as the scale
-    doubles).  New midpoints take ids in order of first appearance along
-    the cells.  Per-vertex measure is (#incident cells) * 3^{-m} / 3.
-    Results are cached and must be treated as immutable.
+    doubles).  No two cells share a side, so the new midpoints are numbered
+    three per cell, in cell order, each cell's as (ab, bc, ca).  Per-vertex
+    measure is (#incident cells) * 3^{-m} / 3.  Results are cached and must
+    be treated as immutable.
     """
-    if not (0 <= m <= MAX_LEVEL):
-        raise ValueError(f"level must lie in [0, {MAX_LEVEL}]")
+    check_address(m)
     coords = CORNERS
     tri = np.array([[0, 1, 2]], dtype=np.int64)
-    for step in range(m):
+    for _ in range(m):
         # over the doubled scale, the midpoint of two corners is the sum of their old coordinates
         sides = coords[tri] + coords[np.roll(tri, -1, axis=1)]  # (c, 3, 2): ab, bc, ca
-        keys = (sides[..., 0] * 2 ** (step + 3) + sides[..., 1]).ravel()  # Y <= 2^(step+2)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=np.int64)
-        rank[np.argsort(first)] = np.arange(len(first))
         a, b, c = tri.T
-        mab, mbc, mca = (len(coords) + rank[inverse]).reshape(-1, 3).T
-        coords = np.concatenate([2 * coords, sides.reshape(-1, 2)[np.sort(first)]])
+        mab, mbc, mca = (len(coords) + np.arange(3 * len(tri))).reshape(-1, 3).T
+        coords = np.concatenate([2 * coords, sides.reshape(-1, 2)])
         tri = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c], axis=1).reshape(-1, 3)
 
-    g = LevelGraph(m, coords, tri, [0, 1, 2])
+    g = LevelGraph(m, coords, tri)
     assert len(g.edges) == 3 ** (m + 1), "edge count must be 3^(m+1)"
     assert len(g) == (3 ** (m + 1) + 3) // 2, "vertex count must be (3^(m+1)+3)/2"
     return g
 
 
-# Reflections on integer (X, Y) over S = 2^(m+1).  sigma_i fixes corner q_{i-1}
-# (an indexing convention; the mirror lines are the three medians).  Every
-# vertex has X = Y mod 2, so the halvings are exact.
-def _reflect(i, coords, scale):
-    x, y = coords.T
-    if i == 1:      # fixes q_0, swaps q_1 <-> q_2
-        return np.column_stack([(x + 3 * y) // 2, (x - y) // 2])
-    if i == 2:      # fixes q_1, swaps q_0 <-> q_2
-        return np.column_stack([(x + scale - 3 * y) // 2, (scale - x - y) // 2])
-    return np.column_stack([scale - x, y])  # i == 3: fixes q_2, mirror x = 1/2
-
-
 def symmetry_permutation(g: LevelGraph, i) -> SymmetryMap:
     """Return the vertex permutation of the reflection fixing q_{i-1}.
 
-    The image of every vertex is located by exact coordinate lookup, and the
+    The reflection sigma acts on words letter by letter: it maps cell u to
+    cell sigma(u), and corner p of that cell to corner sigma(p).  The
     permutation is verified to preserve the edge set before it is returned.
     """
     if i not in (1, 2, 3):
         raise ValueError("symmetry index must be 1, 2 or 3")
     if g.word:
         raise ValueError("symmetries are defined on full-gasket graphs only")
-    try:
-        perm = _ids_at(g, _reflect(i, g.coords, 2 ** (g.level + 1)))
-    except KeyError as exc:  # pragma: no cover - must not occur
-        raise RuntimeError(f"reflection {i} has a vertex with no exact mirror image") from exc
+    letters = np.array(_MIRRORS[i])
+    image = np.zeros(1, dtype=np.int64)
+    for _ in range(g.level):  # row 3k + d goes to row 3 image[k] + sigma(d)
+        image = (3 * image[:, None] + letters).ravel()
+    perm = np.empty(len(g), dtype=np.int64)
+    perm[g.cells] = g.cells[image[:, None], letters]
     n = len(g)
     a, b = perm[g.edges].T
     if not np.array_equal(np.sort(np.minimum(a, b) * n + np.maximum(a, b)), g.edges @ [n, 1]):
@@ -228,37 +205,26 @@ def extract_cell(g: LevelGraph, word) -> LevelGraph:
         return g
     if g.word:
         raise ValueError("extraction is supported from full-gasket graphs only")
-    if len(word) > g.level:
-        raise ValueError("word longer than graph level")
-    if any(l not in (0, 1, 2) for l in word):
-        raise ValueError("word letters must lie in {0, 1, 2}")
+    check_address(g.level, word)
     size = 3 ** (g.level - len(word))
-    row = 0
-    for l in word:
-        row = 3 * row + l
-    tri = g.cells[row * size:(row + 1) * size]
-    parent_ids, local = np.unique(tri, return_inverse=True)
-    corners = _ids_at(g, _cell_map(word, CORNERS, 0) << (g.level - len(word)))
-    return LevelGraph(
-        g.level,
-        g.coords[parent_ids],
-        local.reshape(-1, 3),
-        np.searchsorted(parent_ids, corners),
-        word=word,
-        parent_ids=parent_ids,
-    )
+    row = int(np.ravel_multi_index(word, (3,) * len(word)))
+    parent_ids, local = np.unique(g.cells[row * size:(row + 1) * size], return_inverse=True)
+    return LevelGraph(g.level, g.coords[parent_ids], local.reshape(-1, 3), word=word, parent_ids=parent_ids)
 
 
 def embed_indices(ref: LevelGraph, sub: LevelGraph):
-    """Identify a reference level-m graph with an extracted sub-gasket.
+    """Identify a reference level-m graph of the full gasket with an extracted sub-gasket.
 
     Returns an index array ``idx`` such that sub vertex ``idx[v]`` sits at
-    F_w(coordinate of ref vertex v), where w = sub.word.  Requires
-    ref.level + len(sub.word) == sub.level.
+    F_w(coordinate of ref vertex v), where w = sub.word.  Requires a
+    full-gasket ``ref`` and ref.level + len(sub.word) == sub.level.
     """
+    if ref.word:
+        raise ValueError("embedding is defined from full-gasket graphs only")
     if ref.level + len(sub.word) != sub.level:
-        raise ValueError(
-            f"incompatible levels: ref level {ref.level} + |word| {len(sub.word)}"
-            f" != sub level {sub.level}"
-        )
-    return _ids_at(sub, _cell_map(sub.word, ref.coords, ref.level))
+        raise ValueError(f"incompatible levels: ref level {ref.level} + |word| {len(sub.word)}"
+                         f" != sub level {sub.level}")
+    # row k of sub.cells is the image under F_w of row k of ref.cells
+    idx = np.empty(len(ref), dtype=np.int64)
+    idx[ref.cells] = sub.cells
+    return idx

@@ -73,7 +73,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .constants import S_MIN
-from .geometry import LevelGraph, build_level, embed_indices
+from .geometry import LevelGraph, build_level, check_address, embed_indices
 from .operators import MassMatrix, StiffnessMatrix, _level_from_size, decimation_extension, parent_cells
 
 #: Modes per block when :func:`solve_eigen` forms and checks them.
@@ -591,6 +591,7 @@ def spectrum(level, word=()):
     parent's normalization), from the labels of :func:`_decimation_levels`;
     :func:`solve_eigen` reports these same values.
     """
+    check_address(level, tuple(word))
     mu, mult, _ = _decimation_levels(level - len(word))[-1]
     order = np.argsort(mu, kind="stable")
     return np.repeat(1.5 * 5.0**level * mu[order], mult[order])[1:]
@@ -599,13 +600,15 @@ def spectrum(level, word=()):
 def weyl_exponent_fit(lam) -> WeylFit:
     """Least-squares fit of log N(lambda_j) against log lambda_j.
 
-    ``lam`` is a sorted array of nonzero eigenvalues.  The fit uses the
-    middle 20%-80% of the computed spectrum by index -- the bottom is
-    preasymptotic, the top polluted by discretization.  N is evaluated
-    right-continuously; ``solve_eigen`` gives every mode of one eigenspace
-    the same eigenvalue, bit for bit, so each degenerate cluster counts its
-    full multiplicity.
-    The expected slope is d_h/d_w = ln3/ln5.
+    ``lam`` is a sorted array of nonzero eigenvalues from the low end of a
+    spectrum.  The fit uses the middle 20%-80% of the array by index -- the
+    bottom is preasymptotic.  N is evaluated right-continuously;
+    ``solve_eigen`` gives every mode of one eigenspace the same eigenvalue,
+    bit for bit, so each degenerate cluster counts its full multiplicity.
+    The slope estimates d_h/d_w = ln3/ln5 = 0.683 only below the
+    discretization: 0.682, 0.680, 0.680 over the first ninth of
+    ``spectrum(m)`` at m = 6, 8, 10, but 1.219, 1.215, 1.214 over all of
+    it, and 0.724 over the first 300 modes at m = 6.
     """
     lam = np.asarray(lam, dtype=np.float64)
     J = len(lam)

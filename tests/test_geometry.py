@@ -1,5 +1,7 @@
 """Exact combinatorics and symmetries of the level graphs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,6 @@ from hypothesis import strategies as st
 
 from gasket_fgf.constants import MAX_LEVEL
 from gasket_fgf.geometry import (
-    CORNERS,
-    _cell_map,
     build_level,
     embed_indices,
     extract_cell,
@@ -68,23 +68,6 @@ def test_edge_lengths_are_mesh_size(g4):
     np.testing.assert_allclose(d, 2.0 ** -4, rtol=1e-12)
 
 
-@pytest.mark.parametrize("i", [0, 1, 2])
-def test_cell_map_fixes_its_corner(i):
-    q = CORNERS[i]
-    # q_i over 2^1 goes to q_i over 2^2
-    np.testing.assert_array_equal(_cell_map((i,), q[None, :], 0), 2 * q[None, :])
-    # and everything else moves halfway toward q_i: F_i(c) - q_i = (c - q_i)/2
-    c = np.array([[5, -3], [1, 7]])
-    np.testing.assert_array_equal(_cell_map((i,), c, 0) - 2 * q, c - q)
-
-
-@given(words, words)
-@settings(max_examples=25, deadline=None)
-def test_cell_maps_compose(u, v):
-    c = np.array([[3, 7], [-2, 5]])
-    np.testing.assert_array_equal(_cell_map(u + v, c, 0), _cell_map(u, _cell_map(v, c, 0), len(v)))
-
-
 @pytest.mark.parametrize("i", [1, 2, 3])
 def test_reflections(g4, i):
     sym = symmetry_permutation(g4, i)
@@ -100,6 +83,23 @@ def test_reflections(g4, i):
     assert mapped == edge_set
     # measure weights are preserved
     np.testing.assert_allclose(g4.measure[perm], g4.measure)
+
+
+def mirror(i, points):
+    """Reflection of plane points in the median through q_{i-1}, in floats."""
+    q = Q[i - 1]
+    u = (Q.sum(axis=0) - q) / 2.0 - q  # toward the midpoint of the opposite side
+    u /= np.linalg.norm(u)
+    z = points - q
+    return q + 2.0 * (z @ u)[:, None] * u - z
+
+
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_reflections_are_mirrors(m, i):
+    g = build_level(m)
+    perm = symmetry_permutation(g, i).permutation
+    np.testing.assert_allclose(g.points[perm], mirror(i, g.points), rtol=0, atol=1e-14)
 
 
 def test_reflection_composition_is_rotation(g4):
@@ -123,6 +123,19 @@ def test_extract_cell_structure(g4, cell_graph):
     # q_0, (q_0 + q_1)/2 and (q_0 + q_2)/2, over 2^5
     coords = {tuple(sub.coords[i].tolist()) for i in sub.boundary_ids()}
     assert coords == {(0, 0), (16, 0), (8, 8)}
+
+
+@pytest.mark.parametrize("word", [w for n in (1, 2, 3) for w in itertools.product(range(3), repeat=n)],
+                         ids=lambda w: "".join(map(str, w)))
+def test_extract_cell_boundary_is_the_image_of_v0(word):
+    sub = extract_cell(build_level(5), word)
+    ids = sub.boundary_ids()
+    assert ids == sorted(ids) and len(set(ids)) == 3
+    # corner i of the sub-gasket is F_w(q_i); ids increase, so match the points up to order
+    points, images = sub.points[ids], float_cell_map(word, Q)
+    distance = np.linalg.norm(points[:, None] - images[None], axis=2)
+    np.testing.assert_allclose(distance.min(axis=0), 0.0, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(np.sort(distance.argmin(axis=0)), [0, 1, 2])
 
 
 def test_extract_empty_word_is_identity(g4):
@@ -173,6 +186,12 @@ def test_embed_indices_level_mismatch(g4):
     sub = extract_cell(g4, (0,))
     with pytest.raises(ValueError):
         embed_indices(g4, sub)
+
+
+def test_embed_indices_needs_a_full_gasket_ref():
+    ref = extract_cell(build_level(5), (0,))
+    with pytest.raises(ValueError, match="full-gasket graphs only"):
+        embed_indices(ref, extract_cell(build_level(6), (1,)))
 
 
 def test_parent_ids_consistent(g4, cell_graph):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gasket_fgf import spectral
-from gasket_fgf.constants import REFERENCE_LAMBDA_1, S_MIN, SPECTRAL_EXPONENT, s_from_hurst
+from gasket_fgf.constants import MAX_LEVEL, REFERENCE_LAMBDA_1, S_MIN, SPECTRAL_EXPONENT, s_from_hurst
 from gasket_fgf.fields import (
     empirical_covariance,
     sample_field,
@@ -365,6 +365,16 @@ def test_spectrum_is_the_solvers(basis6, sub_basis5):
     np.testing.assert_array_equal(spectrum(6), basis6.lam)
     np.testing.assert_array_equal(spectrum(5, (0,)), sub_basis5.lam)
     assert len(spectrum(10)) == (3**11 + 3) // 2 - 1
+
+
+@pytest.mark.parametrize("level,word,match", [(-1, (), r"level must lie in \[0, "),
+                                              (MAX_LEVEL + 1, (), r"level must lie in \[0, "),
+                                              (2, (0, 0, 0), "word longer than graph level")],
+                         ids=["below-0", "above-max", "long-word"])
+def test_spectrum_refuses_what_the_graphs_refuse(level, word, match):
+    # build_level's and extract_cell's messages, raised before any label is counted
+    with pytest.raises(ValueError, match=match):
+        spectrum(level, word)
 
 
 @pytest.mark.parametrize("m", range(2, 11))
