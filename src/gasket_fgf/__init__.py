@@ -20,9 +20,8 @@ _EXPORTS = {
                   "energy_value", "self_similar_energy_residual"),
     "spectral": ("SolverError", "SpectralBasis", "WeylFit", "pick_truncation",
                  "solve_eigen", "spectrum", "tail_variance", "weyl_exponent_fit"),
-    "kernels": ("IncrementReport", "KernelEstimateReport", "apply_fractional_laplacian",
-                "estimate_bound_fit", "heat_matrix", "heat_trace", "increment_l2_check",
-                "kernel_matrix", "riesz_value_quadrature"),
+    "kernels": ("IncrementReport", "KernelEstimateReport", "estimate_bound_fit", "heat_trace",
+                "increment_l2_check", "kernel_matrix", "riesz_value_quadrature", "spectral_apply"),
     "fields": ("CovarianceReport", "FieldSample", "HoelderReport", "InvarianceReport",
                "VariogramReport", "empirical_covariance", "hoelder_statistic", "pinned_field",
                "sample_field", "scaling_invariance_test", "stream_field", "symmetry_invariance_test",

@@ -248,7 +248,9 @@ def empirical_covariance(basis: SpectralBasis, s, seeds, pairs, J=None) -> Covar
     rows = basis.phi[verts, :J]
     exact = ((rows[ia] * basis.lam[:J] ** (-2.0 * s)) * rows[ja]).sum(axis=1)
     se = prod.std(axis=1, ddof=1) / np.sqrt(R)
-    z = (prod.mean(axis=1) - exact) / se
+    diff = prod.mean(axis=1) - exact
+    # at J = 0 the zero field matches the zero kernel exactly, with zero spread
+    z = np.divide(diff, se, out=np.zeros_like(diff), where=diff != 0)
     max_abs_z = float(np.abs(z).max())
     return CovarianceReport(
         s=float(s),

@@ -1,24 +1,28 @@
 """Heat kernel, fractional Riesz kernel, and the operators they generate.
 
-Every kernel is a plain function of the spectrum.  With M-orthonormal modes
-(lambda_j, Phi_j) of a SpectralBasis, truncated at J
-(``SpectralBasis.truncation``),
+Every operator here is one spectral function of the Laplacian.  With
+M-orthonormal modes (lambda_j, Phi_j) of a SpectralBasis, truncated at J
+(``SpectralBasis.truncation``), :func:`spectral_apply` maps f, a vector or an
+n x p block, to g(-Delta) f = sum_{j=1}^{J} g(lambda_j) <Phi_j, f>_M Phi_j:
+the heat semigroup is <f>_M plus g = e^{-lambda t}, G_s is g = lambda^{-s}
+and (-Delta)^s is g = lambda^s.  Their kernels
 
     p_t(x,y)  = Phi_0(x)Phi_0(y) + sum_{j=1}^{J} e^{-lambda_j t} Phi_j(x) Phi_j(y)
     G_s(x,y)  = sum_{j=1}^{J} lambda_j^{-s} Phi_j(x) Phi_j(y)
 
-:func:`heat_matrix` and :func:`kernel_matrix` form them densely, and
-G_s f = ``apply_fractional_laplacian(basis, -s, f)``.  Identities like the
-semigroup law, G_{2s} = G_s o G_s, and the inverse pair
-G_s o (-Delta)^s = id hold to rounding error *by construction* on the
-truncated span.  The on-diagonal law reads the eigenvalues alone, through
-the heat trace 1 + sum_j e^{-lambda_j t} (:func:`heat_trace`), so its
-fits take a sorted eigenvalue array such as ``spectrum(level)`` and run at
-levels where no basis fits in memory.  The genuinely quantitative parts are
-the regression-style estimates (kernel decay, increment slopes), where only a
-finite window of distances is available: those functions report fitted
-exponents with their residuals and tail variances so the truncation error
-stays attributable.
+are formed densely only by :func:`kernel_matrix`, for the regressions and
+the ``kernel`` artifact.  Identities like the semigroup law, G_{2s} =
+G_s o G_s, and the inverse pair G_s o (-Delta)^s = id hold to rounding error
+*by construction* on the truncated span, so a few random vectors test them,
+and p_t - 1 is positive semidefinite, so by Cauchy-Schwarz its largest entry
+lies on the diagonal.  The on-diagonal law reads the eigenvalues alone,
+through the heat trace 1 + sum_j e^{-lambda_j t} (:func:`heat_trace`), so
+its fits take a sorted eigenvalue array such as ``spectrum(level)`` and run
+at levels where no basis fits in memory.  The genuinely quantitative parts
+are the regression-style estimates (kernel decay, increment slopes), where
+only a finite window of distances is available: those functions report
+fitted exponents with their residuals and tail variances so the truncation
+error stays attributable.
 
 The time-integral route G_s = (1/Gamma(s)) int_0^inf t^{s-1}(p_t - 1) dt is
 implemented only as a quadrature cross-check of the spectral sum.
@@ -76,18 +80,19 @@ class IncrementReport:
 
 
 # ---------------------------------------------------------------------------
-# heat kernel
+# spectral functions and the heat kernel
 # ---------------------------------------------------------------------------
 
 
-def heat_matrix(basis: SpectralBasis, t, J=None):
-    """Dense p_t(x,y) over all vertex pairs."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+def spectral_apply(basis: SpectralBasis, g, f, J=None):
+    """g(-Delta) f = sum_{j=1}^{J} g(lambda_j) <Phi_j, f>_M Phi_j, for a vector f or each column of a block.
+
+    ``g`` maps an array of eigenvalues to weights.  The constant mode is not
+    a term, so the result is M-orthogonal to constants.
+    """
     J = basis.truncation(J)
-    v0 = basis.vectors[:, 0]
-    phi = basis.phi[:, :J]
-    return np.outer(v0, v0) + (phi * np.exp(-basis.lam[:J] * t)) @ phi.T
+    coeffs = spectral_coeffs(basis, f, J)
+    return basis.phi[:, :J] @ (g(basis.lam[:J]) * coeffs.T).T
 
 
 def heat_trace(lam, t):
@@ -95,20 +100,6 @@ def heat_trace(lam, t):
     if t <= 0:
         raise ValueError("t must be positive")
     return float(1.0 + np.exp(-np.asarray(lam, dtype=np.float64) * t).sum())
-
-
-def heat_envelope_constant(basis: SpectralBasis, J=None):
-    """C with |p_t - 1| <= C e^{-lambda_1 t} for all t >= 1 (full gasket).
-
-    C = max_{x,y} sum_j e^{-(lambda_j - lambda_1)} |Phi_j(x) Phi_j(y)|, the
-    envelope at t = 1; each summand decays in t at least as fast as at
-    t = 1, so the bound propagates to every larger t.
-    """
-    J = basis.truncation(J)
-    lam = basis.lam[:J]
-    aphi = np.abs(basis.phi[:, :J])
-    env = (aphi * np.exp(-(lam - lam[0]))) @ aphi.T
-    return float(env.max())
 
 
 def ondiagonal_fit(lam, window=(2.0 ** -10, 2.0 ** -2)):
@@ -172,7 +163,7 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None):
         raise ValueError("s must be positive")
     J = basis.truncation(J)
     lam = basis.lam[:J]
-    T = 20.0 / lam[0]
+    T = 20.0 / basis.lam[0]
     pij = basis.phi[x, :J] * basis.phi[y, :J]
 
     def integrand(v):
@@ -182,20 +173,6 @@ def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None):
     head /= s * gamma(s)
     tail = float((lam ** (-s) * gammaincc(s, lam * T)) @ pij)
     return head + tail
-
-
-def apply_fractional_laplacian(basis: SpectralBasis, s, f, J=None):
-    """((-Delta)^s f)(x) = sum_j lambda_j^{s} <Phi_j, f>_M Phi_j(x).
-
-    f is M-projected onto the mean-zero subspace first.  Any real s is
-    accepted here (s = 0 is the identity on that subspace, s = 1 the
-    graph generator itself); the field-admissible window only constrains
-    the *inverse* exponents used for sampling.
-    """
-    J = basis.truncation(J)
-    f = np.asarray(f, dtype=np.float64)
-    f = f - float(basis.mass @ f) / basis.mass.sum()
-    return basis.phi[:, :J] @ (basis.lam[:J] ** float(s) * spectral_coeffs(basis, f, J))
 
 
 # ---------------------------------------------------------------------------

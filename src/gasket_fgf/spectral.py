@@ -155,8 +155,8 @@ def check_truncation(J, count):
 
 
 def spectral_coeffs(basis: SpectralBasis, f, J):
-    """M-coefficients <Phi_j, f>_M of f on the first J nonzero modes."""
-    return basis.phi[:, :J].T @ (basis.mass * f)
+    """M-coefficients <Phi_j, f>_M on the first J nonzero modes of a vector f, or of each column of a block."""
+    return basis.phi[:, :J].T @ (basis.mass * np.asarray(f).T).T
 
 
 def _decimation_levels(m):

@@ -32,7 +32,7 @@ def test_criterion_1_structural_exactness(capsys):
 
 
 def test_criterion_2_spectral_hygiene(capsys):
-    res = _report(verify.check_spectral(level=6, count=300), capsys)
+    res = _report(verify.check_spectral(level=6), capsys)
     assert res.passed, res.measured
     assert res.measured["gram_deviation"] <= 1e-8
     assert res.measured["zero_mean"] <= 1e-10
@@ -40,7 +40,7 @@ def test_criterion_2_spectral_hygiene(capsys):
 
 
 def test_criterion_3_weyl_exponent(capsys):
-    res = _report(verify.check_weyl(level=6, count=300), capsys)
+    res = _report(verify.check_weyl(level=6), capsys)
     assert res.passed, res.measured
     for slope in res.measured["slopes"]:
         assert abs(slope - 0.6826) <= 0.05
@@ -142,7 +142,7 @@ def test_criterion_8a_reflection_invariance(capsys):
 
 
 def test_criterion_8b_renormalization_scaling(capsys):
-    res = _report(verify.check_scaling(ref_level=4, word=(0,), s=0.5), capsys)
+    res = _report(verify.check_scaling(s=0.5), capsys)
     assert res.passed, res.measured
     assert res.measured["eigenvalue_deviation"] <= 0.01
     assert res.measured["kernel_deviation"] <= 0.02

@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gasket_fgf import verify
 from gasket_fgf.constants import (
     HAUSDORFF_DIM,
     SPECTRAL_EXPONENT,
@@ -19,12 +21,9 @@ from gasket_fgf.geometry import build_level
 from gasket_fgf.kernels import (
     DEFAULT_PAIR_COUNT,
     DEFAULT_PAIR_SEED,
-    apply_fractional_laplacian,
     binned_loglog_fit,
     binned_points,
     estimate_bound_fit,
-    heat_envelope_constant,
-    heat_matrix,
     heat_trace,
     increment_l2_check,
     kernel_matrix,
@@ -32,9 +31,25 @@ from gasket_fgf.kernels import (
     ondiagonal_fit,
     pair_sample,
     riesz_value_quadrature,
+    spectral_apply,
 )
 from gasket_fgf.operators import assemble_energy
 from gasket_fgf.verify import get_basis
+
+
+def heat(basis, t, f):
+    """P_t f: the M-mean of f plus e^{-lambda t} applied to f."""
+    return basis.mass @ f / basis.mass.sum() + spectral_apply(basis, lambda lam: np.exp(-lam * t), f)
+
+
+def riesz(basis, e, f):
+    """lambda^e applied to f: G_s for e = -s, (-Delta)^s for e = s."""
+    return spectral_apply(basis, lambda lam: lam ** e, f)
+
+
+def block(basis, p):
+    """p seeded standard-normal columns on the vertices of ``basis``."""
+    return np.random.default_rng(0).standard_normal((basis.dim, p))
 
 
 # ---------------------------------------------------------------------------
@@ -44,26 +59,36 @@ from gasket_fgf.verify import get_basis
 
 def test_semigroup_property(basis4):
     t, u = 0.07, 0.11
-    lhs = heat_matrix(basis4, t) @ (basis4.mass[:, None] * heat_matrix(basis4, u))
-    np.testing.assert_allclose(lhs, heat_matrix(basis4, t + u), atol=1e-10)
+    f = block(basis4, 8)
+    np.testing.assert_allclose(heat(basis4, t, heat(basis4, u, f)), heat(basis4, t + u, f), atol=1e-12)
 
 
 def test_stochastic_completeness(basis4):
     for t in (0.01, 0.1, 1.0):
-        row = heat_matrix(basis4, t) @ basis4.mass
-        np.testing.assert_allclose(row, 1.0, atol=1e-10)
+        np.testing.assert_allclose(heat(basis4, t, np.ones(basis4.dim)), 1.0, atol=1e-12)
 
 
-def test_heat_matrix_symmetric(basis4):
-    m = heat_matrix(basis4, 0.05)
-    np.testing.assert_allclose(m, m.T, atol=1e-12)
-    with pytest.raises(ValueError, match="t must be positive"):
-        heat_matrix(basis4, 0.0)
+def test_spectral_apply_is_self_adjoint(basis4):
+    # <g(-Delta) f, h>_M = <f, g(-Delta) h>_M for every pair of columns
+    f = block(basis4, 6)
+    gram = f.T @ (basis4.mass[:, None] * spectral_apply(basis4, lambda lam: np.exp(-0.05 * lam), f))
+    np.testing.assert_allclose(gram, gram.T, atol=1e-15)
+
+
+def test_spectral_apply_block_gives_its_columns(basis4):
+    f = block(basis4, 5)
+    for g in (lambda lam: np.exp(-0.1 * lam), lambda lam: lam ** -0.75):
+        out = spectral_apply(basis4, g, f)
+        assert out.shape == f.shape
+        for k in range(f.shape[1]):
+            np.testing.assert_allclose(out[:, k], spectral_apply(basis4, g, f[:, k]), rtol=0, atol=1e-15)
 
 
 def test_mean_diagonal_is_trace(basis4):
+    # P_t applied to the columns of M^{-1} is the kernel p_t itself
     t = 0.03
-    quad = basis4.mass @ np.diag(heat_matrix(basis4, t))
+    kernel = heat(basis4, t, np.diag(1.0 / basis4.mass))
+    quad = basis4.mass @ np.diag(kernel)
     assert heat_trace(basis4.lam, t) == pytest.approx(quad, rel=1e-12)
     assert heat_trace(basis4.lam, t) == pytest.approx(
         1.0 + np.sum(np.exp(-basis4.lam * t)), rel=1e-12)
@@ -72,16 +97,59 @@ def test_mean_diagonal_is_trace(basis4):
 
 
 def test_long_time_limit(basis4):
-    np.testing.assert_allclose(heat_matrix(basis4, 50.0), 1.0, atol=1e-12)
+    f = block(basis4, 4)
+    np.testing.assert_allclose(heat(basis4, 50.0, f) - basis4.mass @ f / basis4.mass.sum(), 0.0, atol=1e-12)
+
+
+def dense_envelope_constant(basis):
+    """The pairwise maximum of sum_j e^{-(lambda_j - lambda_1)} |Phi_j(x) Phi_j(y)|, as an n x n array."""
+    lam = basis.lam
+    aphi = np.abs(basis.phi)
+    return float(((aphi * np.exp(-(lam - lam[0]))) @ aphi.T).max())
+
+
+@pytest.mark.parametrize("level", [4, 5])
+def test_envelope_constant_is_the_pairwise_maximum(level):
+    basis = get_basis(level)
+    res = verify.check_heat_envelope(level=level)
+    assert res.measured["constant"] == pytest.approx(dense_envelope_constant(basis), rel=1e-12)
+    # the dense p_t - 1 (its nonconstant modes) is largest on the diagonal, below the envelope
+    for t in (1.0, 1.7, 2.5):
+        kernel = spectral_apply(basis, lambda lam: np.exp(-lam * t), np.diag(1.0 / basis.mass))
+        assert np.abs(kernel).max() == pytest.approx(np.diag(kernel).max(), rel=1e-12)
+        assert np.abs(kernel).max() <= res.measured["constant"] * np.exp(-basis.lam[0] * t) * (1 + 1e-9)
 
 
 def test_envelope_constant_level6(basis6):
-    c = heat_envelope_constant(basis6)
-    assert c == pytest.approx(3.431078, abs=1e-5)
+    res = verify.check_heat_envelope(level=6)
+    assert res.passed
+    assert res.measured["constant"] == pytest.approx(3.431078, abs=1e-5)
+
+
+def test_envelope_ratios_resolve_past_rounding(basis6):
+    # p_t - 1 falls below the rounding of 1.0 for t >= 1.5, so a dense p_t - 1
+    # reads 0 there; the diagonal sum_j e^{-lambda_j t} Phi_j(z)^2 does not,
+    # and with lambda_2 ~ 5 lambda_1 the lambda_1 eigenspace attains the envelope
+    c = verify.check_heat_envelope(level=6).measured["constant"]
     lam1 = basis6.lam[0]
-    for t in (1.0, 1.7, 2.5):
-        dev = np.abs(heat_matrix(basis6, t) - 1.0).max()
-        assert dev <= c * np.exp(-lam1 * t) * (1 + 1e-9)
+    for t in (1.5, 2.0, 3.0):
+        q = np.einsum("ij,ij,j->i", basis6.phi, basis6.phi, np.exp(-basis6.lam * t)).max()
+        assert q / (c * np.exp(-lam1 * t)) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("check", [verify.check_heat_semigroup, verify.check_heat_completeness,
+                                   verify.check_heat_envelope, verify.check_riesz])
+def test_heat_and_riesz_checks_form_no_dense_array(check):
+    # one n x n array at level 7 is 82 MiB; with the bases and pair samples
+    # cached, each check holds a few n x 8 blocks and n x 5 weights at most
+    assert check(level=7).passed
+    tracemalloc.start()
+    try:
+        check(level=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_ondiagonal_slopes_level6(basis6):
@@ -148,11 +216,10 @@ def test_import_leaves_special_and_spatial_unloaded():
 def test_inverse_pair(basis4, rng):
     s = 0.55
     f = basis4.phi @ rng.standard_normal(basis4.count)
-    back = apply_fractional_laplacian(basis4, -s, apply_fractional_laplacian(basis4, s, f))
-    np.testing.assert_allclose(back, f, atol=1e-10)
-    # and in the other order
-    fwd = apply_fractional_laplacian(basis4, s, apply_fractional_laplacian(basis4, -s, f))
-    np.testing.assert_allclose(fwd, f - basis4.mass @ f, atol=1e-10)
+    np.testing.assert_allclose(riesz(basis4, -s, riesz(basis4, s, f)), f, atol=1e-10)
+    # and in the other order, on any f: the constant mode is projected out
+    g = f + 1.0
+    np.testing.assert_allclose(riesz(basis4, s, riesz(basis4, -s, g)), g - basis4.mass @ g, atol=1e-10)
 
 
 def test_composition_identity(basis4):
@@ -166,14 +233,14 @@ def test_riesz_action_is_mean_zero(basis4, rng):
     # G_s f = (-Delta)^{-s} f lies in the mean-zero span, whatever the mean of f
     f = rng.standard_normal(len(basis4.graph))
     for g in (f, f + 1.0):
-        assert abs(basis4.mass @ apply_fractional_laplacian(basis4, -0.5, g)) <= 1e-12
+        assert abs(basis4.mass @ riesz(basis4, -0.5, g)) <= 1e-12
 
 
 def test_fractional_laplacian_s1_matches_stiffness(basis4):
     rng = np.random.default_rng(1)
     f = basis4.phi @ np.concatenate([rng.standard_normal(20),
                                      np.zeros(basis4.count - 20)])
-    spec = apply_fractional_laplacian(basis4, 1.0, f)
+    spec = riesz(basis4, 1.0, f)
     direct = (assemble_energy(basis4.graph).matrix @ f) / basis4.mass
     err = np.sqrt(((spec - direct) ** 2 * basis4.mass).sum())
     assert err <= 1e-8

@@ -22,13 +22,11 @@ from gasket_fgf.fields import (
 )
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
 from gasket_fgf.kernels import (
-    apply_fractional_laplacian,
     estimate_bound_fit,
-    heat_envelope_constant,
-    heat_matrix,
     increment_l2_check,
     kernel_matrix,
     riesz_value_quadrature,
+    spectral_apply,
 )
 from gasket_fgf.operators import (MassMatrix, StiffnessMatrix, assemble_energy, assemble_mass,
                                   decimation_extension, parent_cells)
@@ -564,11 +562,9 @@ def test_memory_check_bounds_sub_gasket(memory_bound, level, word, count):
 
 
 J_CONSUMERS = {
-    "heat_matrix": lambda b, J: heat_matrix(b, 0.1, J),
-    "heat_envelope_constant": lambda b, J: heat_envelope_constant(b, J=J),
     "kernel_matrix": lambda b, J: kernel_matrix(b, 1.0, J),
     "riesz_value_quadrature": lambda b, J: riesz_value_quadrature(b, 0.5, 0, 1, J=J),
-    "apply_fractional_laplacian": lambda b, J: apply_fractional_laplacian(b, 0.5, b.mass, J),
+    "spectral_apply": lambda b, J: spectral_apply(b, np.sqrt, b.mass, J),
     "estimate_bound_fit": lambda b, J: estimate_bound_fit(b, 0.5, J=J),
     "increment_l2_check": lambda b, J: increment_l2_check(b, 0.5, J=J),
     "sample_field": lambda b, J: sample_field(b, 0.5, 1, J=J),
@@ -586,6 +582,13 @@ def test_truncation_checked_in_one_place(basis4, consumer):
     for J in (-1, basis4.count + 1):
         with pytest.raises(ValueError, match=rf"^J must lie in \[0, {basis4.count}\]$"):
             J_CONSUMERS[consumer](basis4, J)
+    # J = 0 is in range: every consumer returns, or a regression finds its window empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            J_CONSUMERS[consumer](basis4, 0)
+        except ValueError as exc:
+            assert "fit window is empty" in str(exc)
 
 
 def test_full_solve_needs_no_dense_eigensolver(g6, basis6, monkeypatch):
