@@ -25,6 +25,7 @@ from .geometry import LevelGraph, SymmetryMap, embed_indices
 from .kernels import (
     DEFAULT_PAIR_SEED,
     FIT_WINDOW,
+    KERNEL_ROW_TILE,
     _increment_fit,
     binned_loglog_fit,
     kernel_matrix,
@@ -423,14 +424,34 @@ def symmetry_invariance_test(basis: SpectralBasis, s, sym: SymmetryMap, J=None) 
     distributional statement; the kernels are compared after trimming J to a
     cluster boundary so the comparison is basis-independent.  Also reports
     the corner-variance spread (the three boundary vertices must share one
-    variance).
+    variance).  G is read in tiles of about ``KERNEL_ROW_TILE`` whole rows,
+    each a union of cycles of the permutation (a reflection's hold one or
+    two vertices), so a tile holds the rows of its mirror images and no
+    n x n array is formed.
     """
     check_s(s)
     J = basis.cluster_complete(basis.truncation(J))
-    c = kernel_matrix(basis, 2.0 * s, J)
-    p = sym.permutation
-    deviation = float(np.abs(c[np.ix_(p, p)] - c).max())
-    corner_spread = float(np.ptp(np.diag(c)[:3]))
+    p = np.asarray(sym.permutation)
+    n = len(p)
+    # the smallest vertex of each cycle labels it, found by pointer doubling
+    label, jump = np.arange(n), p
+    for _ in range(n.bit_length()):
+        label, jump = np.minimum(label, label[jump]), jump[jump]
+    order = np.argsort(label, kind="stable")
+    where = np.empty(n, dtype=np.int64)
+    where[order] = np.arange(n)
+    # a tile starts where a cycle starts
+    cuts = np.unique(np.searchsorted(label[order], label[order][::KERNEL_ROW_TILE]).tolist() + [n])
+    deviation, diag = 0.0, np.empty(n)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        rows = order[a:b]
+        blk = kernel_matrix(basis, 2.0 * s, J, rows)
+        diag[rows] = blk[np.arange(b - a), rows]
+        mirrored = blk[where[p[rows]][:, None] - a, p]
+        mirrored -= blk
+        deviation = max(deviation, float(np.abs(mirrored, out=mirrored).max()))
+        del blk, mirrored  # free this tile before the next one is formed
+    corner_spread = float(np.ptp(diag[:3]))
     tol = 1e-8
     return InvarianceReport(
         kind="symmetry",

@@ -109,10 +109,10 @@ class LevelGraph:
         """Ids of V_0 (full graph) or of the image of V_0 (sub-gasket), increasing."""
         return self._boundary.tolist()
 
-    def cell_words(self):
-        """The (c, level) array of cell addresses: ``word`` followed by the base-3 digits of the row."""
+    def cell_words(self, rows=slice(None)):
+        """Addresses of cells ``rows`` (default all), ``level`` digits each: ``word``, then the row's base-3 digits."""
         k = self.level - len(self.word)
-        digits = np.arange(len(self.cells))[:, None] // 3 ** np.arange(k - 1, -1, -1) % 3
+        digits = np.arange(len(self.cells))[rows, None] // 3 ** np.arange(k - 1, -1, -1) % 3
         prefix = np.broadcast_to(np.array(self.word, dtype=np.int64), (len(digits), len(self.word)))
         return np.hstack([prefix, digits])
 

@@ -10,6 +10,9 @@ import json
 
 import numpy as np
 
+#: Vertices, edges or cells per block of :func:`write_graph_json`.
+GRAPH_ROWS = 4096
+
 
 def fmt(x):
     """Decimal representation with 17 significant digits."""
@@ -86,28 +89,42 @@ def write_graph_json(g, path, config=None):
 
     The text is what :func:`write_json` writes for the same document, with
     one ``%``-template per row; ``%.17g`` writes the same text as :func:`fmt`.
+    Vertices, edges and cells are written ``GRAPH_ROWS`` rows at a time, so
+    no whole table of strings, lists or cell digits is formed.
     """
     head = {} if config is None else {"config": config}
     head["level"] = g.level
     if g.word:
         head["word"] = list(g.word)
-    boundary = np.full(len(g), "false")
-    boundary[g.boundary_ids()] = "true"
-    x, y = g.points.T.tolist()
     vertex = ('    {\n      "id": %d,\n      "x": %.17g,\n      "y": %.17g,\n'
               '      "boundary": %s,\n      "measure": %.17g\n    }')
-    words = g.cell_words()
-    cell = ('    {\n      "word": [' + ", ".join(["%d"] * words.shape[1])
+    cell = ('    {\n      "word": [' + ", ".join(["%d"] * g.level)
             + '],\n      "ids": [%d, %d, %d]\n    }')
+    boundary = np.full(len(g), "false")
+    boundary[g.boundary_ids()] = "true"
+
+    def vertex_rows(rows):
+        x, y = g.points[rows].T.tolist()
+        ids = range(len(g))[rows]
+        return zip(ids, x, y, boundary[rows].tolist(), g.measure[rows].tolist())
+
+    def cell_rows(rows):
+        return map(tuple, np.hstack([g.cell_words(rows), g.cells[rows]]).tolist())
+
     with open(path, "w") as fh:
         fh.write(dumps(head)[:-2] + ',\n  "vertices": [\n')
-        rows = zip(range(len(g)), x, y, boundary.tolist(), g.measure.tolist())
-        fh.write(",\n".join(vertex % r for r in rows))
+        _write_rows(fh, vertex, vertex_rows, len(g))
         fh.write('\n  ],\n  "edges": [\n')
-        fh.write(",\n".join("    [%d, %d]" % tuple(e) for e in g.edges.tolist()))
+        _write_rows(fh, "    [%d, %d]", lambda rows: map(tuple, g.edges[rows].tolist()), len(g.edges))
         fh.write('\n  ],\n  "cells": [\n')
-        fh.write(",\n".join(cell % tuple(r) for r in np.hstack([words, g.cells]).tolist()))
+        _write_rows(fh, cell, cell_rows, len(g.cells))
         fh.write("\n  ]\n}\n")
+
+
+def _write_rows(fh, template, rows_of, count):
+    """``template % row`` for each of ``count`` rows, joined by ",\\n", ``GRAPH_ROWS`` rows at a time."""
+    for k in range(0, count, GRAPH_ROWS):
+        fh.write((",\n" if k else "") + ",\n".join(template % r for r in rows_of(slice(k, k + GRAPH_ROWS))))
 
 
 def write_matrix_coo(stiffness, path):

@@ -10,8 +10,12 @@ and (-Delta)^s is g = lambda^s.  Their kernels
     p_t(x,y)  = Phi_0(x)Phi_0(y) + sum_{j=1}^{J} e^{-lambda_j t} Phi_j(x) Phi_j(y)
     G_s(x,y)  = sum_{j=1}^{J} lambda_j^{-s} Phi_j(x) Phi_j(y)
 
-are formed densely only by :func:`kernel_matrix`, for the regressions and
-the ``kernel`` artifact.  Identities like the semigroup law, G_{2s} =
+are formed by :func:`kernel_matrix`, one block of rows and columns at a
+time.  The regressions (criteria 6 and 7c, the |G_s| decay bound) and the
+reflection check (8a) read G in tiles of ``KERNEL_ROW_TILE`` rows, so none
+of them forms an n x n array; only the scaling check (8b, whose threshold
+is a quantile of the whole matrix) and the ``kernel`` artifact take the
+whole matrix as one block.  Identities like the semigroup law, G_{2s} =
 G_s o G_s, and the inverse pair G_s o (-Delta)^s = id hold to rounding error
 *by construction* on the truncated span, so a few random vectors test them,
 and p_t - 1 is positive semidefinite, so by Cauchy-Schwarz its largest entry
@@ -40,6 +44,9 @@ from .spectral import SpectralBasis, spectral_coeffs, tail_variance
 
 #: Distance window of the exponent regressions (dyadic, inside (0, diam]).
 FIT_WINDOW = (2.0 ** -5, 2.0 ** -2)
+
+#: Rows of G per tile when a kernel is read at vertex pairs.
+KERNEL_ROW_TILE = 128
 
 #: Pair-sampling policy: every pair up to this many, a seeded subsample beyond.
 DEFAULT_PAIR_COUNT = 100_000
@@ -135,16 +142,39 @@ def ondiagonal_constants(lam):
 # ---------------------------------------------------------------------------
 
 
-def kernel_matrix(basis: SpectralBasis, exponent, J=None):
-    """Dense sum_{j=1}^{J} lambda_j^{-exponent} Phi_j Phi_j^T.
+def kernel_matrix(basis: SpectralBasis, exponent, J=None, rows=slice(None), cols=slice(None)):
+    """The block G[rows, cols] of sum_{j=1}^{J} lambda_j^{-exponent} Phi_j Phi_j^T; by default all of it.
 
+    ``rows`` and ``cols`` index vertices (slices or integer arrays).
     Entry-wise comparisons between different bases need J at a cluster
     boundary (``basis.cluster_complete``), where the matrix does not depend
     on the basis inside degenerate eigenspaces.
     """
     J = basis.truncation(J)
     phi = basis.phi[:, :J]
-    return (phi * basis.lam[:J] ** (-float(exponent))) @ phi.T
+    return (phi[rows] * basis.lam[:J] ** (-float(exponent))) @ phi[cols].T
+
+
+def _pair_kernel(basis: SpectralBasis, exponent, J, iu, ju):
+    """(G[iu, ju], diag G) of :func:`kernel_matrix`, ``KERNEL_ROW_TILE`` rows of the upper triangle at a time.
+
+    The pairs must be sorted by ``iu`` with ``iu < ju``, as
+    :func:`pair_sample` gives them, so each tile's pairs are one run of the
+    arrays.  A tile is G[a:b, a:], so the memory is a tile, never n x n.
+    """
+    iu, ju = np.asarray(iu), np.asarray(ju)
+    if np.any(iu >= ju) or np.any(iu[1:] < iu[:-1]):
+        raise ValueError("pairs must be sorted by iu with iu < ju")
+    n = basis.dim
+    vals, diag = np.empty(len(iu)), np.empty(n)
+    starts = range(0, n, KERNEL_ROW_TILE)
+    cuts = np.searchsorted(iu, [*starts, n])
+    for k, a in enumerate(starts):
+        blk = kernel_matrix(basis, exponent, J, slice(a, a + KERNEL_ROW_TILE), slice(a, None))
+        diag[a : a + len(blk)] = np.diagonal(blk)
+        run = slice(cuts[k], cuts[k + 1])
+        vals[run] = blk[iu[run] - a, ju[run] - a]
+    return vals, diag
 
 
 def riesz_value_quadrature(basis: SpectralBasis, s, x, y, J=None):
@@ -193,10 +223,9 @@ def unrank_pairs(n, flat):
 
 
 def squared_increments(basis: SpectralBasis, s, iu, ju, J):
-    """E (X(x) - X(y))^2 = G_2s(x,x) + G_2s(y,y) - 2 G_2s(x,y) at the pairs (iu, ju)."""
-    c = kernel_matrix(basis, 2.0 * s, J)
-    diag = np.diag(c)
-    return diag[iu] + diag[ju] - 2.0 * c[iu, ju]
+    """E (X(x) - X(y))^2 = G_2s(x,x) + G_2s(y,y) - 2 G_2s(x,y) at pairs (iu, ju) sorted as :func:`pair_sample`'s."""
+    g, diag = _pair_kernel(basis, 2.0 * s, J, iu, ju)
+    return diag[iu] + diag[ju] - 2.0 * g
 
 
 @lru_cache(maxsize=4)
@@ -205,8 +234,10 @@ def pair_sample(graph):
 
     Every distinct pair when the graph has at most ``DEFAULT_PAIR_COUNT``
     of them; otherwise a uniform subsample of that many without
-    replacement, drawn from ``default_rng(DEFAULT_PAIR_SEED)``.  The sample
-    is a function of the graph, so the last few are cached and every caller
+    replacement, drawn from ``default_rng(DEFAULT_PAIR_SEED)``.  Either way
+    the pairs come in the order of ``np.triu_indices``, sorted by i with
+    i < j, which :func:`_pair_kernel` needs.  The sample is a function of
+    the graph, so the last few are cached and every caller
     gets the same read-only arrays.
     """
     n = len(graph)
@@ -334,8 +365,7 @@ def estimate_bound_fit(basis: SpectralBasis, s, J=None) -> KernelEstimateReport:
     regime = _resolve_regime(s)
     J = basis.truncation(J)
     iu, ju, dp = pair_sample(basis.graph)
-    g = kernel_matrix(basis, s, J)
-    vals = np.abs(g[iu, ju])
+    vals = np.abs(_pair_kernel(basis, s, J, iu, ju)[0])
     keep = (dp >= lo) & (dp <= hi) & (vals > 0)
     if not keep.any():
         raise ValueError("fit window is empty")

@@ -17,7 +17,11 @@ eigenvalues only (lambda_1, the Weyl fits, the on-diagonal law 4d) take them fro
 :func:`~gasket_fgf.spectral.spectrum` and solve nothing.  The heat and
 Riesz laws (4a-4c, 5) form no n x n array: each side of an identity acts on
 seeded random vectors (:func:`~gasket_fgf.kernels.spectral_apply`), and the
-envelope is read off the heat kernel's diagonal.
+envelope is read off the heat kernel's diagonal.  The increment exponents
+(6), the exact variogram (7c) and reflection invariance (8a) read the Riesz
+kernel in tiles of ``KERNEL_ROW_TILE`` rows (see :mod:`gasket_fgf.kernels`),
+so they form no n x n array either; only renormalization scaling (8b),
+fixed at levels 4 and 5, forms the whole kernel.
 
 One check is expected to fail at desk scale and is reported honestly: the
 on-diagonal heat-kernel slope over t in [2^-10, 2^-2] (criterion 4d).  The

@@ -22,7 +22,7 @@ from gasket_fgf.fields import (
     variogram,
 )
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
-from gasket_fgf.kernels import increment_l2_check, kernel_matrix, pair_sample
+from gasket_fgf.kernels import estimate_bound_fit, increment_l2_check, kernel_matrix, pair_sample
 from gasket_fgf.operators import assemble_energy, assemble_mass
 from gasket_fgf.spectral import pick_truncation, solve_eigen, spectrum
 from gasket_fgf.verify import get_basis
@@ -377,6 +377,26 @@ def test_mc_variogram_memory_is_one_tile(basis6):
     assert peak <= 4e6
 
 
+@pytest.mark.parametrize("regression", [
+    lambda b, J: variogram(b, 0.5, J=J),
+    lambda b, J: estimate_bound_fit(b, 0.5, J=J),
+    lambda b, J: increment_l2_check(b, 0.5, J=J),
+], ids=["variogram", "estimate_bound_fit", "increment_l2_check"])
+def test_exact_regression_memory_is_one_tile(basis6, regression):
+    # the dense n x n kernel and its scaled n x J copy peaked at 17.3 MB;
+    # the pair sample is cached before the trace
+    J = pick_truncation(basis6, 0.5)
+    assert J == 878
+    pair_sample(basis6.graph)
+    assert _traced_peak(lambda: regression(basis6, J)) <= 5e6
+
+
+def test_symmetry_memory_is_one_tile(basis6):
+    # the dense kernel and its mirrored copy peaked at about 29 MB
+    sym = symmetry_permutation(basis6.graph, 2)
+    assert _traced_peak(lambda: symmetry_invariance_test(basis6, 0.5, sym)) <= 5e6
+
+
 def test_hoelder_statistic_loads_no_scipy_spatial():
     src = os.path.dirname(os.path.dirname(fields.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -422,6 +442,30 @@ def test_symmetry_detects_broken_map(basis4):
     broken = type(sym)(index=1, permutation=bad, fixed_vertex=sym.fixed_vertex)
     rep = symmetry_invariance_test(basis4, 0.5, broken)
     assert not rep.passed
+
+
+def _broken_reflection(basis):
+    """Reflection 1 with two non-equivalent interior images swapped: a 4-cycle, not an isometry."""
+    sym = symmetry_permutation(basis.graph, 1)
+    bad = np.array(sym.permutation)
+    interior = np.setdiff1d(np.arange(len(basis.graph)), basis.graph.boundary_ids())
+    bad[[interior[0], interior[3]]] = bad[[interior[3], interior[0]]]
+    return type(sym)(index=1, permutation=bad, fixed_vertex=sym.fixed_vertex)
+
+
+@pytest.mark.parametrize("tile", [fields.KERNEL_ROW_TILE, 3])
+@pytest.mark.parametrize("which", [1, 2, 3, "broken"])
+def test_symmetry_tiles_match_the_dense_kernel(basis5, monkeypatch, which, tile):
+    # the row tiles are unions of cycles of the map, so a map that is not an
+    # involution is measured as exactly as a reflection, also when its
+    # 4-cycle is longer than a tile
+    monkeypatch.setattr(fields, "KERNEL_ROW_TILE", tile)
+    sym = _broken_reflection(basis5) if which == "broken" else symmetry_permutation(basis5.graph, which)
+    rep = symmetry_invariance_test(basis5, 0.5, sym)
+    c = kernel_matrix(basis5, 1.0, rep.params["J"])
+    p = sym.permutation
+    assert rep.measured["kernel_deviation"] == pytest.approx(np.abs(c[np.ix_(p, p)] - c).max(), abs=1e-14)
+    assert rep.measured["corner_variance_spread"] == pytest.approx(np.ptp(np.diag(c)[:3]), abs=1e-14)
 
 
 def test_scaling_invariance(basis4, sub_basis5):

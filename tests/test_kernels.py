@@ -10,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gasket_fgf import verify
+from gasket_fgf import fields, kernels, verify
 from gasket_fgf.constants import (
     HAUSDORFF_DIM,
     SPECTRAL_EXPONENT,
     WALK_DIM,
     hurst_from_s,
 )
-from gasket_fgf.geometry import build_level
+from gasket_fgf.fields import symmetry_invariance_test
+from gasket_fgf.geometry import build_level, symmetry_permutation
 from gasket_fgf.kernels import (
     DEFAULT_PAIR_COUNT,
     DEFAULT_PAIR_SEED,
+    _pair_kernel,
     binned_loglog_fit,
     binned_points,
     estimate_bound_fit,
@@ -32,8 +34,10 @@ from gasket_fgf.kernels import (
     pair_sample,
     riesz_value_quadrature,
     spectral_apply,
+    squared_increments,
 )
 from gasket_fgf.operators import assemble_energy
+from gasket_fgf.spectral import pick_truncation
 from gasket_fgf.verify import get_basis
 
 
@@ -185,6 +189,65 @@ def test_riesz_rows_integrate_to_zero(basis4):
     assert np.abs(kernel_matrix(basis4, 0.5) @ basis4.mass).max() <= 1e-10
 
 
+def test_kernel_matrix_block_is_its_slice_of_the_whole(basis5):
+    full = kernel_matrix(basis5, 0.8)
+    picks = np.random.default_rng(1).permutation(basis5.dim)[:40]
+    for rows, cols in [(slice(0, 128), slice(0, None)), (slice(200, 366), slice(200, None)),
+                       (slice(7, 8), slice(None)), (picks, slice(None)), (picks, picks[::-1])]:
+        np.testing.assert_allclose(kernel_matrix(basis5, 0.8, None, rows, cols), full[rows][:, cols],
+                                   rtol=0, atol=1e-12 * np.abs(full).max())
+    np.testing.assert_allclose(kernel_matrix(basis5, 0.8, 40, rows=picks), kernel_matrix(basis5, 0.8, 40)[picks],
+                               rtol=0, atol=1e-12 * np.abs(full).max())
+
+
+@pytest.mark.parametrize("level", [4, 5, 6])
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.6, SPECTRAL_EXPONENT, 0.7])
+def test_pair_kernel_matches_dense_entries(level, s):
+    # s below, at and above d_h/d_w: the exponents of estimate_bound_fit (s) and of the increments (2s)
+    basis = get_basis(level)
+    iu, ju, _ = pair_sample(basis.graph)
+    J = pick_truncation(basis, 0.5) if level == 6 else None
+    for e in (s, 2 * s):
+        dense = kernel_matrix(basis, e, J)
+        vals, diag = _pair_kernel(basis, e, J, iu, ju)
+        scale = np.abs(dense).max()
+        np.testing.assert_allclose(vals, dense[iu, ju], rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(diag, np.diag(dense), rtol=0, atol=1e-12 * scale)
+
+
+def test_pair_kernel_refuses_unsorted_pairs(basis4):
+    with pytest.raises(ValueError, match="sorted by iu with iu < ju"):
+        _pair_kernel(basis4, 1.0, None, np.array([2, 1]), np.array([5, 6]))
+    with pytest.raises(ValueError, match="sorted by iu with iu < ju"):
+        _pair_kernel(basis4, 1.0, None, np.array([3]), np.array([3]))
+
+
+def _tiled_statistics(basis, s):
+    iu, ju, _ = pair_sample(basis.graph)
+    J = basis.truncation(None)
+    sym = [symmetry_invariance_test(basis, s, symmetry_permutation(basis.graph, i)).measured
+           for i in (1, 2, 3)]
+    return (squared_increments(basis, s, iu, ju, J), _pair_kernel(basis, s, J, iu, ju)[0],
+            estimate_bound_fit(basis, s), increment_l2_check(basis, s), sym)
+
+
+@pytest.mark.parametrize("tile", [1, 7, "n"])
+def test_pair_statistics_do_not_depend_on_the_tile(basis5, monkeypatch, tile):
+    ref = _tiled_statistics(basis5, 0.5)
+    tile = basis5.dim if tile == "n" else tile
+    monkeypatch.setattr(kernels, "KERNEL_ROW_TILE", tile)
+    monkeypatch.setattr(fields, "KERNEL_ROW_TILE", tile)
+    got = _tiled_statistics(basis5, 0.5)
+    for a, b in zip(got[:2], ref[:2]):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
+    assert got[2].fitted_exponent == pytest.approx(ref[2].fitted_exponent, abs=1e-12)
+    assert got[2].constant == pytest.approx(ref[2].constant, rel=1e-12)
+    assert got[3].slope == pytest.approx(ref[3].slope, abs=1e-12)
+    for a, b in zip(got[4], ref[4]):
+        for key in ("kernel_deviation", "corner_variance_spread"):
+            assert a[key] == pytest.approx(b[key], abs=1e-12)
+
+
 def test_quadrature_cross_check(basis5):
     g = kernel_matrix(basis5, 0.5)
     for i, j in [(0, 1), (0, 2), (1, 2)]:
@@ -283,6 +346,14 @@ def test_pair_sample_matches_triu_reference(level):
     np.testing.assert_array_equal(i, iu[sel])
     np.testing.assert_array_equal(j, ju[sel])
     np.testing.assert_array_equal(d, np.linalg.norm(g.points[iu[sel]] - g.points[ju[sel]], axis=1))
+
+
+@pytest.mark.parametrize("level", [5, 6])
+def test_pair_sample_is_sorted_by_row(level):
+    # both branches: every pair at L5, the unranked subsample at L6
+    iu, ju, _ = pair_sample(build_level(level))
+    assert np.all(iu < ju)
+    assert np.all(np.diff(iu) >= 0)
 
 
 def test_binned_points_rejects_empty_window():
