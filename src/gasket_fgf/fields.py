@@ -25,11 +25,12 @@ from .geometry import LevelGraph, SymmetryMap, embed_indices
 from .kernels import (
     DEFAULT_PAIR_SEED,
     FIT_WINDOW,
-    KERNEL_ROW_TILE,
     _increment_fit,
+    _probes,
     binned_loglog_fit,
     kernel_matrix,
     pair_sample,
+    spectral_apply,
 )
 from .operators import MassMatrix, StiffnessMatrix
 from .spectral import SpectralBasis, canonical_eigenspaces, check_truncation
@@ -421,37 +422,25 @@ def symmetry_invariance_test(basis: SpectralBasis, s, sym: SymmetryMap, J=None) 
     """Covariance-level reflection invariance G_{2s}(sigma x, sigma y) = G_{2s}(x, y).
 
     Gaussian laws are determined by their covariances, so this is the whole
-    distributional statement; the kernels are compared after trimming J to a
-    cluster boundary so the comparison is basis-independent.  Also reports
-    the corner-variance spread (the three boundary vertices must share one
-    variance).  G is read in tiles of about ``KERNEL_ROW_TILE`` whole rows,
-    each a union of cycles of the permutation (a reflection's hold one or
-    two vertices), so a tile holds the rows of its mirror images and no
-    n x n array is formed.
+    distributional statement; J is trimmed to a cluster boundary, where G
+    does not depend on the basis inside degenerate eigenspaces.  With p the
+    permutation, the statement is the operator identity P G P^T = G, tested
+    on seeded probe columns F: h(F) = G F is the spectral sum applied to
+    F / mass, and the deviation is max |h(F[p]) - h(F)[p]|.  Each entry of
+    that difference sums one row of the entry deviations G(x, y) - G(px, py)
+    against F, so it vanishes for every F exactly when p preserves G.  Also
+    reports the corner-variance spread (the three boundary vertices must
+    share one variance), read off the 3 x 3 corner block of G.  No n x n
+    array is formed.
     """
     check_s(s)
     J = basis.cluster_complete(basis.truncation(J))
     p = np.asarray(sym.permutation)
-    n = len(p)
-    # the smallest vertex of each cycle labels it, found by pointer doubling
-    label, jump = np.arange(n), p
-    for _ in range(n.bit_length()):
-        label, jump = np.minimum(label, label[jump]), jump[jump]
-    order = np.argsort(label, kind="stable")
-    where = np.empty(n, dtype=np.int64)
-    where[order] = np.arange(n)
-    # a tile starts where a cycle starts
-    cuts = np.unique(np.searchsorted(label[order], label[order][::KERNEL_ROW_TILE]).tolist() + [n])
-    deviation, diag = 0.0, np.empty(n)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        rows = order[a:b]
-        blk = kernel_matrix(basis, 2.0 * s, J, rows)
-        diag[rows] = blk[np.arange(b - a), rows]
-        mirrored = blk[where[p[rows]][:, None] - a, p]
-        mirrored -= blk
-        deviation = max(deviation, float(np.abs(mirrored, out=mirrored).max()))
-        del blk, mirrored  # free this tile before the next one is formed
-    corner_spread = float(np.ptp(diag[:3]))
+    f = _probes(basis)
+    h = spectral_apply(basis, lambda lam: lam ** (-2.0 * s), np.hstack([f[p], f]) / basis.mass[:, None], J)
+    moved, fixed = np.hsplit(h, 2)  # h(F[p]) and h(F), from one pass over the modes
+    deviation = float(np.abs(moved - fixed[p]).max())
+    corner_spread = float(np.ptp(np.diag(kernel_matrix(basis, 2.0 * s, J, slice(0, 3), slice(0, 3)))))
     tol = 1e-8
     return InvarianceReport(
         kind="symmetry",

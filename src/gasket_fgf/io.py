@@ -88,9 +88,9 @@ def write_graph_json(g, path, config=None):
     """Graph document: config, level, word, then one row per vertex, edge and cell.
 
     The text is what :func:`write_json` writes for the same document, with
-    one ``%``-template per row; ``%.17g`` writes the same text as :func:`fmt`.
-    Vertices, edges and cells are written ``GRAPH_ROWS`` rows at a time, so
-    no whole table of strings, lists or cell digits is formed.
+    one ``%``-template per block of rows; ``%.17g`` writes the same text as
+    :func:`fmt`.  Vertices, edges and cells are written ``GRAPH_ROWS`` rows
+    at a time, so no whole table of strings, lists or cell digits is formed.
     """
     head = {} if config is None else {"config": config}
     head["level"] = g.level
@@ -104,45 +104,48 @@ def write_graph_json(g, path, config=None):
     boundary[g.boundary_ids()] = "true"
 
     def vertex_rows(rows):
-        x, y = g.points[rows].T.tolist()
-        ids = range(len(g))[rows]
-        return zip(ids, x, y, boundary[rows].tolist(), g.measure[rows].tolist())
-
-    def cell_rows(rows):
-        return map(tuple, np.hstack([g.cell_words(rows), g.cells[rows]]).tolist())
+        return [range(len(g))[rows], *g.points[rows].T.tolist(), boundary[rows].tolist(), g.measure[rows].tolist()]
 
     with open(path, "w") as fh:
         fh.write(dumps(head)[:-2] + ',\n  "vertices": [\n')
         _write_rows(fh, vertex, vertex_rows, len(g))
         fh.write('\n  ],\n  "edges": [\n')
-        _write_rows(fh, "    [%d, %d]", lambda rows: map(tuple, g.edges[rows].tolist()), len(g.edges))
+        _write_rows(fh, "    [%d, %d]", lambda rows: g.edges[rows].T.tolist(), len(g.edges))
         fh.write('\n  ],\n  "cells": [\n')
-        _write_rows(fh, cell, cell_rows, len(g.cells))
+        _write_rows(fh, cell, lambda rows: np.hstack([g.cell_words(rows), g.cells[rows]]).T.tolist(), len(g.cells))
         fh.write("\n  ]\n}\n")
 
 
-def _write_rows(fh, template, rows_of, count):
-    """``template % row`` for each of ``count`` rows, joined by ",\\n", ``GRAPH_ROWS`` rows at a time."""
+def _write_rows(fh, template, columns_of, count, sep=",\n"):
+    """``template`` for each of ``count`` rows, joined by ``sep``, with one ``%`` per ``GRAPH_ROWS`` rows.
+
+    ``columns_of(rows)`` gives the columns of a slice of rows, one sequence each.
+    """
     for k in range(0, count, GRAPH_ROWS):
-        fh.write((",\n" if k else "") + ",\n".join(template % r for r in rows_of(slice(k, k + GRAPH_ROWS))))
+        cols = columns_of(slice(k, k + GRAPH_ROWS))
+        rows = len(cols[0])
+        values = [None] * (len(cols) * rows)
+        for i, col in enumerate(cols):
+            values[i :: len(cols)] = col
+        fh.write((sep if k else "") + ((template + sep) * (rows - 1) + template) % tuple(values))
 
 
 def write_matrix_coo(stiffness, path):
     """Coordinate-list text: one JSON header line, then 'row col value' lines.
 
-    One ``%``-template per block of rows; ``%.17g`` writes the same text as :func:`fmt`.
+    Written as :func:`write_graph_json` writes its rows; ``%.17g`` writes the same text as :func:`fmt`.
     """
     m = stiffness.matrix.tocoo()
     order = np.lexsort((m.col, m.row))
     header = {"level": stiffness.level, "dim": int(m.shape[0]), "prefactor": stiffness.prefactor}
-    cells = [None] * (3 * len(order))
-    cells[::3], cells[1::3], cells[2::3] = m.row[order].tolist(), m.col[order].tolist(), m.data[order].tolist()
-    block = 3 * 4096
+
+    def entry_rows(rows):
+        return [a[order[rows]].tolist() for a in (m.row, m.col, m.data)]
+
     with open(path, "w") as fh:
         fh.write(json.dumps(header, separators=(", ", ": ")) + "\n")
-        for k in range(0, len(cells), block):
-            part = tuple(cells[k:k + block])
-            fh.write("%d %d %.17g\n" * (len(part) // 3) % part)
+        _write_rows(fh, "%d %d %.17g", entry_rows, len(order), "\n")
+        fh.write("\n")
 
 
 def eigen_document(basis, config=None):
@@ -190,7 +193,7 @@ def write_kernel_csv(matrix, path, header=None):
 
 
 def write_field_csv(sample, graph, path, extra=None):
-    """One JSON header line, then 'vertex_id,x,y,value' rows, one ``%``-template per block of rows."""
+    """One JSON header line, then 'vertex_id,x,y,value' rows, written as :func:`write_graph_json` writes its rows."""
     header = {
         "level": sample.level,
         "s": float(sample.s),
@@ -201,17 +204,15 @@ def write_field_csv(sample, graph, path, extra=None):
     }
     if extra:
         header.update(extra)
-    points = graph.points
-    cells = [None] * (4 * len(points))
-    cells[::4], cells[1::4], cells[2::4], cells[3::4] = (
-        range(len(points)), points[:, 0].tolist(), points[:, 1].tolist(), sample.values.tolist())
-    block = 4 * 4096
+
+    def field_rows(rows):
+        return [range(len(graph))[rows], *graph.points[rows].T.tolist(), sample.values[rows].tolist()]
+
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(header, separators=(", ", ": ")) + "\n")
         fh.write("vertex_id,x,y,value\n")
-        for k in range(0, len(cells), block):
-            part = tuple(cells[k:k + block])
-            fh.write("%d,%.17g,%.17g,%.17g\n" * (len(part) // 4) % part)
+        _write_rows(fh, "%d,%.17g,%.17g,%.17g", field_rows, len(graph), "\n")
+        fh.write("\n")
 
 
 #: Pixels per block of :func:`pixel_vertices`: the working set of one block is about 1 MB.

@@ -11,13 +11,14 @@ and (-Delta)^s is g = lambda^s.  Their kernels
     G_s(x,y)  = sum_{j=1}^{J} lambda_j^{-s} Phi_j(x) Phi_j(y)
 
 are formed by :func:`kernel_matrix`, one block of rows and columns at a
-time.  The regressions (criteria 6 and 7c, the |G_s| decay bound) and the
-reflection check (8a) read G in tiles of ``KERNEL_ROW_TILE`` rows, so none
-of them forms an n x n array; only the scaling check (8b, whose threshold
-is a quantile of the whole matrix) and the ``kernel`` artifact take the
-whole matrix as one block.  Identities like the semigroup law, G_{2s} =
-G_s o G_s, and the inverse pair G_s o (-Delta)^s = id hold to rounding error
-*by construction* on the truncated span, so a few random vectors test them,
+time.  The regressions (criteria 6 and 7c, the |G_s| decay bound) read G in
+tiles of ``KERNEL_ROW_TILE`` rows, so none of them forms an n x n array;
+only the scaling check (8b, whose threshold is a quantile of the whole
+matrix) and the ``kernel`` artifact take the whole matrix as one block.
+Identities like the semigroup law, G_{2s} = G_s o G_s, the inverse pair
+G_s o (-Delta)^s = id and reflection invariance P G_{2s} P^T = G_{2s} hold
+to rounding error *by construction* on a truncated span that is whole
+eigenspaces, so a few seeded random vectors (:func:`_probes`) test them,
 and p_t - 1 is positive semidefinite, so by Cauchy-Schwarz its largest entry
 lies on the diagonal.  The on-diagonal law reads the eigenvalues alone,
 through the heat trace 1 + sum_j e^{-lambda_j t} (:func:`heat_trace`), so
@@ -100,6 +101,11 @@ def spectral_apply(basis: SpectralBasis, g, f, J=None):
     J = basis.truncation(J)
     coeffs = spectral_coeffs(basis, f, J)
     return basis.phi[:, :J] @ (g(basis.lam[:J]) * coeffs.T).T
+
+
+def _probes(basis: SpectralBasis):
+    """Eight seeded standard normal columns, n x 8: operators that differ, differ on them almost surely."""
+    return np.random.default_rng(5).standard_normal((basis.dim, 8))
 
 
 def heat_trace(lam, t):

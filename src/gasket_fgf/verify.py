@@ -15,13 +15,14 @@ Bases come from :func:`get_basis`, one full
 solve per level graph for the life of the process; the checks that read
 eigenvalues only (lambda_1, the Weyl fits, the on-diagonal law 4d) take them from
 :func:`~gasket_fgf.spectral.spectrum` and solve nothing.  The heat and
-Riesz laws (4a-4c, 5) form no n x n array: each side of an identity acts on
-seeded random vectors (:func:`~gasket_fgf.kernels.spectral_apply`), and the
-envelope is read off the heat kernel's diagonal.  The increment exponents
-(6), the exact variogram (7c) and reflection invariance (8a) read the Riesz
-kernel in tiles of ``KERNEL_ROW_TILE`` rows (see :mod:`gasket_fgf.kernels`),
-so they form no n x n array either; only renormalization scaling (8b),
-fixed at levels 4 and 5, forms the whole kernel.
+Riesz laws (4a-4c, 5) and reflection invariance (8a) form no n x n array:
+each side of an identity acts on seeded random vectors
+(:func:`~gasket_fgf.kernels.spectral_apply`), and the envelope is read off
+the heat kernel's diagonal.  The increment exponents (6) and the exact
+variogram (7c) read the Riesz kernel in tiles of ``KERNEL_ROW_TILE`` rows
+(see :mod:`gasket_fgf.kernels`), so they form no n x n array either; only
+renormalization scaling (8b), fixed at levels 4 and 5, forms the whole
+kernel.
 
 One check is expected to fail at desk scale and is reported honestly: the
 on-diagonal heat-kernel slope over t in [2^-10, 2^-2] (criterion 4d).  The
@@ -44,6 +45,7 @@ import numpy as np
 from .constants import SPECTRAL_EXPONENT, hurst_from_s
 from .geometry import build_level, extract_cell, symmetry_permutation
 from .kernels import (
+    _probes,
     increment_l2_check,
     ondiagonal_constants,
     ondiagonal_fit,
@@ -185,7 +187,7 @@ def _heat(basis, t, f):
 def check_heat_semigroup(level=6, **_):
     basis = get_basis(level)
     t, u = 0.07, 0.11
-    f = np.random.default_rng(5).standard_normal((basis.dim, 8))  # differing operators differ on f a.s.
+    f = _probes(basis)
     dev = float(np.abs(_heat(basis, t, _heat(basis, u, f)) - _heat(basis, t + u, f)).max())
     return CheckResult("4a", "heat semigroup", dev <= 1e-10, {"deviation": dev})
 
@@ -264,7 +266,7 @@ def check_riesz(level=6, s=0.5, **_):
         back = spectral_apply(basis, lambda lam: lam ** -s, spectral_apply(basis, lambda lam: lam ** s, f))
         invs.append(float(np.abs(back - f).max()))
 
-        f = np.random.default_rng(5).standard_normal((basis.dim, 8))
+        f = _probes(basis)
         comp = spectral_apply(basis, lambda lam: lam ** -s, spectral_apply(basis, lambda lam: lam ** -s, f))
         comps.append(float(np.abs(comp - spectral_apply(basis, lambda lam: lam ** (-2 * s), f)).max()))
 

@@ -392,9 +392,10 @@ def test_exact_regression_memory_is_one_tile(basis6, regression):
 
 
 def test_symmetry_memory_is_one_tile(basis6):
-    # the dense kernel and its mirrored copy peaked at about 29 MB
+    # the dense kernel and its mirrored copy peaked at about 29 MB, and tiles
+    # of whole rows at about 5 MB; the probe block holds n x 16 values
     sym = symmetry_permutation(basis6.graph, 2)
-    assert _traced_peak(lambda: symmetry_invariance_test(basis6, 0.5, sym)) <= 5e6
+    assert _traced_peak(lambda: symmetry_invariance_test(basis6, 0.5, sym)) <= 1e6
 
 
 def test_hoelder_statistic_loads_no_scipy_spatial():
@@ -453,19 +454,37 @@ def _broken_reflection(basis):
     return type(sym)(index=1, permutation=bad, fixed_vertex=sym.fixed_vertex)
 
 
-@pytest.mark.parametrize("tile", [fields.KERNEL_ROW_TILE, 3])
 @pytest.mark.parametrize("which", [1, 2, 3, "broken"])
-def test_symmetry_tiles_match_the_dense_kernel(basis5, monkeypatch, which, tile):
-    # the row tiles are unions of cycles of the map, so a map that is not an
-    # involution is measured as exactly as a reflection, also when its
-    # 4-cycle is longer than a tile
-    monkeypatch.setattr(fields, "KERNEL_ROW_TILE", tile)
+def test_symmetry_probe_bounds_the_dense_kernel_deviation(basis5, which):
+    # each probe entry sums one row of G's entry deviations against seeded
+    # normals: a reflection reads rounding either way, and the broken 4-cycle
+    # reads at least its largest entry-wise deviation
     sym = _broken_reflection(basis5) if which == "broken" else symmetry_permutation(basis5.graph, which)
     rep = symmetry_invariance_test(basis5, 0.5, sym)
     c = kernel_matrix(basis5, 1.0, rep.params["J"])
     p = sym.permutation
-    assert rep.measured["kernel_deviation"] == pytest.approx(np.abs(c[np.ix_(p, p)] - c).max(), abs=1e-14)
+    dense, probe = np.abs(c[np.ix_(p, p)] - c).max(), rep.measured["kernel_deviation"]
+    if which == "broken":
+        assert probe >= dense and probe > 1e-8
+    else:
+        assert max(probe, dense) <= 1e-12
     assert rep.measured["corner_variance_spread"] == pytest.approx(np.ptp(np.diag(c)[:3]), abs=1e-14)
+
+
+def test_symmetry_reads_only_the_corner_block_of_the_kernel(monkeypatch):
+    # the deviation acts on probe columns; G itself is read at the three corners only
+    basis = get_basis(7)
+    shapes = []
+
+    def recording(*args, **kwargs):
+        block = kernel_matrix(*args, **kwargs)
+        shapes.append(block.shape)
+        return block
+
+    monkeypatch.setattr(fields, "kernel_matrix", recording)
+    for i in (1, 2, 3):
+        assert symmetry_invariance_test(basis, 0.5, symmetry_permutation(basis.graph, i)).passed
+    assert shapes and max(rows for rows, _ in shapes) <= 3
 
 
 def test_scaling_invariance(basis4, sub_basis5):

@@ -1,4 +1,4 @@
-"""Artifact writers: PGM rasters against exact and k-d nearest-vertex queries, field CSV rows and graph bytes."""
+"""Artifact writers: PGM rasters against exact and k-d nearest-vertex queries, table rows, bytes and memory."""
 
 import hashlib
 import json
@@ -10,7 +10,8 @@ from scipy.spatial import cKDTree
 
 from gasket_fgf.fields import FieldSample
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
-from gasket_fgf.io import pixel_vertices, write_field_csv, write_graph_json, write_pgm
+from gasket_fgf.io import pixel_vertices, write_field_csv, write_graph_json, write_matrix_coo, write_pgm
+from gasket_fgf.operators import assemble_energy
 
 
 def pixel_centres(size):
@@ -154,3 +155,27 @@ def test_field_csv_blocks_write_the_rows_of_the_per_row_writer(tmp_path):
     text = (tmp_path / "f.csv").read_text()
     assert text == "\n".join(rows) + "\n"
     assert rows[2] == "0,0,0,-0" and rows[2 + 4095].endswith(",4.9406564584124654e-324")
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_csv_memory_is_one_block(tmp_path):
+    # the whole table as one list of Python values peaked at 14.9 MiB at level 10
+    graph = build_level(10)
+    sample = FieldSample(level=10, s=0.5, hurst=0.5, modes=3, seed=1, coefficients=np.zeros(3),
+                         values=np.random.default_rng(4).standard_normal(len(graph)))
+    assert _traced_peak(lambda: write_field_csv(sample, graph, tmp_path / "f.csv")) <= 2e6
+
+
+def test_matrix_coo_memory_is_one_block(tmp_path):
+    # the whole entry list of Python values peaked at 67.5 MiB at level 10; the
+    # COO copy of the matrix and its sort order stay
+    stiffness = assemble_energy(build_level(10))
+    assert _traced_peak(lambda: write_matrix_coo(stiffness, tmp_path / "s.coo")) <= 25e6
