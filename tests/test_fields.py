@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gasket_fgf import fields, spectral
+from gasket_fgf import fields, kernels, spectral
 from gasket_fgf.constants import hurst_from_s, s_from_hurst
 from gasket_fgf.fields import (
     empirical_covariance,
@@ -22,7 +22,7 @@ from gasket_fgf.fields import (
     variogram,
 )
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
-from gasket_fgf.kernels import estimate_bound_fit, increment_l2_check, kernel_matrix, pair_sample
+from gasket_fgf.kernels import _pair_kernel, estimate_bound_fit, increment_l2_check, kernel_matrix, pair_sample
 from gasket_fgf.operators import assemble_energy, assemble_mass
 from gasket_fgf.spectral import pick_truncation, solve_eigen, spectrum
 from gasket_fgf.verify import get_basis
@@ -454,16 +454,29 @@ def _broken_reflection(basis):
     return type(sym)(index=1, permutation=bad, fixed_vertex=sym.fixed_vertex)
 
 
+@pytest.mark.parametrize("tile", [kernels.KERNEL_ROW_TILE, 3])
 @pytest.mark.parametrize("which", [1, 2, 3, "broken"])
-def test_symmetry_probe_bounds_the_dense_kernel_deviation(basis5, which):
-    # each probe entry sums one row of G's entry deviations against seeded
-    # normals: a reflection reads rounding either way, and the broken 4-cycle
-    # reads at least its largest entry-wise deviation
+def test_symmetry_tiles_match_the_dense_kernel(basis5, monkeypatch, which, tile):
+    # G read in row tiles at the mirrored pairs (p x, p y) matches the dense
+    # kernel, also for tiles of 3 rows; each probe entry of the criterion sums
+    # one row of those entry deviations against seeded normals, so a
+    # reflection reads rounding either way and the broken 4-cycle reads at
+    # least its largest entry-wise deviation
+    monkeypatch.setattr(kernels, "KERNEL_ROW_TILE", tile)
     sym = _broken_reflection(basis5) if which == "broken" else symmetry_permutation(basis5.graph, which)
     rep = symmetry_invariance_test(basis5, 0.5, sym)
-    c = kernel_matrix(basis5, 1.0, rep.params["J"])
-    p = sym.permutation
+    J = rep.params["J"]
+    c = kernel_matrix(basis5, 1.0, J)
+    p = np.asarray(sym.permutation)
+    iu, ju = np.triu_indices(basis5.dim, 1)
+    g, diag = _pair_kernel(basis5, 1.0, J, iu, ju)
+    a, b = np.minimum(p[iu], p[ju]), np.maximum(p[iu], p[ju])
+    order = np.lexsort((b, a))
+    moved = np.empty_like(g)
+    moved[order] = _pair_kernel(basis5, 1.0, J, a[order], b[order])[0]
+    tiled = max(np.abs(moved - g).max(), np.abs(diag[p] - diag).max())
     dense, probe = np.abs(c[np.ix_(p, p)] - c).max(), rep.measured["kernel_deviation"]
+    assert tiled == pytest.approx(dense, abs=1e-14)
     if which == "broken":
         assert probe >= dense and probe > 1e-8
     else:
