@@ -241,9 +241,9 @@ def cmd_kernel(args, parser):
     basis = _solve(args.level, max(j, 1))  # J = 0 (a budget of 1) still solves one mode
     echo = {"command": "kernel", "level": args.level, "s": args.s, "H": args.hurst,
             "J": j}
+    report = estimate_bound_fit(basis, args.s, J=j) if args.report else None  # a refusal writes no file
     write_kernel_csv(kernel_matrix(basis, args.s, j), args.out, header=echo)
-    if args.report:
-        report = estimate_bound_fit(basis, args.s, J=j)
+    if report is not None:
         doc = {"config": echo}
         doc.update(to_jsonable(report))
         # the regression slope itself, in addition to the regime's exponent

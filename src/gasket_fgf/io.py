@@ -170,13 +170,16 @@ def write_eigen_json(basis, path, config=None):
 def write_eigen_csv(basis, path):
     """Eigenvector table: row = vertex id, columns = modes 0..J.
 
-    One ``%``-template per row; ``%.17g`` writes the same text as :func:`fmt`.
+    Mode 0 is the constant 1/sqrt(total mass), which the basis does not
+    hold.  One ``%``-template per row; ``%.17g`` writes the same text as
+    :func:`fmt`.
     """
     row = "%d," + ",".join(["%.17g"] * (basis.count + 1)) + "\n"
+    constant = 1.0 / np.sqrt(basis.mass.sum())
     with open(path, "w") as fh:
         fh.write("vertex_id," + ",".join(f"mode_{j}" for j in range(basis.count + 1)) + "\n")
         for i in range(basis.dim):
-            fh.write(row % (i, *basis.vectors[i].tolist()))
+            fh.write(row % (i, constant, *basis.phi[i].tolist()))
 
 
 def write_kernel_csv(matrix, path, header=None):

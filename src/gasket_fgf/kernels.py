@@ -249,11 +249,10 @@ def pair_sample(graph):
     n = len(graph)
     total = n * (n - 1) // 2
     if total > DEFAULT_PAIR_COUNT:
-        flat = np.random.default_rng(DEFAULT_PAIR_SEED).choice(total, DEFAULT_PAIR_COUNT, replace=False)
-        flat.sort()
-        iu, ju = unrank_pairs(n, flat)
+        flat = np.sort(np.random.default_rng(DEFAULT_PAIR_SEED).choice(total, DEFAULT_PAIR_COUNT, replace=False))
     else:
-        iu, ju = np.triu_indices(n, 1)
+        flat = np.arange(total)
+    iu, ju = unrank_pairs(n, flat)
     pts = graph.points
     d = np.linalg.norm(pts[iu] - pts[ju], axis=1)
     for a in (iu, ju, d):

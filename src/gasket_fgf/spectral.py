@@ -99,42 +99,34 @@ class WeylFit:
 
 @dataclass(eq=False)
 class SpectralBasis:
-    """Sorted eigenpairs of one level graph.
+    """Sorted nonzero eigenpairs of one level graph, the modes of L^2_0.
 
-    ``lambdas``/``vectors`` include the zero mode at index 0 (a constant,
-    mass-normalized); ``count`` is the number of usable nonzero modes.
-    ``ends`` holds the exclusive end of each eigenspace among the nonzero
-    modes; the last one may lie beyond ``count`` when a solve cut it.
-    ``graph`` is the level graph the basis lives on (vertex order,
-    coordinates and, for a sub-gasket, its cell word), always attached by
-    :func:`solve_eigen`.
+    ``lam`` holds the ``count`` eigenvalues and ``phi`` the n x count
+    M-orthonormal eigenvectors, one per column; the constant mode is not
+    held.  ``ends`` holds the exclusive end of each eigenspace; the last
+    one may lie beyond ``count`` when a solve cut it.  ``graph`` is the
+    level graph the basis lives on (vertex order, coordinates, level and,
+    for a sub-gasket, its cell word), always attached by :func:`solve_eigen`.
     """
 
-    level: int
-    lambdas: np.ndarray
-    vectors: np.ndarray
+    lam: np.ndarray
+    phi: np.ndarray
     mass: np.ndarray
     residual_norm: float
     ends: np.ndarray
     graph: LevelGraph = field(repr=False)
 
     @property
+    def level(self):
+        return self.graph.level
+
+    @property
     def dim(self):
-        return self.vectors.shape[0]
+        return self.phi.shape[0]
 
     @property
     def count(self):
-        return len(self.lambdas) - 1
-
-    @property
-    def lam(self):
-        """Nonzero eigenvalues lambda_1 <= lambda_2 <= ..."""
-        return self.lambdas[1:]
-
-    @property
-    def phi(self):
-        """Eigenvectors of the nonzero modes, one per column."""
-        return self.vectors[:, 1:]
+        return len(self.lam)
 
     def truncation(self, J=None):
         """The number of modes J to use: ``count`` for None, else J checked against [0, count]."""
@@ -543,15 +535,14 @@ def solve_eigen(
 
     Forms the modes of each eigenspace of :func:`canonical_eigenspaces`,
     ``BLOCK`` at a time from leading columns of the identity solved at its
-    birth level and pushed up from there, into one n x (count + 1) array,
-    whose column 0 is the constant mode.
+    birth level and pushed up from there, into one n x count array.
 
     Parameters
     ----------
     stiffness, mass : operators from :mod:`gasket_fgf.operators`, of a full
         gasket or a sub-gasket from :func:`~gasket_fgf.geometry.extract_cell`.
-    count : number of nonzero modes requested (λ_0 = 0 is always included
-        in the result in addition to these).
+    count : number of nonzero modes requested (the constant mode is not
+        among them).
     tol : acceptance threshold on max_j ||S phi - lambda M phi||_2 / lambda.
     graph : the LevelGraph of the operators, attached to the result;
         needed only for a sub-gasket, whose vertex order it gives (a full
@@ -560,27 +551,19 @@ def solve_eigen(
     Raises
     ------
     ValueError as :func:`canonical_eigenspaces` does, whose memory estimate
-    counts the n x (count + 1) result here; SolverError if the achieved
+    counts the n x count result here; SolverError if the achieved
     residual exceeds ``tol``.
     """
     n = stiffness.dim
-    graph, lambdas, ends, columns = canonical_eigenspaces(stiffness, mass, count, 8 * n * (int(count) + 1),
-                                                          tol=tol, graph=graph)
-    vectors = np.empty((n, len(lambdas) + 1))
-    vectors[:, 0] = 1.0 / np.sqrt(mass.diagonal.sum())
+    graph, lam, ends, columns = canonical_eigenspaces(stiffness, mass, count, 8 * n * int(count),
+                                                      tol=tol, graph=graph)
+    phi = np.empty((n, len(lam)))
     residual_norm = 0.0
     for first, v, residual in columns:
-        vectors[:, 1 + first : 1 + first + v.shape[1]] = v
+        phi[:, first : first + v.shape[1]] = v
         residual_norm = max(residual_norm, residual)
-    return SpectralBasis(
-        level=stiffness.level,
-        lambdas=np.concatenate([[0.0], lambdas]),
-        vectors=vectors,
-        mass=np.asarray(mass.diagonal),
-        residual_norm=residual_norm,
-        ends=ends,
-        graph=graph,
-    )
+    return SpectralBasis(lam=lam, phi=phi, mass=np.asarray(mass.diagonal), residual_norm=residual_norm,
+                         ends=ends, graph=graph)
 
 
 def spectrum(level, word=()):

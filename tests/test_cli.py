@@ -74,6 +74,17 @@ def test_kernel_report_keeps_its_bytes(tmp_path):
         "7c2150b1f4afa4206efaef6a74d1b95ef6ebe49e24bf952bc37756f4c735a0f9")
 
 
+def test_kernel_report_refusal_writes_no_file(tmp_path, capsys):
+    # at level 2 the increment fit has no binned points: the command exits 2
+    # before it writes the kernel table or the report
+    out, rep = tmp_path / "k.csv", tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["kernel", "--level", "2", "--s", "0.5", "--out", str(out), "--report", str(rep)])
+    assert exc.value.code == 2
+    assert "fit window is empty after binning" in capsys.readouterr().err
+    assert not out.exists() and not rep.exists()
+
+
 def test_eigs_artifacts(tmp_path):
     out = tmp_path / "eigs.json"
     vec = tmp_path / "vectors.csv"
@@ -104,13 +115,14 @@ def test_csv_writers_match_per_value_fmt(tmp_path, basis4):
     from gasket_fgf.io import fmt, write_eigen_csv, write_kernel_csv
     from gasket_fgf.kernels import kernel_matrix
 
-    vectors = basis4.vectors.copy()
-    vectors.flat[: 7 * len(AWKWARD) : 7] = AWKWARD
-    basis = replace(basis4, vectors=vectors)
+    phi = basis4.phi.copy()
+    phi.flat[: 7 * len(AWKWARD) : 7] = AWKWARD
+    basis = replace(basis4, phi=phi)
+    constant = fmt(1.0 / np.sqrt(basis.mass.sum()))
     with open(tmp_path / "ref_modes.csv", "w") as fh:
         fh.write("vertex_id," + ",".join(f"mode_{j}" for j in range(basis.count + 1)) + "\n")
         for i in range(basis.dim):
-            fh.write(str(i) + "," + ",".join(fmt(v) for v in basis.vectors[i]) + "\n")
+            fh.write(str(i) + "," + constant + "," + ",".join(fmt(v) for v in basis.phi[i]) + "\n")
     write_eigen_csv(basis, tmp_path / "modes.csv")
     assert (tmp_path / "modes.csv").read_bytes() == (tmp_path / "ref_modes.csv").read_bytes()
 

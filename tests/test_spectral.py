@@ -21,6 +21,7 @@ from gasket_fgf.fields import (
     variogram,
 )
 from gasket_fgf.geometry import build_level, extract_cell, symmetry_permutation
+from gasket_fgf.io import write_eigen_csv
 from gasket_fgf.kernels import (
     estimate_bound_fit,
     increment_l2_check,
@@ -99,16 +100,22 @@ def birth_levels(levels):
     return born
 
 
-def test_mode_zero_is_constant(basis4):
-    assert basis4.lambdas[0] == 0.0
-    phi0 = basis4.vectors[:, 0]
-    np.testing.assert_allclose(phi0, phi0[0], rtol=1e-13)
-    assert phi0[0] == pytest.approx(1.0 / np.sqrt(basis4.mass.sum()))
+def test_mode_zero_is_constant(basis4, tmp_path):
+    # the basis holds no constant mode; the eigenvector CSV writes it as
+    # column mode_0, 1/sqrt(total mass) bit for bit, beside the columns of phi
+    write_eigen_csv(basis4, tmp_path / "modes.csv")
+    table = np.loadtxt(tmp_path / "modes.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], np.arange(basis4.dim))
+    np.testing.assert_array_equal(table[:, 1], 1.0 / np.sqrt(basis4.mass.sum()))
+    np.testing.assert_array_equal(table[:, 2:], basis4.phi)
 
 
 def test_orthonormality(basis4):
-    gram = basis4.vectors.T @ (basis4.mass[:, None] * basis4.vectors)
-    assert np.abs(gram - np.eye(basis4.count + 1)).max() <= 1e-10
+    # phi holds the nonzero modes alone: n x count, at the eigenvalues of spectrum(level)
+    assert basis4.phi.shape == (basis4.dim, basis4.count)
+    np.testing.assert_array_equal(basis4.lam, spectrum(basis4.level)[: basis4.count])
+    gram = basis4.phi.T @ (basis4.mass[:, None] * basis4.phi)
+    assert np.abs(gram - np.eye(basis4.count)).max() <= 1e-10
 
 
 def test_streamed_columns_are_orthonormal_at_level_7():
@@ -161,7 +168,7 @@ def test_each_eigenspace_is_orthonormal(m):
 
 
 def test_modes_are_mean_zero(basis4):
-    means = basis4.mass @ basis4.vectors[:, 1:]
+    means = basis4.mass @ basis4.phi
     assert np.abs(means).max() <= 1e-10
 
 
@@ -184,8 +191,8 @@ def test_residual_reported(basis5):
 
 
 def test_spectrum_increasing(basis5):
-    assert np.all(np.diff(basis5.lambdas) >= -1e-9)
-    assert basis5.lambdas[1] > 1.0
+    assert np.all(np.diff(basis5.lam) >= -1e-9)
+    assert basis5.lam[0] > 1.0
 
 
 def test_clusters_partition_spectrum(basis5):
@@ -230,7 +237,7 @@ def test_basis_ignores_null_vector_signs(level, word, flip, monkeypatch):
             patch.setattr(spectral, "_newborn_block", scaled_block)
             basis = solve_eigen(assemble_energy(g), assemble_mass(g), len(g) - 1, graph=g)
         assert sum(scaled) > 0
-        assert np.abs(basis.vectors - ref.vectors).max() <= 1e-12, product
+        assert np.abs(basis.phi - ref.phi).max() <= 1e-12, product
 
 
 @pytest.mark.parametrize("j,trimmed", [(0, 0), (100, 80), (300, 242), (878, 728), (1094, 1094)])
@@ -254,8 +261,8 @@ def test_truncated_solve_matches_full(g6, basis6, count, base):
         basis = solve_eigen(s, mm, count, graph=g6)
     assert basis.count == count
     assert basis.cluster_complete(count) == basis6.cluster_complete(count)
-    np.testing.assert_array_equal(basis.lambdas, basis6.lambdas[: count + 1])
-    assert np.abs(basis.vectors - basis6.vectors[:, : count + 1]).max() <= 1e-12
+    np.testing.assert_array_equal(basis.lam, basis6.lam[:count])
+    assert np.abs(basis.phi - basis6.phi[:, :count]).max() <= 1e-12
 
 
 def test_deep_truncated_solve_fails_before_dense_allocation():
@@ -599,7 +606,7 @@ def test_full_solve_needs_no_dense_eigensolver(g6, basis6, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     basis = solve_eigen(assemble_energy(g6), assemble_mass(g6), len(g6) - 1, graph=g6)
     assert basis.count == len(g6) - 1 and basis.residual_norm <= 1e-8
-    assert np.abs(basis.vectors - basis6.vectors).max() <= 1e-12
+    assert np.abs(basis.phi - basis6.phi).max() <= 1e-12
 
 
 def test_weyl_exponent_level6(basis6):
