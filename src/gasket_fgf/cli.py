@@ -7,7 +7,9 @@ timestamps), so identical configurations rerun to byte-identical files.
 
 Exit codes: 0 success (and, for `verify`, all checks passed); 1 verify
 checks failed; 2 invalid configuration (message names the violated
-invariant and admissible interval); 3 eigensolver failure.
+invariant and admissible interval) or an output path that cannot be
+written (checked before any work, so no other artifact is left behind);
+3 eigensolver failure.
 
 Heavy numerical imports happen inside the command handlers, after the
 ``--threads`` cap (flag or config) has been exported to the BLAS
@@ -17,6 +19,7 @@ GASKET_FGF_THREADS fallback only fills those that are unset.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -27,6 +30,9 @@ _THREAD_VARS = (
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+
+#: Every flag that names an output file.
+_OUTPUTS = ("out", "matrix_out", "vectors_out", "report", "pgm")
 
 
 def _export_threads(n):
@@ -39,6 +45,20 @@ def _export_threads(n):
     if n:
         for var in _THREAD_VARS:
             os.environ.setdefault(var, n)
+
+
+def _unwritable(path):
+    """Why ``path`` cannot be opened for writing, or None; nothing is created."""
+    parent = os.path.dirname(path) or "."
+    if not path or not os.path.exists(parent):
+        return os.strerror(errno.ENOENT)
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR)
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
 
 
 class _Command(argparse.ArgumentParser):
@@ -294,6 +314,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     _export_threads(args.threads)
+    for dest in _OUTPUTS:
+        path = getattr(args, dest, None)
+        reason = path is not None and _unwritable(path)
+        if reason:
+            print(f"gasket-fgf: cannot write {path}: {reason}", file=sys.stderr)
+            return 2
     from .spectral import SolverError
 
     try:

@@ -583,6 +583,32 @@ def test_sample_beyond_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["sample", "--level", "2", "--s", "0.5"], "--out"),
+    (["build", "--level", "2"], "--out"),
+    (["build", "--level", "2", "--out", "g.json"], "--matrix-out"),
+    (["eigs", "--level", "2", "--count", "3", "--out", "e.json"], "--vectors-out"),
+    (["kernel", "--level", "2", "--s", "0.5", "--out", "k.csv"], "--report"),
+])
+def test_unwritable_output_exits_2_before_any_work(tmp_path, capsys, monkeypatch, args, flag):
+    # a missing directory, a file taken for a directory, and a directory taken for a file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "plain").write_text("")
+    for path, reason in (("nodir/x", "No such file or directory"),
+                         ("plain/x", "Not a directory"), (str(tmp_path), "Is a directory")):
+        assert run_cli(args + [flag, path]) == 2
+        assert capsys.readouterr().err == f"gasket-fgf: cannot write {path}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == ["plain"]
+
+
+def test_sample_unwritable_pgm_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # the raster path is refused before the draw, so the field CSV is never written
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["sample", "--level", "2", "--s", "0.5", "--out", "ok.csv", "--pgm", "nodir/x.pgm"]) == 2
+    assert capsys.readouterr().err == "gasket-fgf: cannot write nodir/x.pgm: No such file or directory\n"
+    assert os.listdir(tmp_path) == []
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*a, **k):
         raise SolverError("did not converge", residual=1.0)

@@ -133,6 +133,29 @@ def test_pixel_vertices_peak_memory_stays_below_the_kd_tree(level, mib):
     assert peak <= mib * 2**20
 
 
+#: SHA-256 of write_pgm at size 512 for default_rng(level).standard_normal values; 13,122 pixels tie at level 10.
+PGM_SHA256 = {
+    3: "6bfc0eca13afcb39709fbc59a72f572c8c26147c90c64b649954558c92709511",
+    7: "243f3235b47822f955105157c4d87c924569a638d07ec08f8fe6a4149658c0a2",
+    10: "39a5f28211d0a0e2af0fea5fc055110a6fd400d8041ed0d3caaca9eccf6c1a0b",
+}
+
+
+@pytest.mark.parametrize("level", sorted(PGM_SHA256))
+def test_pgm_keeps_its_bytes(tmp_path, level):
+    g = build_level(level)
+    write_pgm(np.random.default_rng(level).standard_normal(len(g)), g, tmp_path / "f.pgm", 512)
+    assert hashlib.sha256((tmp_path / "f.pgm").read_bytes()).hexdigest() == PGM_SHA256[level]
+
+
+def test_pgm_peak_memory_is_one_block(tmp_path):
+    # a whole id raster, a float shade raster and a float temporary peaked at 6.0 MiB at level 7
+    g = build_level(7)
+    values = np.random.default_rng(7).standard_normal(len(g))
+    write_pgm(values, g, tmp_path / "f.pgm")
+    assert _traced_peak(lambda: write_pgm(values, g, tmp_path / "f.pgm")) <= 3 * 2**20
+
+
 def test_sub_gasket_graph_json_keeps_its_bytes(tmp_path):
     # pins the cell words and boundary flags of an extracted cell
     write_graph_json(extract_cell(build_level(5), (1, 2)), tmp_path / "g.json")
